@@ -73,6 +73,16 @@ struct SocketServer::Impl {
   int epoll_fd = -1;
   int wake_fd = -1;  // eventfd: completions + stop()
 
+  // ---- completion worker jobs --------------------------------------------
+  struct Job {
+    enum Kind { kClassify, kReload, kStop } kind = kStop;
+    std::uint64_t conn_id = 0;
+    std::uint64_t seq = 0;
+    std::future<core::Prediction> future;
+    std::string path;
+    Clock::time_point start{};  // frame decode
+  };
+
   // ---- connections (event-loop thread only) ------------------------------
   struct Slot {
     bool ready = false;
@@ -96,6 +106,7 @@ struct SocketServer::Impl {
     bool reload_wait = false;  // RELOAD in flight: later frames must
                                // observe the new model, so dispatch
                                // pauses until it completes
+    std::optional<Job> deferred_reload;  // held until earlier slots resolve
 
     // Timeout bookkeeping (authoritative; the timer wheel entry is lazy).
     Clock::time_point last_activity{};  // last byte received
@@ -108,7 +119,7 @@ struct SocketServer::Impl {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = 1000;  // ids < 1000 are listeners/wakeups
   std::size_t global_inflight = 0;
-  bool draining = false;
+  std::atomic<bool> draining{false};  // also read by path-extraction tasks
   Clock::time_point drain_deadline{};
 
   // Per-connection timeout machinery (idle / read-progress eviction).
@@ -117,15 +128,6 @@ struct SocketServer::Impl {
   int epoll_failures = 0;  // consecutive non-EINTR epoll_wait failures
 
   // ---- completion worker -------------------------------------------------
-  struct Job {
-    enum Kind { kClassify, kReload, kStop } kind = kStop;
-    std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;
-    std::future<core::Prediction> future;
-    std::string path;
-    Clock::time_point start{};
-  };
-
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
@@ -139,6 +141,13 @@ struct SocketServer::Impl {
   std::mutex completions_mutex;
   std::deque<Completion> completions;
   std::thread worker;
+
+  // ---- CLASSIFY_PATH extraction on the service pool ----------------------
+  // Pool tasks capture `this`; run_loop() waits for this count to reach
+  // zero before it returns, so no task outlives the Impl.
+  std::mutex extract_mutex;
+  std::condition_variable extract_cv;
+  std::size_t extracting = 0;
 
   // ---- lifecycle ---------------------------------------------------------
   std::atomic<bool> stop_requested{false};
@@ -417,9 +426,15 @@ struct SocketServer::Impl {
       if (pending_completions) drain_wake();
       expire_timers();
     }
-    // Stop the completion worker; every queued job's future resolves
-    // because begin_drain() flushed the service queue and nothing can
-    // submit anymore.
+    // Extraction tasks still running may yet hand the worker a job (even
+    // after force_close_all: their replies are dropped on arrival). Once
+    // they are done nothing can submit anymore, and every queued job's
+    // future resolves because the service queue was flushed after the
+    // last submit (begin_drain() or the task itself).
+    {
+      std::unique_lock lock(extract_mutex);
+      extract_cv.wait(lock, [this] { return extracting == 0; });
+    }
     {
       std::lock_guard lock(jobs_mutex);
       jobs.push_back(Job{});  // kStop
@@ -477,6 +492,11 @@ struct SocketServer::Impl {
       conn.slots[idx].ready = true;
       conn.slots[idx].bytes = std::move(completion.bytes);
       if (conn.inflight > 0) --conn.inflight;
+      if (conn.deferred_reload && conn.inflight == 1) {
+        // Every slot ahead of the RELOAD has resolved: apply it now.
+        push_job(std::move(*conn.deferred_reload));
+        conn.deferred_reload.reset();
+      }
       if (!completion.classify) {
         // A reload finished: lift the barrier and dispatch the frames
         // that were buffered behind it against the new model.
@@ -618,6 +638,7 @@ struct SocketServer::Impl {
   }
 
   void dispatch(Conn& conn, const std::vector<std::uint8_t>& payload) {
+    const Clock::time_point decoded = Clock::now();
     Request request;
     const DecodeStatus status = decode_request(payload, request);
     if (status == DecodeStatus::kUnknownOpcode) {
@@ -637,7 +658,7 @@ struct SocketServer::Impl {
     switch (request.op) {
       case Opcode::kClassifyDigests:
       case Opcode::kClassifyPath:
-        dispatch_classify(conn, request);
+        dispatch_classify(conn, request, decoded);
         break;
       case Opcode::kStats:
         append_ready(conn, [&](std::string& out) {
@@ -648,7 +669,6 @@ struct SocketServer::Impl {
         append_ready(conn, [](std::string& out) { encode_ok(out, "pong"); });
         break;
       case Opcode::kReload: {
-        const std::uint64_t seq = append_pending(conn);
         // Barrier: frames pipelined behind a RELOAD must observe the new
         // model, so this connection's dispatch pauses until it completes
         // (other connections keep flowing against the old snapshot).
@@ -656,10 +676,17 @@ struct SocketServer::Impl {
         Job job;
         job.kind = Job::kReload;
         job.conn_id = conn.id;
-        job.seq = seq;
+        job.seq = append_pending(conn);
         job.path = request.text;
-        job.start = Clock::now();
-        push_job(std::move(job));
+        job.start = decoded;
+        // Frames ahead of it score on the old model: a CLASSIFY_PATH may
+        // still be extracting on the pool, not yet queued anywhere, so
+        // the reload waits until every earlier slot has resolved.
+        if (conn.inflight > 1) {
+          conn.deferred_reload = std::move(job);
+        } else {
+          push_job(std::move(job));
+        }
         break;
       }
       case Opcode::kQuit:
@@ -671,7 +698,7 @@ struct SocketServer::Impl {
     }
   }
 
-  void dispatch_classify(Conn& conn, Request& request) {
+  void dispatch_classify(Conn& conn, Request& request, Clock::time_point decoded) {
     // Admission gates, cheapest first; every refusal is an explicit
     // BUSY reply in the pipeline, never silent queueing.
     if (conn.inflight >= config.max_pipeline) {
@@ -687,35 +714,45 @@ struct SocketServer::Impl {
       return;
     }
 
-    const Clock::time_point start = Clock::now();
-    // The wire deadline is the client's total time budget; the service
-    // starts the clock at enqueue and sheds expired work before scoring.
     std::optional<std::chrono::milliseconds> deadline;
     if (request.has_deadline) {
       deadline = std::chrono::milliseconds(request.deadline_ms);
     }
-    service::CommandHandler::Submission submission;
-    if (request.op == Opcode::kClassifyDigests) {
-      core::FeatureHashes sample;
-      std::string error;
-      if (!sample_from_digests(request.digests, sample, error)) {
-        // Bad digest text is an input error, not a framing error: the
-        // connection stays usable.
-        append_ready(conn, [&](std::string& out) { encode_error(out, error); });
-        return;
+    if (request.op == Opcode::kClassifyPath) {
+      // Extraction (file read, ELF parse, three ssdeep passes) runs on
+      // the service pool, never on this thread: no connection waits
+      // behind another's file. The reply slot is reserved now, so
+      // per-connection order holds however the task ends.
+      const std::uint64_t seq = append_pending(conn);
+      ++global_inflight;
+      {
+        std::lock_guard lock(extract_mutex);
+        ++extracting;
       }
-      submission =
-          handler.submit_sample(std::move(sample), /*bounded=*/true, deadline);
-    } else {
-      submission = handler.submit_path(request.text, /*bounded=*/true, deadline);
-    }
-
-    if (!submission.error.empty()) {
-      append_ready(conn, [&](std::string& out) {
-        encode_error(out, submission.error);
-      });
+      try {
+        handler.service().pool().submit(
+            [this, id = conn.id, seq, path = std::move(request.text), decoded,
+             deadline] { extract_and_submit(id, seq, path, decoded, deadline); });
+      } catch (...) {
+        // Nothing will answer the slot; the loop's bad_alloc handler
+        // closes this connection.
+        end_extraction();
+        --global_inflight;
+        throw;
+      }
       return;
     }
+
+    core::FeatureHashes sample;
+    std::string error;
+    if (!sample_from_digests(request.digests, sample, error)) {
+      // Bad digest text is an input error, not a framing error: the
+      // connection stays usable.
+      append_ready(conn, [&](std::string& out) { encode_error(out, error); });
+      return;
+    }
+    service::CommandHandler::Submission submission = handler.submit_sample(
+        std::move(sample), /*bounded=*/true, budget_left(decoded, deadline));
     if (submission.rejected) {
       append_ready(conn, [](std::string& out) {
         encode_busy(out, "service queue full");
@@ -725,13 +762,66 @@ struct SocketServer::Impl {
 
     const std::uint64_t seq = append_pending(conn);
     ++global_inflight;
-    Job job;
-    job.kind = Job::kClassify;
-    job.conn_id = conn.id;
-    job.seq = seq;
-    job.future = std::move(submission.future);
-    job.start = start;
-    push_job(std::move(job));
+    push_classify(conn.id, seq, std::move(submission.future), decoded);
+  }
+
+  /// The wire deadline is the client's total time budget counted from
+  /// frame decode, so extraction and queueing both spend it; the service
+  /// sheds the request before scoring once the rest runs out. Rounded
+  /// up: a request is never shed before its deadline, at most 1 ms after.
+  static std::optional<std::chrono::milliseconds> budget_left(
+      Clock::time_point decoded, std::optional<std::chrono::milliseconds> deadline) {
+    if (!deadline) return std::nullopt;
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(decoded + *deadline - Clock::now());
+    return std::max(left, std::chrono::milliseconds(0));
+  }
+
+  /// One CLASSIFY_PATH on a pool worker: extract, submit, and hand the
+  /// future to the completion worker — or, on an extraction error or a
+  /// full queue, post the ERROR/BUSY reply straight to the loop. Never
+  /// waits on a future: the pool is also the service's scoring pool.
+  void extract_and_submit(std::uint64_t conn_id, std::uint64_t seq,
+                          const std::string& path, Clock::time_point decoded,
+                          std::optional<std::chrono::milliseconds> deadline) {
+    struct Done {
+      Impl* impl;
+      ~Done() { impl->end_extraction(); }
+    } done{this};
+    Completion failure;
+    failure.conn_id = conn_id;
+    failure.seq = seq;
+    failure.classify = true;
+    try {
+      core::FeatureHashes sample;
+      const std::string error = service::CommandHandler::extract_path(path, sample);
+      if (!error.empty()) {
+        encode_error(failure.bytes, error);
+      } else {
+        service::CommandHandler::Submission submission = handler.submit_sample(
+            std::move(sample), /*bounded=*/true, budget_left(decoded, deadline));
+        if (submission.rejected) {
+          encode_busy(failure.bytes, "service queue full");
+        } else {
+          // Submitted after begin_drain() flushed the service: flush again
+          // so shutdown does not wait out max_delay for this request.
+          if (draining.load()) handler.service().flush();
+          push_classify(conn_id, seq, std::move(submission.future), decoded);
+          return;
+        }
+      }
+    } catch (const std::exception& e) {
+      failure.bytes.clear();
+      encode_error(failure.bytes, e.what());
+    }
+    post_completion(std::move(failure));
+  }
+
+  void end_extraction() {
+    // Notify under the lock: the moment run_loop() can observe zero, the
+    // Impl may be destroyed, so nothing here may touch it after unlock.
+    std::lock_guard lock(extract_mutex);
+    if (--extracting == 0) extract_cv.notify_all();
   }
 
   void apply_backpressure(Conn& conn) {
@@ -800,6 +890,17 @@ struct SocketServer::Impl {
     jobs_cv.notify_one();
   }
 
+  void push_classify(std::uint64_t conn_id, std::uint64_t seq,
+                     std::future<core::Prediction> future, Clock::time_point start) {
+    Job job;
+    job.kind = Job::kClassify;
+    job.conn_id = conn_id;
+    job.seq = seq;
+    job.future = std::move(future);
+    job.start = start;
+    push_job(std::move(job));
+  }
+
   void worker_loop() {
     for (;;) {
       Job job;
@@ -816,8 +917,14 @@ struct SocketServer::Impl {
       completion.seq = job.seq;
       completion.classify = job.kind == Job::kClassify;
       if (job.kind == Job::kClassify) {
+        // Shared, so this thread keeps the result state alive while it
+        // reads it: `pred` below refers into it, and a scoring exception
+        // is destroyed only after the catch handlers are done with it.
+        // (The exception's own refcount lives in libstdc++, where TSan
+        // cannot see it order a reader before the free.)
+        const std::shared_future<core::Prediction> result = job.future.share();
         try {
-          const core::Prediction pred = job.future.get();
+          const core::Prediction& pred = result.get();
           const auto micros =
               std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                     job.start);
@@ -852,12 +959,17 @@ struct SocketServer::Impl {
         }
       }
 
-      {
-        std::lock_guard lock(completions_mutex);
-        completions.push_back(std::move(completion));
-      }
-      wake();
+      post_completion(std::move(completion));
     }
+  }
+
+  /// Hands a finished reply to the loop (any thread).
+  void post_completion(Completion completion) {
+    {
+      std::lock_guard lock(completions_mutex);
+      completions.push_back(std::move(completion));
+    }
+    wake();
   }
 
   void wake() {

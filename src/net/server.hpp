@@ -2,15 +2,25 @@
 // daemon: a non-blocking epoll event loop serving the length-prefixed
 // binary protocol (net/protocol.hpp) over TCP and Unix-domain sockets.
 //
-// Architecture (three threads touch a request):
+// Architecture (three threads touch a request, four for CLASSIFY_PATH):
 //
 //   event loop (run())      accepts, reads, frames, admission-checks,
 //                           submits to the ClassificationService via the
 //                           shared CommandHandler, and writes replies;
+//   service pool worker     CLASSIFY_PATH only: reads the file, extracts
+//                           its features and submits them, so one large
+//                           file never stalls the loop. It is the pool
+//                           the service scores on, so the task never
+//                           waits on a future; an extraction error or a
+//                           full queue goes straight back to the loop;
 //   service dispatcher      the existing micro-batching scorer;
 //   completion worker       waits each submitted future in FIFO order,
 //                           encodes the reply frame, and wakes the loop
 //                           through an eventfd.
+//
+// Deadlines: a request's wire deadline_ms counts from frame decode, so
+// extraction spends it too; what is left when the request would be
+// scored decides whether it is shed (DEADLINE_EXCEEDED).
 //
 // Pipelining: replies go out strictly in request order per connection.
 // Each request occupies a reply slot; slots resolved out of order (a
@@ -33,7 +43,8 @@
 // flushes its pending queue, in-flight batches finish on their model
 // snapshot, replies drain, then connections close and run() returns.
 // Connections that will not drain are force-closed after
-// drain_timeout_ms.
+// drain_timeout_ms; run() still waits for extractions in flight on the
+// pool, whose futures resolve before it returns.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,9 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "util/io_util.hpp"
 
 namespace fhc::runtime {
 
@@ -139,11 +139,8 @@ CounterTrace parse_trace(std::string_view text) {
 }
 
 CounterTrace load_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_trace_file: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_trace(buffer.str());
+  const std::vector<std::uint8_t> bytes = util::read_file(path);
+  return parse_trace(std::string(bytes.begin(), bytes.end()));
 }
 
 }  // namespace fhc::runtime

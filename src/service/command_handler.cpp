@@ -13,25 +13,29 @@
 
 namespace fhc::service {
 
-CommandHandler::Submission CommandHandler::submit_path(
-    const std::string& path_spec, bool bounded,
-    std::optional<std::chrono::milliseconds> deadline) {
-  Submission out;
-  core::FeatureHashes sample;
+std::string CommandHandler::extract_path(const std::string& path_spec,
+                                         core::FeatureHashes& out) {
   try {
     const std::size_t at = path_spec.rfind('@');
     const auto image = util::read_file(
         at == std::string::npos ? path_spec : path_spec.substr(0, at));
-    sample = core::extract_feature_hashes(image);
+    out = core::extract_feature_hashes(image);
     if (at != std::string::npos) {
-      runtime::attach_trace(sample,
+      runtime::attach_trace(out,
                             runtime::load_trace_file(path_spec.substr(at + 1)));
     }
   } catch (const std::exception& e) {
-    out.error = e.what();
-    return out;
+    return e.what();
   }
-  return submit_sample(std::move(sample), bounded, deadline);
+  return {};
+}
+
+CommandHandler::Submission CommandHandler::submit_path(const std::string& path_spec) {
+  Submission out;
+  core::FeatureHashes sample;
+  out.error = extract_path(path_spec, sample);
+  if (!out.error.empty()) return out;
+  return submit_sample(std::move(sample));
 }
 
 CommandHandler::Submission CommandHandler::submit_sample(

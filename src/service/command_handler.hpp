@@ -8,10 +8,11 @@
 // predictions, admission accounting). This class is the single
 // implementation both wrap, so the wire surfaces cannot drift:
 //
-//   * submit_path() / submit_sample(): one CLASSIFY item — feature
-//     extraction (path mode reads the file, an `exe@trace` spec attaches
-//     the perf-stat trace) and submission, optionally through the
-//     bounded try_submit() admission gate;
+//   * extract_path(): feature extraction for one path item (reads the
+//     file, an `exe@trace` spec attaches the perf-stat trace);
+//   * submit_path() / submit_sample(): one CLASSIFY item — extraction
+//     and submission, optionally through the bounded try_submit()
+//     admission gate;
 //   * format_prediction(): the canonical "<label>\t<confidence>" text;
 //   * stats_line(): the canonical key=value STATS reply;
 //   * reload(): model load + service reload with error capture;
@@ -47,17 +48,23 @@ class CommandHandler {
     bool rejected = false;
   };
 
-  /// Reads `path` (or "exe@trace": the trace is fingerprinted into the
-  /// runtime channel), extracts feature hashes, and submits. Never
-  /// throws — failures land in Submission::error. `deadline` is the
-  /// request's time budget; expired work resolves the future with
-  /// service::DeadlineExceeded instead of being scored.
-  Submission submit_path(
-      const std::string& path_spec, bool bounded = false,
-      std::optional<std::chrono::milliseconds> deadline = std::nullopt);
+  /// Reads `path_spec` (or "exe@trace": the trace is fingerprinted into
+  /// the runtime channel) and extracts its feature hashes into `out`.
+  /// Never throws: returns the failure text, empty on success. Anything
+  /// that is not a regular file (a FIFO, a device) is refused before a
+  /// byte is read. The socket server runs this on the service's pool.
+  static std::string extract_path(const std::string& path_spec,
+                                  core::FeatureHashes& out);
 
-  /// Submits an already-extracted sample (the socket protocol's digest
-  /// fast path — clients hash locally, the daemon only scores).
+  /// extract_path() then an unbounded submit — the stdio CLASSIFY item.
+  /// Never throws: failures land in Submission::error.
+  Submission submit_path(const std::string& path_spec);
+
+  /// Submits an already-extracted sample: the socket protocol's digest
+  /// fast path (clients hash locally, the daemon only scores) and path
+  /// requests once extract_path() has run. `deadline` is the budget left
+  /// from now; expired work resolves the future with
+  /// service::DeadlineExceeded instead of being scored.
   Submission submit_sample(
       core::FeatureHashes sample, bool bounded = false,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);

@@ -204,6 +204,11 @@ class ClassificationService {
   ServiceStats stats() const;
   const ServiceConfig& config() const noexcept { return config_; }
 
+  /// The pool batch scoring runs on. Front-ends may post short,
+  /// never-blocking work to it (the socket server extracts CLASSIFY_PATH
+  /// features here); a task that waited on a future would starve scoring.
+  util::ThreadPool& pool() const noexcept { return *pool_; }
+
  private:
   struct Request {
     core::FeatureHashes sample;

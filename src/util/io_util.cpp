@@ -1,20 +1,42 @@
 #include "util/io_util.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <stdexcept>
 
 namespace fhc::util {
 
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_file: cannot open " + path.string());
-  in.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  std::vector<std::uint8_t> data(size);
-  if (size > 0 && !in.read(reinterpret_cast<char*>(data.data()),
-                           static_cast<std::streamsize>(size))) {
+  // O_NONBLOCK so opening a FIFO does not wait for a writer; the S_ISREG
+  // check then refuses it (and devices, sockets, directories) before a
+  // read could block forever or never reach end-of-file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("read_file: cannot open " + path.string());
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    throw std::runtime_error("read_file: cannot stat " + path.string());
+  }
+  if (!S_ISREG(st.st_mode)) {
+    throw std::runtime_error("read_file: not a regular file: " + path.string());
+  }
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  if (got != data.size()) {
     throw std::runtime_error("read_file: short read on " + path.string());
   }
   return data;

@@ -10,7 +10,9 @@
 
 namespace fhc::util {
 
-/// Reads an entire file into memory. Throws std::runtime_error on failure.
+/// Reads an entire regular file into memory. Throws std::runtime_error on
+/// failure, and for anything that is not a regular file (a FIFO would
+/// otherwise block the caller forever).
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path);
 
 /// Writes `data` to `path`, creating parent directories. Throws on failure.

@@ -6,8 +6,9 @@
 // zero candidates_scored delta (shedding costs no scoring work), live
 // requests sharing a batch with shed ones still answer bit-identically
 // to serial predict, the queue-age bound (max_queue_delay) sheds the
-// same way, and the DEADLINE_EXCEEDED wire opcode reaches socket
-// clients.
+// same way, the DEADLINE_EXCEEDED wire opcode reaches socket clients,
+// and a CLASSIFY_PATH deadline counts from frame decode, so time spent
+// extracting features is spent from the client's budget.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "net/server.hpp"
 #include "service/command_handler.hpp"
 #include "service/service.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/synthetic_hashes.hpp"
 
 namespace fhc::service {
@@ -192,6 +194,58 @@ TEST(DeadlineLifecycle, DeadlineExceededReachesTheWire) {
             std::bit_cast<std::uint64_t>(expected.confidence));
 
   // The shed request shows up in the daemon's own accounting.
+  EXPECT_EQ(svc.stats().deadline_expired, 1u);
+  server.stop();
+  server.join();
+}
+
+TEST(DeadlineLifecycle, PathDeadlineCountsExtractionTime) {
+  // max_batch 1 flushes the moment a request queues, so a 1 ms budget
+  // counted from enqueue would usually score. Counted from frame decode
+  // it is long gone once the file is hashed: shed, never scored.
+  ServiceConfig config;
+  config.max_batch = 1;
+  config.cache_capacity = 0;
+  ClassificationService svc(clone_model(), config);
+  service::CommandHandler handler(svc);
+  net::ServerConfig server_config;
+  server_config.unix_path = "/tmp/fhc_chaos_pathddl_" +
+                            std::to_string(::getpid()) + ".sock";
+  net::SocketServer server(handler, server_config);
+  server.start();
+  const testsupport::ScratchDir dir("chaos_path_deadline");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+
+  net::BlockingClient client;
+  net::Endpoint endpoint;
+  endpoint.unix_path = server.unix_socket_path();
+  ASSERT_EQ(client.connect(endpoint, /*retries=*/100), "");
+  std::string wire;
+  net::encode_classify_path(wire, big, std::uint32_t{1});
+  ASSERT_TRUE(client.send_bytes(wire));
+  net::Response response;
+  std::string error;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  EXPECT_EQ(response.op, net::Opcode::kDeadlineExceeded);
+
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.deadline_expired, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.scored, 0u);
+  EXPECT_EQ(stats.batches, 0u);
+
+  // A budget that covers the extraction still scores, bit-identically.
+  wire.clear();
+  net::encode_classify_path(wire, big, std::uint32_t{600000});
+  ASSERT_TRUE(client.send_bytes(wire));
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  ASSERT_EQ(response.op, net::Opcode::kPrediction);
+  const core::Prediction expected =
+      fixture().model.predict(testsupport::features_of(big));
+  EXPECT_EQ(response.label, expected.label);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(response.confidence),
+            std::bit_cast<std::uint64_t>(expected.confidence));
   EXPECT_EQ(svc.stats().deadline_expired, 1u);
   server.stop();
   server.join();

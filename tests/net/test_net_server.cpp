@@ -6,11 +6,14 @@
 // extends through the wire), replies arrive strictly in request order
 // under pipelining, admission control provably bounds the queue (BUSY
 // frames + rejection counters, never silent queueing), and RELOAD /
-// graceful shutdown work mid-connection.
+// graceful shutdown work mid-connection. CLASSIFY_PATH extraction runs
+// on the service pool: a slow file on one connection never holds up
+// another, and shutdown waits out extractions still in flight.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
@@ -24,6 +27,7 @@
 
 #include "net/client.hpp"
 #include "service/command_handler.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/synthetic_hashes.hpp"
 
 namespace fhc::net {
@@ -78,6 +82,12 @@ std::string classify_frame(const core::FeatureHashes& sample) {
   }
   std::string frame;
   encode_classify_digests(frame, digests);
+  return frame;
+}
+
+std::string path_frame(const std::string& path) {
+  std::string frame;
+  encode_classify_path(frame, path);
   return frame;
 }
 
@@ -564,6 +574,229 @@ TEST(SocketServer, RunLoadDrivesManyPipelinedConnections) {
   const service::ServiceStats stats = daemon.svc.stats();
   EXPECT_EQ(stats.connections_opened, 8u);
   EXPECT_GE(stats.requests, 8u * 32u);
+}
+
+TEST(SocketServer, PathRepliesBitIdenticalToSerialPredict) {
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_paths");
+  const std::vector<std::string> paths = testsupport::write_corpus_elfs(dir, 8);
+  TestDaemon daemon(clone(fx.model));
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  // Pipelined: the extractions run concurrently on the pool, the replies
+  // still come back in request order.
+  std::string wire;
+  for (const std::string& path : paths) wire += path_frame(path);
+  ASSERT_TRUE(client.send_bytes(wire));
+  const std::vector<std::string>& names = fx.model.class_names();
+  for (const std::string& path : paths) {
+    Response response;
+    std::string error;
+    ASSERT_TRUE(client.read_response(response, &error)) << error;
+    const core::Prediction expected = fx.model.predict(testsupport::features_of(path));
+    expect_prediction_matches(response, expected);
+    if (expected.label >= 0) {
+      EXPECT_EQ(response.text, names[static_cast<std::size_t>(expected.label)]);
+    }
+  }
+}
+
+TEST(SocketServer, PipelinedPathErrorKeepsOrderAndReleasesInflight) {
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_path_error");
+  const std::vector<std::string> paths = testsupport::write_corpus_elfs(dir, 2);
+  ServerConfig server_config;
+  server_config.max_inflight = 4;
+  TestDaemon daemon(clone(fx.model), {}, server_config);
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  std::string wire = path_frame(paths[0]);
+  wire += path_frame((dir.root() / "missing").string());
+  wire += classify_frame(fx.queries[0]);
+  wire += path_frame(paths[1]);
+  ASSERT_TRUE(client.send_bytes(wire));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(paths[0])));
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  EXPECT_EQ(response.op, Opcode::kError);
+  EXPECT_NE(response.text.find("cannot open"), std::string::npos) << response.text;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[0]));
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(paths[1])));
+
+  // The failed extraction gave its server-wide in-flight unit back: a
+  // full max_inflight burst is admitted without a single BUSY.
+  wire.clear();
+  for (std::size_t i = 1; i <= 4; ++i) wire += classify_frame(fx.queries[i]);
+  ASSERT_TRUE(client.send_bytes(wire));
+  for (std::size_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(client.read_response(response, &error)) << error;
+    expect_prediction_matches(response, fx.model.predict(fx.queries[i]));
+  }
+}
+
+TEST(SocketServer, NonRegularPathAnswersErrorAndKeepsServing) {
+  // A FIFO would block a plain read forever (and with it a pool worker);
+  // /dev/zero never ends. Both are refused before a byte is read.
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_fifo");
+  const std::string fifo = (dir.root() / "pipe").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  TestDaemon daemon(clone(fx.model));
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  std::string wire = path_frame(fifo);
+  wire += path_frame("/dev/zero");
+  wire += classify_frame(fx.queries[0]);
+  ASSERT_TRUE(client.send_bytes(wire));
+  Response response;
+  std::string error;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.read_response(response, &error)) << error;
+    EXPECT_EQ(response.op, Opcode::kError);
+    EXPECT_NE(response.text.find("not a regular file"), std::string::npos)
+        << response.text;
+  }
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[0]));
+}
+
+TEST(SocketServer, SlowPathOnOneConnectionDoesNotDelayAnother) {
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_hol");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  TestDaemon daemon(clone(fx.model));
+  BlockingClient slow;
+  BlockingClient fast;
+  ASSERT_EQ(slow.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+  ASSERT_EQ(fast.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  ASSERT_TRUE(slow.send_bytes(path_frame(big)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // hashing now
+  ASSERT_TRUE(fast.send_bytes(classify_frame(fx.queries[0])));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(fast.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[0]));
+
+  // The digest reply overtook the file still being hashed for the other
+  // connection: nothing has arrived there yet.
+  slow.set_recv_timeout(1);
+  const BlockingClient::ReadStatus early = slow.read_response_status(response, &error);
+  EXPECT_EQ(early, BlockingClient::ReadStatus::kTransport)
+      << "the slow path request answered before the fast digest request";
+  slow.set_recv_timeout(0);
+  if (early != BlockingClient::ReadStatus::kOk) {
+    ASSERT_TRUE(slow.read_response(response, &error)) << error;
+  }
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(big)));
+}
+
+TEST(SocketServer, ReloadBehindPathRequestAppliesAfterIt) {
+  // Frames ahead of a RELOAD score on the old model even when their
+  // extraction is still running on the pool when the RELOAD arrives.
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_reload_order");
+  const std::string input = testsupport::write_noise_file(dir, "input", 4u << 20);
+  const std::string model_path = (dir.root() / "strict.fhcb").string();
+  fx.strict_model.save_binary_file(model_path);
+  TestDaemon daemon(clone(fx.model));
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  std::string wire = path_frame(input);
+  encode_reload(wire, model_path);
+  wire += path_frame(input);
+  ASSERT_TRUE(client.send_bytes(wire));
+  const core::FeatureHashes features = testsupport::features_of(input);
+  Response response;
+  std::string error;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(features));
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  EXPECT_EQ(response.op, Opcode::kOk) << response.text;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.strict_model.predict(features));
+}
+
+/// A dispatcher that only flushes on request: a request submitted during
+/// shutdown resolves promptly only if someone flushes after it.
+service::ServiceConfig parked_service_config() {
+  service::ServiceConfig config;
+  config.max_batch = 64;
+  config.max_delay = std::chrono::milliseconds(60000);
+  return config;
+}
+
+TEST(SocketServer, StopWithZeroDrainTimeoutWaitsOutPathExtraction) {
+  // A drain timeout of 0 force-closes the connection while its file is
+  // still being hashed on the pool. The task must not outlive the server
+  // (it holds a pointer into it), and its future must still resolve.
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_drain_stop");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  ServerConfig server_config;
+  server_config.drain_timeout_ms = 0;
+  TestDaemon daemon(clone(fx.model), parked_service_config(), server_config);
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  ASSERT_TRUE(client.send_bytes(path_frame(big)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // hashing now
+  const auto stop_at = std::chrono::steady_clock::now();
+  daemon.server.stop();
+  daemon.server.join();
+  // Well inside the parked max_delay: the late submit was flushed.
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_at, std::chrono::seconds(30));
+  Response response;
+  std::string error;
+  EXPECT_FALSE(client.read_response(response, &error));  // force-closed
+
+  const service::ServiceStats stats = daemon.svc.stats();
+  EXPECT_EQ(stats.requests, 1u);  // the extraction finished and submitted
+  EXPECT_EQ(stats.completed, stats.requests);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(SocketServer, QuitWhilePathExtractsStillAnswersIt) {
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_drain_quit");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  ServerConfig server_config;
+  server_config.drain_timeout_ms = 60000;  // the drain must outlast hashing
+  TestDaemon daemon(clone(fx.model), parked_service_config(), server_config);
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  // QUIT flushes the service before the path request reaches it; the
+  // late submit must flush again or the drain would wait out max_delay.
+  std::string wire = path_frame(big);
+  encode_quit(wire);
+  const auto sent_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_bytes(wire));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(big)));
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  EXPECT_EQ(response.op, Opcode::kOk);
+  EXPECT_EQ(response.text, "bye");
+  EXPECT_FALSE(client.read_response(response, &error));
+  daemon.server.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - sent_at, std::chrono::seconds(30));
+
+  const service::ServiceStats stats = daemon.svc.stats();
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.completed, stats.requests);
 }
 
 }  // namespace

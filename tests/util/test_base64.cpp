@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +37,13 @@ struct Rfc4648Case {
   const char* plain;
   const char* encoded;
 };
+
+// Without this, gtest prints the struct's raw bytes (two pointers), so the
+// ctest names that gtest_discover_tests derives from the value change with
+// every ASLR layout.
+void PrintTo(const Rfc4648Case& c, std::ostream* os) {
+  *os << '{' << '"' << c.plain << "\", \"" << c.encoded << "\"}";
+}
 
 class Base64Rfc : public ::testing::TestWithParam<Rfc4648Case> {};
 

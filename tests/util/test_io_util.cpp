@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace fhc::util {
@@ -60,6 +61,30 @@ TEST_F(IoUtilTest, ReadMissingFileThrowsWithPath) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("does-not-exist"), std::string::npos);
   }
+}
+
+TEST_F(IoUtilTest, ReadRefusesNonRegularFilesWithoutBlocking) {
+  // A FIFO with no writer would block an ifstream read forever; /dev/zero
+  // never ends; a directory has no bytes. All are refused up front.
+  const auto fifo = dir_ / "pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::filesystem::path& path :
+       {fifo, std::filesystem::path("/dev/zero"), dir_}) {
+    try {
+      read_file(path);
+      FAIL() << "expected throw for " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a regular file"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(IoUtilTest, ReadFollowsSymlinkToRegularFile) {
+  write_file(dir_ / "target", std::string("payload"));
+  std::filesystem::create_symlink(dir_ / "target", dir_ / "link");
+  const auto bytes = read_file(dir_ / "link");
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "payload");
 }
 
 TEST_F(IoUtilTest, ListFilesRecursiveSorted) {
