@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -73,16 +74,6 @@ struct SocketServer::Impl {
   int epoll_fd = -1;
   int wake_fd = -1;  // eventfd: completions + stop()
 
-  // ---- completion worker jobs --------------------------------------------
-  struct Job {
-    enum Kind { kClassify, kReload, kStop } kind = kStop;
-    std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;
-    std::future<core::Prediction> future;
-    std::string path;
-    Clock::time_point start{};  // frame decode
-  };
-
   // ---- connections (event-loop thread only) ------------------------------
   struct Slot {
     bool ready = false;
@@ -106,7 +97,11 @@ struct SocketServer::Impl {
     bool reload_wait = false;  // RELOAD in flight: later frames must
                                // observe the new model, so dispatch
                                // pauses until it completes
-    std::optional<Job> deferred_reload;  // held until earlier slots resolve
+    struct Reload {
+      std::uint64_t seq = 0;
+      std::string path;
+    };
+    std::optional<Reload> deferred_reload;  // held until earlier slots resolve
 
     // Timeout bookkeeping (authoritative; the timer wheel entry is lazy).
     Clock::time_point last_activity{};  // last byte received
@@ -127,27 +122,25 @@ struct SocketServer::Impl {
   std::vector<std::uint64_t> expired_scratch;
   int epoll_failures = 0;  // consecutive non-EINTR epoll_wait failures
 
-  // ---- completion worker -------------------------------------------------
+  // ---- completions: finished replies posted from any thread -------------
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
-    bool classify = false;
+    bool classify = false;  // false: a RELOAD
     std::string bytes;
   };
 
-  std::mutex jobs_mutex;
-  std::condition_variable jobs_cv;
-  std::deque<Job> jobs;
   std::mutex completions_mutex;
   std::deque<Completion> completions;
-  std::thread worker;
 
-  // ---- CLASSIFY_PATH extraction on the service pool ----------------------
-  // Pool tasks capture `this`; run_loop() waits for this count to reach
-  // zero before it returns, so no task outlives the Impl.
-  std::mutex extract_mutex;
-  std::condition_variable extract_cv;
-  std::size_t extracting = 0;
+  // ---- work outside the loop ---------------------------------------------
+  // One unit per pool task (path extraction, RELOAD) and per submitted
+  // request whose service callback has not run yet. All of them capture
+  // `this`; run_loop() waits for the count to reach zero before it
+  // returns, so none outlives the Impl.
+  std::mutex outstanding_mutex;
+  std::condition_variable outstanding_cv;
+  std::size_t outstanding = 0;
 
   // ---- lifecycle ---------------------------------------------------------
   std::atomic<bool> stop_requested{false};
@@ -426,21 +419,13 @@ struct SocketServer::Impl {
       if (pending_completions) drain_wake();
       expire_timers();
     }
-    // Extraction tasks still running may yet hand the worker a job (even
-    // after force_close_all: their replies are dropped on arrival). Once
-    // they are done nothing can submit anymore, and every queued job's
-    // future resolves because the service queue was flushed after the
-    // last submit (begin_drain() or the task itself).
-    {
-      std::unique_lock lock(extract_mutex);
-      extract_cv.wait(lock, [this] { return extracting == 0; });
-    }
-    {
-      std::lock_guard lock(jobs_mutex);
-      jobs.push_back(Job{});  // kStop
-    }
-    jobs_cv.notify_one();
-    if (worker.joinable()) worker.join();
+    // Pool tasks still running may yet submit, and submitted requests
+    // still owe their callbacks (even after force_close_all: their
+    // replies are dropped on arrival). Every callback does run, because
+    // the service queue was flushed after the last submit (begin_drain()
+    // or the extraction task itself).
+    std::unique_lock lock(outstanding_mutex);
+    outstanding_cv.wait(lock, [this] { return outstanding == 0; });
   }
 
   void begin_drain() {
@@ -494,7 +479,8 @@ struct SocketServer::Impl {
       if (conn.inflight > 0) --conn.inflight;
       if (conn.deferred_reload && conn.inflight == 1) {
         // Every slot ahead of the RELOAD has resolved: apply it now.
-        push_job(std::move(*conn.deferred_reload));
+        start_reload(conn.id, conn.deferred_reload->seq,
+                     std::move(conn.deferred_reload->path));
         conn.deferred_reload.reset();
       }
       if (!completion.classify) {
@@ -673,19 +659,14 @@ struct SocketServer::Impl {
         // model, so this connection's dispatch pauses until it completes
         // (other connections keep flowing against the old snapshot).
         conn.reload_wait = true;
-        Job job;
-        job.kind = Job::kReload;
-        job.conn_id = conn.id;
-        job.seq = append_pending(conn);
-        job.path = request.text;
-        job.start = decoded;
+        const std::uint64_t seq = append_pending(conn);
         // Frames ahead of it score on the old model: a CLASSIFY_PATH may
         // still be extracting on the pool, not yet queued anywhere, so
         // the reload waits until every earlier slot has resolved.
         if (conn.inflight > 1) {
-          conn.deferred_reload = std::move(job);
+          conn.deferred_reload = Conn::Reload{seq, std::move(request.text)};
         } else {
-          push_job(std::move(job));
+          start_reload(conn.id, seq, std::move(request.text));
         }
         break;
       }
@@ -725,18 +706,12 @@ struct SocketServer::Impl {
       // per-connection order holds however the task ends.
       const std::uint64_t seq = append_pending(conn);
       ++global_inflight;
-      {
-        std::lock_guard lock(extract_mutex);
-        ++extracting;
-      }
       try {
-        handler.service().pool().submit(
-            [this, id = conn.id, seq, path = std::move(request.text), decoded,
-             deadline] { extract_and_submit(id, seq, path, decoded, deadline); });
+        post_task([this, id = conn.id, seq, path = std::move(request.text), decoded,
+                   deadline] { extract_and_submit(id, seq, path, decoded, deadline); });
       } catch (...) {
         // Nothing will answer the slot; the loop's bad_alloc handler
         // closes this connection.
-        end_extraction();
         --global_inflight;
         throw;
       }
@@ -751,18 +726,17 @@ struct SocketServer::Impl {
       append_ready(conn, [&](std::string& out) { encode_error(out, error); });
       return;
     }
-    service::CommandHandler::Submission submission = handler.submit_sample(
-        std::move(sample), /*bounded=*/true, budget_left(decoded, deadline));
-    if (submission.rejected) {
+    // The slot's seq is fixed before submitting: a cache hit posts its
+    // reply from inside try_submit. The slot itself is appended after,
+    // as BUSY or pending; the loop drains that reply only later.
+    if (!submit_classify(conn.id, conn.next_seq, std::move(sample), decoded, deadline)) {
       append_ready(conn, [](std::string& out) {
         encode_busy(out, "service queue full");
       });
       return;
     }
-
-    const std::uint64_t seq = append_pending(conn);
+    append_pending(conn);
     ++global_inflight;
-    push_classify(conn.id, seq, std::move(submission.future), decoded);
   }
 
   /// The wire deadline is the client's total time budget counted from
@@ -777,38 +751,84 @@ struct SocketServer::Impl {
     return std::max(left, std::chrono::milliseconds(0));
   }
 
-  /// One CLASSIFY_PATH on a pool worker: extract, submit, and hand the
-  /// future to the completion worker — or, on an extraction error or a
-  /// full queue, post the ERROR/BUSY reply straight to the loop. Never
-  /// waits on a future: the pool is also the service's scoring pool.
+  /// Submits one classify whose reply goes to slot `seq` of `conn_id`:
+  /// the service's callback encodes it and posts it to the loop, from
+  /// the dispatcher — or inline, before this returns, on a cache hit.
+  /// False when the service queue is full (the callback never runs).
+  bool submit_classify(std::uint64_t conn_id, std::uint64_t seq,
+                       core::FeatureHashes sample, Clock::time_point decoded,
+                       std::optional<std::chrono::milliseconds> deadline) {
+    begin_work();  // the callback's unit
+    bool admitted = false;
+    try {
+      admitted = handler.service().try_submit(
+          std::move(sample),
+          [this, conn_id, seq, decoded](const core::Prediction* pred,
+                                        std::exception_ptr error) {
+            Completion completion{conn_id, seq, /*classify=*/true, {}};
+            encode_reply(completion.bytes, pred, std::move(error), decoded);
+            post_completion(std::move(completion));
+            end_work();
+          },
+          budget_left(decoded, deadline));
+    } catch (...) {
+      end_work();
+      throw;
+    }
+    if (!admitted) end_work();
+    return admitted;
+  }
+
+  /// The wire reply for one resolved classify: PREDICTION (label named
+  /// against the current model, server time counted from frame decode),
+  /// DEADLINE_EXCEEDED for a request shed before scoring, ERROR otherwise.
+  void encode_reply(std::string& out, const core::Prediction* pred,
+                    std::exception_ptr error, Clock::time_point decoded) {
+    try {
+      if (pred == nullptr) std::rethrow_exception(std::move(error));
+      const auto micros =
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - decoded);
+      // Name the label against the current model snapshot, exactly like
+      // the stdio front-end (a prediction can outlive a RELOAD;
+      // out-of-range labels stay numeric via the empty name).
+      const std::shared_ptr<const core::FuzzyHashClassifier> model =
+          handler.service().model();
+      const std::vector<std::string>& names = model->class_names();
+      std::string_view name;
+      if (pred->label >= 0 && static_cast<std::size_t>(pred->label) < names.size()) {
+        name = names[static_cast<std::size_t>(pred->label)];
+      }
+      encode_prediction(out, pred->label, pred->is_unknown, pred->confidence,
+                        static_cast<std::uint64_t>(micros.count()), name);
+    } catch (const service::DeadlineExceeded& e) {
+      // Shed before scoring: a distinct reply opcode so clients can tell
+      // "too late" from "broken" without parsing text.
+      encode_deadline_exceeded(out, e.what());
+    } catch (const std::exception& e) {
+      encode_error(out, e.what());
+    }
+  }
+
+  /// One CLASSIFY_PATH on a pool worker: extract and submit — or, on an
+  /// extraction error or a full queue, post the ERROR/BUSY reply straight
+  /// to the loop. Never waits on the service: the pool is also the
+  /// service's scoring pool.
   void extract_and_submit(std::uint64_t conn_id, std::uint64_t seq,
                           const std::string& path, Clock::time_point decoded,
                           std::optional<std::chrono::milliseconds> deadline) {
-    struct Done {
-      Impl* impl;
-      ~Done() { impl->end_extraction(); }
-    } done{this};
-    Completion failure;
-    failure.conn_id = conn_id;
-    failure.seq = seq;
-    failure.classify = true;
+    Completion failure{conn_id, seq, /*classify=*/true, {}};
     try {
       core::FeatureHashes sample;
       const std::string error = service::CommandHandler::extract_path(path, sample);
       if (!error.empty()) {
         encode_error(failure.bytes, error);
+      } else if (!submit_classify(conn_id, seq, std::move(sample), decoded, deadline)) {
+        encode_busy(failure.bytes, "service queue full");
       } else {
-        service::CommandHandler::Submission submission = handler.submit_sample(
-            std::move(sample), /*bounded=*/true, budget_left(decoded, deadline));
-        if (submission.rejected) {
-          encode_busy(failure.bytes, "service queue full");
-        } else {
-          // Submitted after begin_drain() flushed the service: flush again
-          // so shutdown does not wait out max_delay for this request.
-          if (draining.load()) handler.service().flush();
-          push_classify(conn_id, seq, std::move(submission.future), decoded);
-          return;
-        }
+        // Submitted after begin_drain() flushed the service: flush again
+        // so shutdown does not wait out max_delay for this request.
+        if (draining.load()) handler.service().flush();
+        return;
       }
     } catch (const std::exception& e) {
       failure.bytes.clear();
@@ -817,11 +837,50 @@ struct SocketServer::Impl {
     post_completion(std::move(failure));
   }
 
-  void end_extraction() {
+  /// RELOAD on a pool worker: a model load never sits in front of any
+  /// connection's classify replies.
+  void start_reload(std::uint64_t conn_id, std::uint64_t seq, std::string path) {
+    post_task([this, conn_id, seq, path = std::move(path)] {
+      const service::CommandHandler::ReloadResult result = handler.reload(path);
+      Completion completion{conn_id, seq, /*classify=*/false, {}};
+      if (result.ok) {
+        encode_ok(completion.bytes, result.message);
+      } else {
+        encode_error(completion.bytes, result.message);
+      }
+      post_completion(std::move(completion));
+    });
+  }
+
+  /// Runs `task` on the service pool, holding one unit of outstanding
+  /// work until it returns.
+  template <typename Task>
+  void post_task(Task task) {
+    begin_work();
+    try {
+      handler.service().pool().submit([this, task = std::move(task)] {
+        struct Done {
+          Impl* impl;
+          ~Done() { impl->end_work(); }
+        } done{this};
+        task();
+      });
+    } catch (...) {
+      end_work();
+      throw;
+    }
+  }
+
+  void begin_work() {
+    std::lock_guard lock(outstanding_mutex);
+    ++outstanding;
+  }
+
+  void end_work() {
     // Notify under the lock: the moment run_loop() can observe zero, the
     // Impl may be destroyed, so nothing here may touch it after unlock.
-    std::lock_guard lock(extract_mutex);
-    if (--extracting == 0) extract_cv.notify_all();
+    std::lock_guard lock(outstanding_mutex);
+    if (--outstanding == 0) outstanding_cv.notify_all();
   }
 
   void apply_backpressure(Conn& conn) {
@@ -880,88 +939,7 @@ struct SocketServer::Impl {
     conns.erase(it);
   }
 
-  // ---- completion worker -------------------------------------------------
-
-  void push_job(Job job) {
-    {
-      std::lock_guard lock(jobs_mutex);
-      jobs.push_back(std::move(job));
-    }
-    jobs_cv.notify_one();
-  }
-
-  void push_classify(std::uint64_t conn_id, std::uint64_t seq,
-                     std::future<core::Prediction> future, Clock::time_point start) {
-    Job job;
-    job.kind = Job::kClassify;
-    job.conn_id = conn_id;
-    job.seq = seq;
-    job.future = std::move(future);
-    job.start = start;
-    push_job(std::move(job));
-  }
-
-  void worker_loop() {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(jobs_mutex);
-        jobs_cv.wait(lock, [this] { return !jobs.empty(); });
-        job = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      if (job.kind == Job::kStop) return;
-
-      Completion completion;
-      completion.conn_id = job.conn_id;
-      completion.seq = job.seq;
-      completion.classify = job.kind == Job::kClassify;
-      if (job.kind == Job::kClassify) {
-        // Shared, so this thread keeps the result state alive while it
-        // reads it: `pred` below refers into it, and a scoring exception
-        // is destroyed only after the catch handlers are done with it.
-        // (The exception's own refcount lives in libstdc++, where TSan
-        // cannot see it order a reader before the free.)
-        const std::shared_future<core::Prediction> result = job.future.share();
-        try {
-          const core::Prediction& pred = result.get();
-          const auto micros =
-              std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                    job.start);
-          // Name the label against the current model snapshot, exactly
-          // like the stdio front-end (a prediction can outlive a RELOAD;
-          // out-of-range labels stay numeric via the empty name).
-          const std::shared_ptr<const core::FuzzyHashClassifier> model =
-              handler.service().model();
-          const std::vector<std::string>& names = model->class_names();
-          std::string_view name;
-          if (pred.label >= 0 &&
-              static_cast<std::size_t>(pred.label) < names.size()) {
-            name = names[static_cast<std::size_t>(pred.label)];
-          }
-          encode_prediction(completion.bytes, pred.label, pred.is_unknown,
-                            pred.confidence,
-                            static_cast<std::uint64_t>(micros.count()), name);
-        } catch (const service::DeadlineExceeded& e) {
-          // Shed before scoring: a distinct reply opcode so clients can
-          // tell "too late" from "broken" without parsing text.
-          encode_deadline_exceeded(completion.bytes, e.what());
-        } catch (const std::exception& e) {
-          encode_error(completion.bytes, e.what());
-        }
-      } else {
-        const service::CommandHandler::ReloadResult result =
-            handler.reload(job.path);
-        if (result.ok) {
-          encode_ok(completion.bytes, result.message);
-        } else {
-          encode_error(completion.bytes, result.message);
-        }
-      }
-
-      post_completion(std::move(completion));
-    }
-  }
+  // ---- completions ---------------------------------------------------------
 
   /// Hands a finished reply to the loop (any thread).
   void post_completion(Completion completion) {
@@ -992,10 +970,7 @@ SocketServer::~SocketServer() {
   join();
 }
 
-void SocketServer::run() {
-  impl_->worker = std::thread([this] { impl_->worker_loop(); });
-  impl_->run_loop();
-}
+void SocketServer::run() { impl_->run_loop(); }
 
 void SocketServer::start() {
   impl_->loop_thread = std::thread([this] { run(); });

@@ -2,21 +2,25 @@
 // daemon: a non-blocking epoll event loop serving the length-prefixed
 // binary protocol (net/protocol.hpp) over TCP and Unix-domain sockets.
 //
-// Architecture (three threads touch a request, four for CLASSIFY_PATH):
+// Architecture (three threads touch a request):
 //
 //   event loop (run())      accepts, reads, frames, admission-checks,
-//                           submits to the ClassificationService via the
-//                           shared CommandHandler, and writes replies;
-//   service pool worker     CLASSIFY_PATH only: reads the file, extracts
-//                           its features and submits them, so one large
-//                           file never stalls the loop. It is the pool
-//                           the service scores on, so the task never
-//                           waits on a future; an extraction error or a
-//                           full queue goes straight back to the loop;
-//   service dispatcher      the existing micro-batching scorer;
-//   completion worker       waits each submitted future in FIFO order,
-//                           encodes the reply frame, and wakes the loop
-//                           through an eventfd.
+//                           submits to the ClassificationService, and
+//                           writes replies;
+//   service pool worker     CLASSIFY_PATH: reads the file, extracts its
+//                           features and submits them, so one large file
+//                           never stalls the loop; RELOAD: loads and swaps
+//                           the model, so a model load never sits in front
+//                           of any classify reply. It is the pool the
+//                           service scores on, so no task waits on the
+//                           service; an extraction error or a full queue
+//                           goes straight back to the loop;
+//   service dispatcher      the micro-batching scorer. Each request's
+//                           completion callback encodes its reply frame
+//                           and posts it to the loop (an eventfd wakes
+//                           it); a cache hit runs that callback inline on
+//                           the submitting thread. A slow batch therefore
+//                           delays only its own requests' replies.
 //
 // Deadlines: a request's wire deadline_ms counts from frame decode, so
 // extraction spends it too; what is left when the request would be
@@ -25,7 +29,9 @@
 // Pipelining: replies go out strictly in request order per connection.
 // Each request occupies a reply slot; slots resolved out of order (a
 // cache hit behind a scored miss) wait for their turn, so clients need
-// no correlation ids.
+// no correlation ids. A RELOAD waits for the slots ahead of it and
+// holds back the frames behind it; RELOADs on different connections
+// are not ordered against each other (the last swap wins).
 //
 // Admission control — over-limit work gets an explicit BUSY frame (or,
 // at the accept gate, a BUSY frame and an immediate close) instead of
@@ -43,8 +49,8 @@
 // flushes its pending queue, in-flight batches finish on their model
 // snapshot, replies drain, then connections close and run() returns.
 // Connections that will not drain are force-closed after
-// drain_timeout_ms; run() still waits for extractions in flight on the
-// pool, whose futures resolve before it returns.
+// drain_timeout_ms; run() still waits for every pool task and every
+// submitted request's completion callback before it returns.
 #pragma once
 
 #include <cstddef>

@@ -34,19 +34,7 @@ CommandHandler::Submission CommandHandler::submit_path(const std::string& path_s
   Submission out;
   core::FeatureHashes sample;
   out.error = extract_path(path_spec, sample);
-  if (!out.error.empty()) return out;
-  return submit_sample(std::move(sample));
-}
-
-CommandHandler::Submission CommandHandler::submit_sample(
-    core::FeatureHashes sample, bool bounded,
-    std::optional<std::chrono::milliseconds> deadline) {
-  Submission out;
-  if (bounded) {
-    out.rejected = !svc_.try_submit(std::move(sample), out.future, deadline);
-  } else {
-    out.future = svc_.submit(std::move(sample), deadline);
-  }
+  if (out.error.empty()) out.future = svc_.submit(std::move(sample));
   return out;
 }
 

@@ -10,9 +10,7 @@
 //
 //   * extract_path(): feature extraction for one path item (reads the
 //     file, an `exe@trace` spec attaches the perf-stat trace);
-//   * submit_path() / submit_sample(): one CLASSIFY item — extraction
-//     and submission, optionally through the bounded try_submit()
-//     admission gate;
+//   * submit_path(): one stdio CLASSIFY item — extraction and submission;
 //   * format_prediction(): the canonical "<label>\t<confidence>" text;
 //   * stats_line(): the canonical key=value STATS reply;
 //   * reload(): model load + service reload with error capture;
@@ -20,7 +18,6 @@
 //     and the FIFO recipe), built from the pieces above.
 #pragma once
 
-#include <chrono>
 #include <future>
 #include <iosfwd>
 #include <optional>
@@ -38,14 +35,11 @@ class CommandHandler {
   CommandHandler(const CommandHandler&) = delete;
   CommandHandler& operator=(const CommandHandler&) = delete;
 
-  /// One CLASSIFY item in flight. Exactly one of the three states holds:
-  /// `error` non-empty (extraction/read failed, future invalid),
-  /// `rejected` (bounded admission refused — the front-end owes the
-  /// client a BUSY reply), or `future` valid.
+  /// One CLASSIFY item in flight: `error` non-empty (extraction/read
+  /// failed, future invalid) or `future` valid.
   struct Submission {
     std::future<core::Prediction> future;
     std::string error;
-    bool rejected = false;
   };
 
   /// Reads `path_spec` (or "exe@trace": the trace is fingerprinted into
@@ -57,17 +51,8 @@ class CommandHandler {
                                   core::FeatureHashes& out);
 
   /// extract_path() then an unbounded submit — the stdio CLASSIFY item.
-  /// Never throws: failures land in Submission::error.
+  /// Failures land in Submission::error.
   Submission submit_path(const std::string& path_spec);
-
-  /// Submits an already-extracted sample: the socket protocol's digest
-  /// fast path (clients hash locally, the daemon only scores) and path
-  /// requests once extract_path() has run. `deadline` is the budget left
-  /// from now; expired work resolves the future with
-  /// service::DeadlineExceeded instead of being scored.
-  Submission submit_sample(
-      core::FeatureHashes sample, bool bounded = false,
-      std::optional<std::chrono::milliseconds> deadline = std::nullopt);
 
   /// "<name>\t<confidence>" with the label range-checked against
   /// `model`'s class list (predictions can outlive a RELOAD); out-of-

@@ -54,40 +54,57 @@ ClassificationService::~ClassificationService() {
   dispatcher_.join();
 }
 
+namespace {
+
+/// Runs a request's callback. noexcept: OnDone must not throw, and one
+/// that does ends the process here instead of stranding the rest of its
+/// batch (or, on a cache hit, escaping try_submit after `done` ran).
+void resolve(const ClassificationService::OnDone& done, const core::Prediction* prediction,
+             std::exception_ptr error) noexcept {
+  done(prediction, std::move(error));
+}
+
+}  // namespace
+
 std::future<core::Prediction> ClassificationService::submit(
     core::FeatureHashes sample,
     std::optional<std::chrono::milliseconds> deadline) {
-  return enqueue(std::move(sample), /*bounded=*/false, /*rejected=*/nullptr,
-                 deadline);
+  auto promise = std::make_shared<std::promise<core::Prediction>>();
+  std::future<core::Prediction> future = promise->get_future();
+  enqueue(
+      std::move(sample),
+      [promise](const core::Prediction* prediction, std::exception_ptr error) {
+        if (prediction != nullptr) {
+          promise->set_value(*prediction);
+        } else {
+          promise->set_exception(std::move(error));
+        }
+      },
+      /*bounded=*/false, deadline);
+  return future;
 }
 
 bool ClassificationService::try_submit(
-    core::FeatureHashes sample, std::future<core::Prediction>& out,
+    core::FeatureHashes sample, OnDone done,
     std::optional<std::chrono::milliseconds> deadline) {
-  bool rejected = false;
-  std::future<core::Prediction> future =
-      enqueue(std::move(sample), /*bounded=*/true, &rejected, deadline);
-  if (rejected) return false;
-  out = std::move(future);
-  return true;
+  return enqueue(std::move(sample), std::move(done), /*bounded=*/true, deadline);
 }
 
-std::future<core::Prediction> ClassificationService::enqueue(
-    core::FeatureHashes sample, bool bounded, bool* rejected,
-    std::optional<std::chrono::milliseconds> deadline) {
+bool ClassificationService::enqueue(core::FeatureHashes sample, OnDone done, bool bounded,
+                                    std::optional<std::chrono::milliseconds> deadline) {
   Request request;
   request.sample = std::move(sample);
   request.key = sample_key(request.sample);
+  request.done = std::move(done);
   if (deadline) {
     request.has_deadline = true;
     request.deadline = std::chrono::steady_clock::now() + *deadline;
   }
-  std::future<core::Prediction> future = request.promise.get_future();
 
   // Probe the cache before touching any lock-shared counters so the hot
   // path (a hit) pays one stats_mutex_ acquisition, and counters land
-  // before the promise — same ordering as score_batch, so a waiter that
-  // observes the future resolve finds its request already counted.
+  // before the callback — same ordering as score_batch, so a caller that
+  // observes the reply finds its request already counted.
   if (std::optional<core::Prediction> hit = cache_.get(request.key)) {
     {
       std::lock_guard lock(stats_mutex_);
@@ -97,10 +114,11 @@ std::future<core::Prediction> ClassificationService::enqueue(
       if (hit->is_unknown) ++counters_.unknown_flagged;
       record_latency_locked(request.watch.milliseconds());
     }
-    request.promise.set_value(*hit);
-    return future;
+    resolve(request.done, &*hit, nullptr);
+    return true;
   }
 
+  bool stopped = false;
   {
     std::lock_guard lock(queue_mutex_);
     if (bounded && config_.max_queue > 0 && pending_.size() >= config_.max_queue) {
@@ -110,29 +128,30 @@ std::future<core::Prediction> ClassificationService::enqueue(
       // is the established lock order below.)
       std::lock_guard stats_lock(stats_mutex_);
       ++counters_.requests_rejected;
-      *rejected = true;
-      return {};
+      return false;
     }
-    if (stopping_) {
-      // The dispatcher may already have drained and exited; nothing would
-      // ever score this request.
-      request.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("ClassificationService: submit after shutdown")));
-      std::lock_guard stats_lock(stats_mutex_);
-      ++counters_.requests;
-      ++counters_.completed;
-      return future;
+    // Once stopping, the dispatcher may already have drained and exited:
+    // nothing would ever score this request, so it fails below.
+    stopped = stopping_;
+    if (!stopped) {
+      // Chaos allocation hook: queue growth is the service's unbounded
+      // allocation; an injected bad_alloc here must surface as a per-
+      // request failure, not a crash.
+      util::fi::alloc_guard();
+      pending_.push_back(std::move(request));
     }
-    // Chaos allocation hook: queue growth is the service's unbounded
-    // allocation; an injected bad_alloc here must surface as a per-
-    // request failure, not a crash.
-    util::fi::alloc_guard();
-    pending_.push_back(std::move(request));
     std::lock_guard stats_lock(stats_mutex_);
     ++counters_.requests;
+    if (stopped) ++counters_.completed;
+  }
+  if (stopped) {
+    resolve(request.done, nullptr,
+            std::make_exception_ptr(
+                std::runtime_error("ClassificationService: submit after shutdown")));
+    return true;
   }
   queue_cv_.notify_one();
-  return future;
+  return true;
 }
 
 void ClassificationService::flush() {
@@ -287,7 +306,7 @@ std::vector<ClassificationService::Request> ClassificationService::shed_expired(
   }
   if (expired.empty()) return live;
 
-  // Counters before promises, as everywhere: a waiter that observes
+  // Counters before callbacks, as everywhere: a caller that observes
   // DeadlineExceeded must find deadline_expired already bumped. These
   // requests contribute nothing to scored/candidates_scored — shedding
   // happens before any scoring stage runs.
@@ -303,8 +322,7 @@ std::vector<ClassificationService::Request> ClassificationService::shed_expired(
     const char* what = request.has_deadline && now >= request.deadline
                            ? "deadline exceeded before scoring"
                            : "queue delay bound exceeded before scoring";
-    request.promise.set_exception(
-        std::make_exception_ptr(DeadlineExceeded(what)));
+    resolve(request.done, nullptr, std::make_exception_ptr(DeadlineExceeded(what)));
   }
   return live;
 }
@@ -405,12 +423,12 @@ void ClassificationService::score_batch(std::vector<Request> batch) {
       counters_.largest_batch = std::max<std::uint64_t>(counters_.largest_batch,
                                                         batch.size());
     }
-    for (Request& request : batch) request.promise.set_exception(error);
+    for (Request& request : batch) resolve(request.done, nullptr, error);
     return;
   }
 
-  // Counters before promises: a client that just observed its future
-  // resolve must see the counters already reflecting its request.
+  // Counters before callbacks: a client that just observed its reply
+  // must see the counters already reflecting its request.
   {
     std::lock_guard lock(stats_mutex_);
     ++counters_.batches;
@@ -440,7 +458,7 @@ void ClassificationService::score_batch(std::vector<Request> batch) {
     }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(results[slot[i]]);
+    resolve(batch[i].done, &results[slot[i]], nullptr);
   }
 }
 

@@ -10,9 +10,9 @@
 //
 //   1. a sharded LRU result cache keyed by the sample's digest text —
 //      repeat binaries (the common prolog case) skip scoring entirely;
-//   2. a micro-batching queue: submit() enqueues and returns a future,
-//      a dispatcher thread flushes when `max_batch` requests are pending
-//      or the oldest has waited `max_delay`;
+//   2. a micro-batching queue: a submitted request waits for a
+//      dispatcher thread that flushes when `max_batch` requests are
+//      pending or the oldest has waited `max_delay`;
 //   3. in-batch deduplication: identical samples inside one flush are
 //      scored once and fanned out;
 //   4. class-sharded row scoring: one query's similarity row (the
@@ -27,11 +27,19 @@
 // accumulation is bit-identical to per-row predict_from_row (same
 // double-accumulation order per row).
 //
+// Every request resolves through one completion callback (OnDone), run
+// exactly once with no service lock held and after the counters already
+// reflect it: inline on the submitting thread for a cache hit, on the
+// dispatcher otherwise. submit() wraps that callback in a promise and
+// returns its future; try_submit() hands the callback straight through,
+// so a front-end can answer from the dispatcher without a thread of its
+// own waiting on futures.
+//
 // reload() swaps the model atomically (shared_ptr snapshot per flush):
 // in-flight batches finish on the model they started with, later
 // flushes use the new one, and the cache is cleared because its entries
-// are stale. The destructor drains the queue — every future obtained
-// from submit() is eventually fulfilled.
+// are stale. The destructor drains the queue — every accepted request's
+// callback runs.
 #pragma once
 
 #include <chrono>
@@ -39,6 +47,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -75,8 +85,8 @@ struct ServiceConfig {
   std::chrono::milliseconds max_queue_delay{0};
 };
 
-/// Thrown through a request's future when its deadline (or the service's
-/// max_queue_delay) expired before scoring started. Front-ends map it to
+/// A request's error when its deadline (or the service's max_queue_delay)
+/// expired before scoring started. Front-ends map it to
 /// the DEADLINE_EXCEEDED wire reply — distinct from BUSY (admission) and
 /// ERROR (the request itself failed).
 class DeadlineExceeded : public std::runtime_error {
@@ -87,7 +97,7 @@ class DeadlineExceeded : public std::runtime_error {
 /// One consistent snapshot of the service counters.
 struct ServiceStats {
   std::uint64_t requests = 0;       // samples submitted
-  std::uint64_t completed = 0;      // futures fulfilled (hits + scored + failed)
+  std::uint64_t completed = 0;      // callbacks run (hits + scored + failed)
   std::uint64_t batches = 0;        // dispatcher flushes
   std::uint64_t scored = 0;         // unique rows that went through scoring
   std::uint64_t cache_hits = 0;     // answered from the LRU at submit()
@@ -99,7 +109,7 @@ struct ServiceStats {
   // since a hit fans out the same flagged prediction.
   std::uint64_t unknown_flagged = 0;
   // Requests shed before scoring because their deadline or the queue-age
-  // bound expired (DeadlineExceeded through the future). Counted in
+  // bound expired (answered DeadlineExceeded). Counted in
   // completed as well; never in scored/candidates_scored — an expired
   // request costs no scoring work.
   std::uint64_t deadline_expired = 0;
@@ -134,7 +144,7 @@ struct ServiceStats {
                         : 0.0;
   }
 
-  // Request latency (submit -> future fulfilled) over the recent window.
+  // Request latency (submit -> callback) over the recent window.
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
@@ -146,6 +156,15 @@ std::string sample_key(const core::FeatureHashes& sample);
 
 class ClassificationService {
  public:
+  /// A request's completion: exactly one of `prediction` (valid only for
+  /// the call) and `error` is set. Runs once, with no service lock held,
+  /// after stats() already counts the request — inline on the submitting
+  /// thread for a cache hit, on the dispatcher otherwise. It must not
+  /// throw (it is called from noexcept context) and should not block:
+  /// the rest of its batch waits behind it.
+  using OnDone = std::function<void(const core::Prediction* prediction,
+                                    std::exception_ptr error)>;
+
   /// Takes ownership of a fitted model. `pool` is where batch scoring
   /// runs (nullptr = the process-wide shared pool).
   explicit ClassificationService(core::FuzzyHashClassifier model,
@@ -158,22 +177,25 @@ class ClassificationService {
   ClassificationService(const ClassificationService&) = delete;
   ClassificationService& operator=(const ClassificationService&) = delete;
 
-  /// Enqueues one sample. The future is fulfilled by the dispatcher (or
-  /// immediately on a cache hit) and carries any scoring exception.
-  /// `deadline` is the request's time budget from now: if it expires
-  /// before scoring starts, the future carries DeadlineExceeded and the
-  /// sample is never scored (a cache hit still answers — it is free).
+  /// Enqueues one sample and returns a future for it: a promise behind
+  /// an OnDone, fulfilled by the dispatcher (or immediately on a cache
+  /// hit), carrying any scoring exception. `deadline` is the request's
+  /// time budget from now: if it expires before scoring starts, the
+  /// future carries DeadlineExceeded and the sample is never scored (a
+  /// cache hit still answers — it is free).
   std::future<core::Prediction> submit(
       core::FeatureHashes sample,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);
 
-  /// Bounded admission: like submit(), but refuses the sample (returning
-  /// false, counting requests_rejected, leaving `out` untouched) when
+  /// Bounded admission with a callback: enqueues like submit() and
+  /// resolves through `done`, but refuses the sample (returning false,
+  /// counting requests_rejected, never calling `done`) when
   /// config().max_queue > 0 and that many requests already wait for the
-  /// dispatcher. Cache hits bypass the queue and are always admitted.
+  /// dispatcher. Cache hits bypass the queue, are always admitted, and
+  /// run `done` before this returns. If it throws, `done` never runs.
   /// Front-ends turn a refusal into an explicit BUSY reply instead of
   /// queueing without bound.
-  bool try_submit(core::FeatureHashes sample, std::future<core::Prediction>& out,
+  bool try_submit(core::FeatureHashes sample, OnDone done,
                   std::optional<std::chrono::milliseconds> deadline = std::nullopt);
 
   /// Asks the dispatcher to flush the pending queue now instead of
@@ -204,17 +226,18 @@ class ClassificationService {
   ServiceStats stats() const;
   const ServiceConfig& config() const noexcept { return config_; }
 
-  /// The pool batch scoring runs on. Front-ends may post short,
-  /// never-blocking work to it (the socket server extracts CLASSIFY_PATH
-  /// features here); a task that waited on a future would starve scoring.
+  /// The pool batch scoring runs on. Front-ends may post work that never
+  /// waits on the service to it (the socket server extracts CLASSIFY_PATH
+  /// features and runs RELOADs here); a task that waited on a future
+  /// would starve scoring.
   util::ThreadPool& pool() const noexcept { return *pool_; }
 
  private:
   struct Request {
     core::FeatureHashes sample;
     std::string key;
-    std::promise<core::Prediction> promise;
-    util::Stopwatch watch;  // started at submit; read when fulfilled
+    OnDone done;
+    util::Stopwatch watch;  // started at submit; read when resolved
     // Absolute expiry computed at enqueue (steady clock); checked by the
     // dispatcher before any scoring work starts.
     bool has_deadline = false;
@@ -224,12 +247,12 @@ class ClassificationService {
   void dispatcher_loop();
   void score_batch(std::vector<Request> batch);
   /// Splits off and answers the batch's expired requests (DeadlineExceeded,
-  /// counted before the promises resolve). Returns the live remainder.
+  /// counted before their callbacks run). Returns the live remainder.
   std::vector<Request> shed_expired(std::vector<Request> batch);
   void record_latency_locked(double ms);
-  std::future<core::Prediction> enqueue(
-      core::FeatureHashes sample, bool bounded, bool* rejected,
-      std::optional<std::chrono::milliseconds> deadline);
+  /// Shared body of submit()/try_submit(); false = refused (bounded only).
+  bool enqueue(core::FeatureHashes sample, OnDone done, bool bounded,
+               std::optional<std::chrono::milliseconds> deadline);
 
   ServiceConfig config_;
   util::ThreadPool* pool_;  // never null after construction

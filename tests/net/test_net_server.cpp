@@ -6,9 +6,11 @@
 // extends through the wire), replies arrive strictly in request order
 // under pipelining, admission control provably bounds the queue (BUSY
 // frames + rejection counters, never silent queueing), and RELOAD /
-// graceful shutdown work mid-connection. CLASSIFY_PATH extraction runs
-// on the service pool: a slow file on one connection never holds up
-// another, and shutdown waits out extractions still in flight.
+// graceful shutdown work mid-connection. CLASSIFY_PATH extraction and
+// RELOAD run on the service pool and replies leave from the service's
+// callbacks: a slow file, a parked miss or a model load on one
+// connection never holds up another, and shutdown waits out work still
+// in flight.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -797,6 +800,66 @@ TEST(SocketServer, QuitWhilePathExtractsStillAnswersIt) {
   const service::ServiceStats stats = daemon.svc.stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.completed, stats.requests);
+}
+
+TEST(SocketServer, CacheHitOnOneConnectionOvertakesParkedMissOnAnother) {
+  // Replies go from the service's callback straight to the loop, so a
+  // hit on connection B never queues behind A's unscored miss.
+  const Fixture& fx = fixture();
+  TestDaemon daemon(clone(fx.model), parked_service_config());
+  std::future<core::Prediction> warm = daemon.svc.submit(fx.queries[0]);
+  daemon.svc.flush();
+  warm.get();  // queries[0] is cached
+  BlockingClient a;
+  BlockingClient b;
+  ASSERT_EQ(a.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+  ASSERT_EQ(b.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  ASSERT_TRUE(a.send_bytes(classify_frame(fx.queries[1])));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is parked
+  b.set_recv_timeout(2000);
+  ASSERT_TRUE(b.send_bytes(classify_frame(fx.queries[0])));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(b.read_response(response, &error))
+      << "the cache hit waited behind the other connection's miss: " << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[0]));
+  EXPECT_EQ(daemon.svc.stats().queue_depth, 1u);  // A still parked
+
+  daemon.svc.flush();
+  ASSERT_TRUE(a.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[1]));
+}
+
+TEST(SocketServer, ReloadOnOneConnectionOvertakesParkedMissOnAnother) {
+  // RELOAD runs as its own pool task: its OK on connection B does not
+  // wait for A's unscored request.
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_hol_reload");
+  const std::string model_path = (dir.root() / "same.fhcb").string();
+  fx.model.save_binary_file(model_path);
+  TestDaemon daemon(clone(fx.model), parked_service_config());
+  BlockingClient a;
+  BlockingClient b;
+  ASSERT_EQ(a.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+  ASSERT_EQ(b.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  ASSERT_TRUE(a.send_bytes(classify_frame(fx.queries[1])));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is parked
+  b.set_recv_timeout(2000);
+  std::string wire;
+  encode_reload(wire, model_path);
+  ASSERT_TRUE(b.send_bytes(wire));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(b.read_response(response, &error))
+      << "the RELOAD waited behind the other connection's miss: " << error;
+  EXPECT_EQ(response.op, Opcode::kOk) << response.text;
+  EXPECT_EQ(daemon.svc.stats().queue_depth, 1u);  // A still parked
+
+  daemon.svc.flush();
+  ASSERT_TRUE(a.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(fx.queries[1]));
 }
 
 }  // namespace

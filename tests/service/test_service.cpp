@@ -10,9 +10,13 @@
 
 #include "service/command_handler.hpp"
 
+#include <atomic>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -73,6 +77,24 @@ void expect_identical(const core::Prediction& a, const core::Prediction& b) {
   EXPECT_EQ(a.confidence, b.confidence);
   ASSERT_EQ(a.proba.size(), b.proba.size());
   for (std::size_t c = 0; c < a.proba.size(); ++c) EXPECT_EQ(a.proba[c], b.proba[c]);
+}
+
+/// Bounded admission with the callback resolving a promise, for tests
+/// that wait on the result. On refusal `out` is left untouched.
+bool try_submit(ClassificationService& svc, const core::FeatureHashes& sample,
+                std::future<core::Prediction>& out) {
+  auto promise = std::make_shared<std::promise<core::Prediction>>();
+  std::future<core::Prediction> future = promise->get_future();
+  const bool admitted = svc.try_submit(
+      sample, [promise](const core::Prediction* prediction, std::exception_ptr error) {
+        if (prediction != nullptr) {
+          promise->set_value(*prediction);
+        } else {
+          promise->set_exception(std::move(error));
+        }
+      });
+  if (admitted) out = std::move(future);
+  return admitted;
 }
 
 TEST(ClassificationService, ClassifyBatchBitIdenticalToSerialPredict) {
@@ -339,7 +361,7 @@ TEST(ClassificationService, TrySubmitBoundsQueueAndCountsRejections) {
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 8; ++i) {
     std::future<core::Prediction> future;
-    if (svc.try_submit(fx.queries[i], future)) {
+    if (try_submit(svc, fx.queries[i], future)) {
       admitted.push_back(std::move(future));
     } else {
       ++rejected;
@@ -368,7 +390,7 @@ TEST(ClassificationService, TrySubmitBoundsQueueAndCountsRejections) {
 
   // With the queue empty, try_submit admits again.
   std::future<core::Prediction> future;
-  EXPECT_TRUE(svc.try_submit(fx.queries[0], future));
+  EXPECT_TRUE(try_submit(svc, fx.queries[0], future));
   svc.flush();
   expect_identical(future.get(), fx.model.predict(fx.queries[0]));
 }
@@ -383,22 +405,108 @@ TEST(ClassificationService, TrySubmitAdmitsCacheHitsPastFullQueue) {
 
   // Score and cache q0 first.
   std::future<core::Prediction> warm;
-  ASSERT_TRUE(svc.try_submit(fx.queries[0], warm));
+  ASSERT_TRUE(try_submit(svc, fx.queries[0], warm));
   svc.flush();
   expect_identical(warm.get(), fx.model.predict(fx.queries[0]));
 
   // Fill the queue, then submit the cached sample: a hit never occupies
   // the queue, so it is admitted even at the bound.
   std::future<core::Prediction> fills;
-  ASSERT_TRUE(svc.try_submit(fx.queries[1], fills));
+  ASSERT_TRUE(try_submit(svc, fx.queries[1], fills));
   std::future<core::Prediction> refused;
-  EXPECT_FALSE(svc.try_submit(fx.queries[2], refused));
+  EXPECT_FALSE(try_submit(svc, fx.queries[2], refused));
   std::future<core::Prediction> hit;
-  EXPECT_TRUE(svc.try_submit(fx.queries[0], hit));
+  EXPECT_TRUE(try_submit(svc, fx.queries[0], hit));
   expect_identical(hit.get(), fx.model.predict(fx.queries[0]));
 
   svc.flush();
   expect_identical(fills.get(), fx.model.predict(fx.queries[1]));
+}
+
+/// Records one request's completion callback: how often it ran, what it
+/// resolved with, and the stats() snapshot taken inside it.
+struct CallbackProbe {
+  std::atomic<int> calls{0};
+  std::promise<void> ran;
+  ServiceStats seen;
+  std::optional<core::Prediction> prediction;
+  std::exception_ptr error;
+
+  ClassificationService::OnDone callback(ClassificationService& svc) {
+    return [this, &svc](const core::Prediction* pred, std::exception_ptr err) {
+      // Self-deadlocks if the service still held one of its locks here.
+      seen = svc.stats();
+      if (pred != nullptr) prediction = *pred;
+      error = std::move(err);
+      if (calls.fetch_add(1) == 0) ran.set_value();
+    };
+  }
+
+  void wait() { ran.get_future().wait(); }
+};
+
+TEST(ClassificationService, CallbacksRunOnceAfterTheirRequestIsCounted) {
+  // Every resolution path — scored, in-batch dedup fan-out, deadline
+  // shed, cache hit — runs the callback exactly once, with no service
+  // lock held, and stats() read inside it already counts the request.
+  const Fixture& fx = fixture();
+  CallbackProbe scored;
+  CallbackProbe dedup_first;
+  CallbackProbe dedup_second;
+  CallbackProbe shed;
+  CallbackProbe hit;
+  {
+    ServiceConfig config;
+    config.max_batch = 64;
+    config.max_delay = std::chrono::milliseconds(10000);  // park the batch
+    ClassificationService svc(clone(fx.model), config);
+
+    ASSERT_TRUE(svc.try_submit(fx.queries[0], scored.callback(svc)));
+    ASSERT_TRUE(svc.try_submit(fx.queries[1], dedup_first.callback(svc)));
+    ASSERT_TRUE(svc.try_submit(fx.queries[1], dedup_second.callback(svc)));
+    ASSERT_TRUE(svc.try_submit(fx.queries[2], shed.callback(svc),
+                               std::chrono::milliseconds(1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // q2 expires
+    EXPECT_EQ(scored.calls.load(), 0);  // still parked
+    svc.flush();
+    for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second, &shed}) {
+      probe->wait();
+    }
+
+    // The expired request is answered before the batch is scored.
+    EXPECT_EQ(shed.seen.deadline_expired, 1u);
+    EXPECT_EQ(shed.seen.completed, 1u);
+    EXPECT_EQ(shed.seen.scored, 0u);
+    EXPECT_FALSE(shed.prediction);
+    EXPECT_THROW(std::rethrow_exception(shed.error), DeadlineExceeded);
+
+    // The live three: counters for the whole batch land before any of
+    // its callbacks.
+    for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second}) {
+      EXPECT_EQ(probe->seen.completed, 4u);
+      EXPECT_EQ(probe->seen.scored, 2u);
+      EXPECT_EQ(probe->seen.dedup_hits, 1u);
+      EXPECT_EQ(probe->seen.batches, 1u);
+      EXPECT_FALSE(probe->error);
+    }
+    ASSERT_TRUE(scored.prediction);
+    expect_identical(*scored.prediction, fx.model.predict(fx.queries[0]));
+    ASSERT_TRUE(dedup_first.prediction);
+    ASSERT_TRUE(dedup_second.prediction);
+    expect_identical(*dedup_first.prediction, fx.model.predict(fx.queries[1]));
+    expect_identical(*dedup_second.prediction, fx.model.predict(fx.queries[1]));
+
+    // A cache hit resolves inline, before try_submit returns.
+    ASSERT_TRUE(svc.try_submit(fx.queries[0], hit.callback(svc)));
+    EXPECT_EQ(hit.calls.load(), 1);
+    EXPECT_EQ(hit.seen.cache_hits, 1u);
+    EXPECT_EQ(hit.seen.completed, 5u);
+    ASSERT_TRUE(hit.prediction);
+    expect_identical(*hit.prediction, fx.model.predict(fx.queries[0]));
+  }  // the destructor drains: no callback is left to run twice
+  for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second, &shed, &hit}) {
+    EXPECT_EQ(probe->calls.load(), 1);
+  }
 }
 
 TEST(ClassificationService, FlushDispatchesBacklogLargerThanMaxBatch) {

@@ -27,6 +27,9 @@
 //   --recv-timeout-ms N  bound every blocking read (chaos runs)
 //   --stats           print the daemon's STATS line after the run
 //   --quit            send QUIT after the run (graceful daemon shutdown)
+//                     Each control frame gets its own connection and up to
+//                     --retries re-sends; once a QUIT went out, a refused
+//                     reconnect counts as success (the daemon is draining)
 //   --expect-all      exit nonzero unless every reply is a PREDICTION
 //                     (i.e. no BUSY/ERROR)
 //   --expect-known    exit nonzero if any PREDICTION reply carries the
@@ -37,12 +40,14 @@
 // Exit codes: 0 success, 1 transport failure or missing replies (or any
 // non-prediction reply under --expect-all, or any unknown-flagged
 // prediction under --expect-known), 2 usage error.
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/features.hpp"
@@ -120,6 +125,34 @@ bool encode_sample_frame(const std::string& spec, std::string& frame,
     error = spec + ": " + e.what();
     return false;
   }
+}
+
+/// Sends one control frame on a fresh connection and reads its reply,
+/// re-sending up to options.retries times until the reply has opcode
+/// `want` (a fault may drop the frame or its reply). With `is_quit`, a
+/// refused reconnect after the first attempt is success: the QUIT
+/// already reached a daemon that is now draining.
+bool control(const net::LoadOptions& options, const std::string& frame,
+             net::Opcode want, bool is_quit, net::Response& response,
+             std::string& error) {
+  for (int attempt = 0; attempt <= options.retries; ++attempt) {
+    if (attempt > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(options.backoff_ms));
+    }
+    const bool quit_sent = is_quit && attempt > 0;
+    net::BlockingClient client;
+    error = client.connect(options.endpoint, quit_sent ? 0 : options.connect_retries);
+    if (!error.empty()) return quit_sent;  // connect() already retried
+    if (options.recv_timeout_ms > 0) client.set_recv_timeout(options.recv_timeout_ms);
+    if (!client.send_bytes(frame)) {
+      error = "control send failed";
+      continue;
+    }
+    if (!client.read_response(response, &error)) continue;
+    if (response.op == want) return true;
+    error = "unexpected reply: " + response.text;
+  }
+  return false;
 }
 
 }  // namespace
@@ -246,38 +279,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Control frames ride one extra connection after the measured run.
-  if (want_stats || want_quit) {
-    net::BlockingClient client;
-    const std::string connect_error =
-        client.connect(options.endpoint, options.connect_retries);
-    if (!connect_error.empty()) {
-      std::fprintf(stderr, "fhc_loadgen: %s\n", connect_error.c_str());
+  // Control frames ride extra connections after the measured run.
+  net::Response response;
+  std::string error;
+  if (want_stats) {
+    std::string frame;
+    net::encode_stats(frame);
+    if (!control(options, frame, net::Opcode::kStatsText, /*is_quit=*/false, response,
+                 error)) {
+      std::fprintf(stderr, "fhc_loadgen: STATS failed: %s\n", error.c_str());
       return 1;
     }
-    std::string bytes;
-    if (want_stats) net::encode_stats(bytes);
-    if (want_quit) net::encode_quit(bytes);
-    if (!client.send_bytes(bytes)) {
-      std::fprintf(stderr, "fhc_loadgen: control send failed\n");
+    std::printf("%s\n", response.text.c_str());
+  }
+  if (want_quit) {
+    std::string frame;
+    net::encode_quit(frame);
+    if (!control(options, frame, net::Opcode::kOk, /*is_quit=*/true, response, error)) {
+      std::fprintf(stderr, "fhc_loadgen: QUIT failed: %s\n", error.c_str());
       return 1;
-    }
-    net::Response response;
-    std::string error;
-    if (want_stats) {
-      if (!client.read_response(response, &error) ||
-          response.op != net::Opcode::kStatsText) {
-        std::fprintf(stderr, "fhc_loadgen: STATS failed: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("%s\n", response.text.c_str());
-    }
-    if (want_quit) {
-      if (!client.read_response(response, &error) ||
-          response.op != net::Opcode::kOk) {
-        std::fprintf(stderr, "fhc_loadgen: QUIT failed: %s\n", error.c_str());
-        return 1;
-      }
     }
   }
 
