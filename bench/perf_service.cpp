@@ -55,8 +55,8 @@ struct ServiceBenchData {
 };
 
 // 6 classes x 16 training samples of the shared synthetic-hash corpus
-// (the same-class-DP / cross-class-gate mix of the real pipeline), 40
-// trees, 256 distinct queries.
+// (the same-class edit-distance / cross-class gate mix of the real
+// pipeline), 40 trees, 256 distinct queries.
 const ServiceBenchData& bench_data() {
   static const ServiceBenchData data = [] {
     testsupport::SyntheticHashesParams params;

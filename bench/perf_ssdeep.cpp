@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the SSDeep substrate: hashing
-// throughput, digest comparison cost (gated vs DP path, raw vs prepared),
-// edit distances, and the classifier's feature-row extraction. The
+// throughput, digest comparison cost (gated vs scored path, raw vs
+// prepared), edit distances (DP oracles vs the bit-parallel scoring
+// kernels), and the classifier's feature-row extraction. The
 // prepared-vs-raw pairs quantify what PreparedDigest saves by normalizing
 // each side once instead of on every comparison.
 #include <benchmark/benchmark.h>
@@ -44,7 +45,7 @@ void BM_FuzzyHash(benchmark::State& state) {
 BENCHMARK(BM_FuzzyHash)->Range(1 << 10, 1 << 22);
 
 void BM_CompareRelatedDigests(benchmark::State& state) {
-  // Related inputs: the DP edit distance actually runs.
+  // Related inputs: the edit distance actually runs.
   auto a = random_bytes(2, 100000);
   auto b = a;
   for (std::size_t i = 30000; i < 40000; ++i) b[i] ^= 0x5a;
@@ -57,7 +58,7 @@ void BM_CompareRelatedDigests(benchmark::State& state) {
 BENCHMARK(BM_CompareRelatedDigests);
 
 void BM_CompareUnrelatedDigests(benchmark::State& state) {
-  // Unrelated inputs: the common-7-gram gate rejects before the DP — the
+  // Unrelated inputs: the common-7-gram gate rejects before the edit distance — the
   // fast path that dominates cross-class comparisons in the pipeline.
   const auto da = ssdeep::fuzzy_hash(std::span<const std::uint8_t>(random_bytes(3, 100000)));
   const auto db = ssdeep::fuzzy_hash(std::span<const std::uint8_t>(random_bytes(4, 100000)));
@@ -69,7 +70,7 @@ BENCHMARK(BM_CompareUnrelatedDigests);
 
 void BM_ComparePreparedRelatedDigests(benchmark::State& state) {
   // Same digest pair as BM_CompareRelatedDigests, but both sides prepared
-  // once up front — the DP still runs, only the per-call normalization and
+  // once up front — the edit distance still runs, only the per-call normalization and
   // gram packing disappear.
   auto a = random_bytes(2, 100000);
   auto b = a;
@@ -133,6 +134,26 @@ void BM_WeightedLevenshtein64(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedLevenshtein64);
 
+// The bit-parallel twins of the two DP benches above, on the same inputs:
+// the kernels score_strings_pregated runs.
+void BM_DamerauOsa64BitParallel(benchmark::State& state) {
+  const std::string a = random_digest_chars(5, 64);
+  const std::string b = random_digest_chars(6, 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ssdeep::damerau_levenshtein_osa_bitparallel(a, b));
+  }
+}
+BENCHMARK(BM_DamerauOsa64BitParallel);
+
+void BM_WeightedLevenshtein64BitParallel(benchmark::State& state) {
+  const std::string a = random_digest_chars(7, 64);
+  const std::string b = random_digest_chars(8, 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ssdeep::weighted_levenshtein_bitparallel(a, b));
+  }
+}
+BENCHMARK(BM_WeightedLevenshtein64BitParallel);
+
 void BM_HasCommonSubstring(benchmark::State& state) {
   const std::string a = random_digest_chars(9, 64);
   const std::string b = random_digest_chars(10, 64);
@@ -155,12 +176,12 @@ struct FeatureBenchData {
 // The paper's realistic shape: 73 classes x 12 training samples; per
 // class, variants of a shared base buffer that differ in one contiguous
 // mutated window (the recompiled-binary pattern), so same-class pairs
-// share 7-grams and genuinely run the DP edit distance, while
+// share 7-grams and genuinely run the edit distance, while
 // cross-class pairs share nothing — the mix fill_feature_row sees in
 // the real pipeline. At this width the all-pairs scan spends almost all
 // its time merge-scanning cross-class digests that provably score 0;
 // the GramIndex probe never visits them, so the indexed fill's cost is
-// the probe plus the same-class DP both paths must pay.
+// the probe plus the same-class edit distances both paths must pay.
 const FeatureBenchData& feature_bench_data() {
   static const FeatureBenchData data = [] {
     constexpr int kClasses = 73;
@@ -225,7 +246,7 @@ BENCHMARK(BM_FeatureRowPrepared);
 void BM_FeatureRowIndexed(benchmark::State& state) {
   // The same row via the GramIndex candidate probe: cross-class digests
   // that share no 7-gram with the query are never touched, so the row
-  // cost collapses to the probe plus the few genuine candidates' DP.
+  // cost collapses to the probe plus the few genuine candidates' edit distances.
   const FeatureBenchData& data = feature_bench_data();
   std::vector<float> row(static_cast<std::size_t>(3 * data.index().n_classes()));
   core::RowFillStats stats;
@@ -320,7 +341,7 @@ const FeatureBenchData& feature_bench_data_four_channel() {
 void BM_FeatureRowIndexedFourChannel(benchmark::State& state) {
   // BM_FeatureRowIndexed with the runtime channel in the index: the row
   // widens from 3k to 4k columns and the probe covers one more channel
-  // whose same-class candidates genuinely run the DP.
+  // whose same-class candidates genuinely run the edit distance.
   const FeatureBenchData& data = feature_bench_data_four_channel();
   std::vector<float> row(data.index().n_channels() *
                          static_cast<std::size_t>(data.index().n_classes()));

@@ -45,7 +45,7 @@ void ShardedLruCache::put(const std::string& key, const core::Prediction& value)
     shard.order.pop_back();
   }
   shard.order.emplace_front(key, value);
-  shard.index.emplace(key, shard.order.begin());
+  shard.index.emplace(shard.order.front().first, shard.order.begin());
 }
 
 void ShardedLruCache::clear() {

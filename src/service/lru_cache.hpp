@@ -16,6 +16,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -49,12 +50,14 @@ class ShardedLruCache {
 
  private:
   struct Shard {
+    using Entry = std::pair<std::string, core::Prediction>;
     mutable std::mutex mutex;
     // Front = most recently used. The map owns iterator handles into the
     // list; list nodes are stable across splice so refresh never rehashes.
-    std::list<std::pair<std::string, core::Prediction>> order;
-    std::unordered_map<std::string, std::list<std::pair<std::string, core::Prediction>>::iterator>
-        index;
+    // Each map key views its own node's string, so a ~300-byte digest key
+    // is stored once; a key is erased from the map before its node dies.
+    std::list<Entry> order;
+    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
     std::size_t capacity = 0;
   };
 

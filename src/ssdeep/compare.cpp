@@ -114,8 +114,8 @@ int score_strings(std::string_view a, std::string_view b, std::uint32_t blocksiz
 int score_strings_pregated(std::string_view a, std::string_view b,
                            std::uint32_t blocksize, EditMetric metric) {
   const std::size_t dist = metric == EditMetric::kDamerauOsa
-                               ? damerau_levenshtein_osa(a, b)
-                               : weighted_levenshtein(a, b);
+                               ? damerau_levenshtein_osa_bitparallel(a, b)
+                               : weighted_levenshtein_bitparallel(a, b);
 
   // Scale the distance by its worst case, then onto [0, 100]. The worst
   // case depends on the metric: the weighted Levenshtein (substitution
@@ -154,11 +154,12 @@ int compare_digests(const FuzzyDigest& a, const FuzzyDigest& b, EditMetric metri
 
   if (bs1 == bs2) {
     // Identical digests of non-trivial length are a perfect match; the
-    // DP would otherwise cap just below 100 for short strings. Overlong
-    // parts (> kSpamsumLength, hand-built digests only) are excluded so
-    // they uniformly score 0, like every other scoring path treats them
-    // — and so a shared 7-gram remains a necessary condition for any
-    // score > 0 (the invariant the GramIndex candidate probe inverts).
+    // edit-distance score would otherwise cap just below 100 for short
+    // strings. Overlong parts (> kSpamsumLength, hand-built digests only)
+    // are excluded so they uniformly score 0, like every other scoring
+    // path treats them — and so a shared 7-gram remains a necessary
+    // condition for any score > 0 (the invariant the GramIndex candidate
+    // probe inverts).
     if (a1 == b1 && a1.size() > kRollingWindow && a1.size() <= kSpamsumLength) {
       return 100;
     }

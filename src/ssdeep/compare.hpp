@@ -10,9 +10,13 @@
 //   3. common 7-gram gate — if the two parts share no substring of
 //      kRollingWindow characters the score is 0; this both suppresses
 //      coincidental matches and acts as the fast path that rejects most
-//      cross-class pairs before the O(n^2) DP;
+//      cross-class pairs before the edit distance;
 //   4. edit distance, scaled to [0, 100] and capped for small blocksizes
-//      (short digests of tiny inputs match too easily).
+//      (short digests of tiny inputs match too easily). Parts are at most
+//      64 chars, so it runs as a bit-parallel kernel, one 64-bit word per
+//      DP column and a few word operations per character (Hyyrö's OSA
+//      bit-vectors, or bit-parallel LCS for the weighted metric; see
+//      edit_distance.hpp, whose DP functions are the kernels' oracles).
 //
 // The edit-distance metric is selectable: the paper specifies
 // Damerau–Levenshtein (our default); ssdeep's historical metric is the
@@ -84,7 +88,8 @@ int score_strings(std::string_view a, std::string_view b, std::uint32_t blocksiz
 
 /// score_strings with the common-substring gate already established by the
 /// caller (e.g. via sorted_grams_intersect on precomputed grams). Both
-/// inputs must be non-empty, at most kSpamsumLength chars, run-normalized.
+/// inputs must be non-empty, at most kSpamsumLength chars, run-normalized:
+/// the bit-parallel kernels take `a` as their one-word pattern.
 int score_strings_pregated(std::string_view a, std::string_view b,
                            std::uint32_t blocksize, EditMetric metric);
 

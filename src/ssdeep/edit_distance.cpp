@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -97,6 +99,90 @@ std::size_t damerau_levenshtein_full(std::string_view a, std::string_view b) {
     last_row[static_cast<unsigned char>(a[i - 1])] = i;
   }
   return d[m + 1][n + 1];
+}
+
+namespace {
+
+// Per-thread match-mask table: bit i of entry c is set when pattern[i] == c.
+// All 256 entries start zero; PatternMasks sets the pattern's entries for
+// one call and zeroes exactly those again, so no allocation and no
+// 2 KiB clear per call. Hand-built digests may hold any byte, hence 256.
+thread_local std::array<std::uint64_t, 256> t_match_masks{};
+
+class PatternMasks {
+ public:
+  explicit PatternMasks(std::string_view pattern)
+      : masks_(t_match_masks), pattern_(pattern) {
+    for (std::size_t i = 0; i < pattern_.size(); ++i) {
+      masks_[static_cast<unsigned char>(pattern_[i])] |= std::uint64_t{1} << i;
+    }
+  }
+  ~PatternMasks() {
+    for (const char c : pattern_) masks_[static_cast<unsigned char>(c)] = 0;
+  }
+  PatternMasks(const PatternMasks&) = delete;
+  PatternMasks& operator=(const PatternMasks&) = delete;
+
+  std::uint64_t operator[](char c) const noexcept {
+    return masks_[static_cast<unsigned char>(c)];
+  }
+
+ private:
+  std::array<std::uint64_t, 256>& masks_;
+  std::string_view pattern_;
+};
+
+}  // namespace
+
+std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_view b) {
+  if (a.size() > kBitParallelMaxPattern) return damerau_levenshtein_osa(a, b);
+  if (a.empty()) return b.size();
+  const PatternMasks pm(a);
+
+  // Vertical deltas of the current DP column (VP: +1, VN: -1); D0 marks
+  // the cells whose diagonal delta is 0. Bits above the pattern carry
+  // garbage, but carries and shifts only move upward, so the tracked
+  // last row (bit m-1) never sees it.
+  const std::uint64_t last = std::uint64_t{1} << (a.size() - 1);
+  std::uint64_t vp = ~std::uint64_t{0};
+  std::uint64_t vn = 0;
+  std::uint64_t d0 = 0;
+  std::uint64_t pm_prev = 0;
+  std::size_t dist = a.size();
+  for (const char c : b) {
+    const std::uint64_t pm_c = pm[c];
+    // Transposition: bit i is set when pattern[i-1..i] is the last two
+    // text characters swapped and the previous column's row i-1 was not
+    // already a zero-delta diagonal (the swap would gain nothing there).
+    const std::uint64_t tr = ((~d0 & pm_c) << 1) & pm_prev;
+    d0 = (((pm_c & vp) + vp) ^ vp) | pm_c | vn | tr;
+    std::uint64_t hp = vn | ~(d0 | vp);
+    std::uint64_t hn = d0 & vp;
+    if (hp & last) ++dist;
+    if (hn & last) --dist;
+    hp = (hp << 1) | 1;
+    hn <<= 1;
+    vp = hn | ~(d0 | hp);
+    vn = hp & d0;
+    pm_prev = pm_c;
+  }
+  return dist;
+}
+
+std::size_t weighted_levenshtein_bitparallel(std::string_view a, std::string_view b) {
+  if (a.size() > kBitParallelMaxPattern) return weighted_levenshtein(a, b);
+  if (a.empty()) return b.size();
+  const PatternMasks pm(a);
+
+  // Zero bits of s within the pattern count the LCS so far.
+  std::uint64_t s = ~std::uint64_t{0};
+  for (const char c : b) {
+    const std::uint64_t u = s & pm[c];
+    s = (s + u) | (s - u);
+  }
+  // The left shift drops the bits above the pattern (1 <= |a| <= 64).
+  const auto lcs = static_cast<std::size_t>(std::popcount(~s << (64 - a.size())));
+  return a.size() + b.size() - 2 * lcs;
 }
 
 }  // namespace fhc::ssdeep

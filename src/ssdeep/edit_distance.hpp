@@ -11,6 +11,15 @@
 //   * damerau_levenshtein_full()   — unrestricted DL (Lowrance–Wagner),
 // so the scoring metric is a run-time choice and the variants can be
 // compared in tests and benches.
+//
+// Scoring vs oracles. Digest parts are at most 64 characters, so one
+// 64-bit word holds a whole DP column. The scoring path
+// (score_strings_pregated in compare.cpp) therefore runs the two
+// bit-parallel kernels, *_bitparallel(), which do a few word operations
+// per character and never allocate. The DP functions above compute the
+// same values by the paper's recursion; they serve ablation, strings of
+// any length, and as the test oracles the kernels are checked against
+// (tests/ssdeep/test_edit_distance.cpp, fuzz_row_differential).
 #pragma once
 
 #include <cstddef>
@@ -38,5 +47,23 @@ std::size_t damerau_levenshtein_osa(std::string_view a, std::string_view b);
 /// may be further edited. Distinguishable from OSA on e.g. "CA" vs "ABC"
 /// (full: 2, OSA: 3).
 std::size_t damerau_levenshtein_full(std::string_view a, std::string_view b);
+
+/// Longest pattern the bit-parallel kernels hold in one machine word.
+inline constexpr std::size_t kBitParallelMaxPattern = 64;
+
+/// damerau_levenshtein_osa(a, b) by Hyyrö's bit-vector algorithm (2003):
+/// Myers' (1999) Levenshtein bit-vectors plus a transposition term.
+/// Bit-parallel only for a.size() <= kBitParallelMaxPattern: `a` is the
+/// pattern whose match masks fill the word, so a longer `a` falls back
+/// to the DP. `b` may be any length; either may be empty. Never
+/// allocates on the bit-parallel path.
+std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_view b);
+
+/// weighted_levenshtein(a, b) at the default costs (1, 1, 2). There a
+/// substitution never beats delete + insert, so the distance is
+/// |a| + |b| - 2 * LCS(a, b), and the LCS comes from the Allison–Dix /
+/// Hyyrö bit-parallel recurrence. Same length limit, fallback and
+/// allocation guarantee as damerau_levenshtein_osa_bitparallel.
+std::size_t weighted_levenshtein_bitparallel(std::string_view a, std::string_view b);
 
 }  // namespace fhc::ssdeep

@@ -4,10 +4,10 @@
 //
 // compare_prepared can only score > 0 when the two parts being scored
 // share at least one 7-gram (score_parts runs sorted_grams_intersect
-// before the DP and returns 0 when it fails; the identical-part1 == 100
-// fast path requires parts longer than the window and at most
-// kSpamsumLength — exactly the lengths whose gram arrays are equal and
-// non-empty). That makes the gate *invertible*: instead of
+// before the edit distance and returns 0 when it fails; the
+// identical-part1 == 100 fast path requires parts longer than the window
+// and at most kSpamsumLength — exactly the lengths whose gram arrays are
+// equal and non-empty). That makes the gate *invertible*: instead of
 // merge-scanning a query's gram array against every training digest and
 // rejecting almost all of them one by one, index the training side once —
 // gram -> ids of the digests containing it — and probe it with the

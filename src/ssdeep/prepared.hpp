@@ -27,8 +27,10 @@
 // owning storage; view() borrows it.
 //
 // compare_prepared is score-identical to compare_digests by construction:
-// both run the same gate ordering and share score_strings_pregated for the
-// DP scoring (tests/ssdeep/test_prepared.cpp holds the property test).
+// both run the same gate ordering and share score_strings_pregated, whose
+// bit-parallel edit-distance kernels build their match masks per call
+// from the part text, so no mask state lives here
+// (tests/ssdeep/test_prepared.cpp holds the property test).
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,12 @@
 // classifier can have. unit tests cover curated digests; this target
 // lets the fuzzer search for pathological blocksize/length combinations
 // the curated set misses.
+//
+// The same digests also check the scoring kernels: for every checked
+// sample and every sample it is paired with, each pair of normalized
+// parts of <= 64 chars must give the bit-parallel distance equal to the
+// DP oracle's, for both metrics. A row fill only reaches the kernels
+// behind the 7-gram gate; this reaches them on every pair.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +34,7 @@
 #include "core/features.hpp"
 #include "ssdeep/compare.hpp"
 #include "ssdeep/digest.hpp"
+#include "ssdeep/edit_distance.hpp"
 
 namespace {
 
@@ -41,6 +48,21 @@ void check_rows_equal(std::span<const float> indexed,
     // Bit-identity, including signed zero; both paths compute the same
     // max over the same candidate scores or the column stays 0.
     if (std::memcmp(&indexed[i], &oracle[i], sizeof(float)) != 0) std::abort();
+  }
+}
+
+void check_kernels(std::string_view a, std::string_view b) {
+  if (a.size() > fhc::ssdeep::kBitParallelMaxPattern ||
+      b.size() > fhc::ssdeep::kBitParallelMaxPattern) {
+    return;
+  }
+  if (fhc::ssdeep::damerau_levenshtein_osa_bitparallel(a, b) !=
+      fhc::ssdeep::damerau_levenshtein_osa(a, b)) {
+    std::abort();
+  }
+  if (fhc::ssdeep::weighted_levenshtein_bitparallel(a, b) !=
+      fhc::ssdeep::weighted_levenshtein(a, b)) {
+    std::abort();
   }
 }
 
@@ -85,6 +107,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       fhc::ssdeep::EditMetric::kDamerauOsa,
       fhc::ssdeep::EditMetric::kWeightedLevenshtein};
   const std::size_t checked = std::min(samples.size(), kMaxChecked);
+  std::vector<std::string> parts;  // normalized part1, part2 per sample
+  for (const fhc::core::FeatureHashes& sample : samples) {
+    parts.push_back(fhc::ssdeep::eliminate_long_runs(sample.file.part1));
+    parts.push_back(fhc::ssdeep::eliminate_long_runs(sample.file.part2));
+  }
+  for (std::size_t i = 0; i < 2 * checked; ++i) {
+    for (const std::string& other : parts) check_kernels(parts[i], other);
+  }
   for (std::size_t i = 0; i < checked; ++i) {
     for (const fhc::ssdeep::EditMetric metric : metrics) {
       for (const int exclude : {-1, static_cast<int>(i)}) {

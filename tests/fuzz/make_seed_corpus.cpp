@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -248,6 +249,24 @@ void seed_row_differential() {
   }
   write_seed(target, "near_duplicates", similar);
   write_seed(target, "short_parts", "3:AAAA:AA\n3:BBBB:BB\n6:CCCC:CC\n");
+  // Adjacent-symbol swaps (the paper's transposition edit) at both ends
+  // of a full part and in the middle, plus a chained pair ("abc" ->
+  // "bca"): the bit-parallel kernels' transposition term must agree with
+  // the DP oracle, including at the word's top bit.
+  const ssdeep::FuzzyDigest base = ssdeep::fuzzy_hash(synth_text(91, 16384));
+  std::string transposed = base.to_string() + "\n";
+  for (const std::size_t i : {0u, 1u, 30u, 61u, 62u}) {
+    ssdeep::FuzzyDigest variant = base;
+    for (std::string* part : {&variant.part1, &variant.part2}) {
+      if (i + 1 < part->size()) std::swap((*part)[i], (*part)[i + 1]);
+    }
+    transposed += variant.to_string() + "\n";
+  }
+  ssdeep::FuzzyDigest chained = base;
+  std::swap(chained.part1[10], chained.part1[11]);
+  std::swap(chained.part1[11], chained.part1[12]);
+  transposed += chained.to_string() + "\n";
+  write_seed(target, "transposed_parts", transposed);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -706,6 +707,72 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsedPerShard) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get("a").has_value());
+}
+
+TEST(ShardedLruCache, RefreshUpdatesValueInPlace) {
+  core::Prediction first;
+  first.label = 1;
+  core::Prediction second;
+  second.label = 2;
+  ShardedLruCache cache(/*capacity=*/4, /*shards=*/1);
+  cache.put("a", first);
+  cache.put("b", first);
+  cache.put("a", second);
+  EXPECT_EQ(cache.size(), 2u);
+  const auto hit = cache.get("a");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->label, 2);
+}
+
+TEST(ShardedLruCache, KeysOutliveTheCallersString) {
+  // The map's keys view the cache's own copy of each key, never the
+  // caller's buffer: destroying or rewriting it must not lose the entry.
+  core::Prediction value;
+  value.label = 3;
+  ShardedLruCache cache(/*capacity=*/4, /*shards=*/1);
+  {
+    std::string temporary(300, 'k');  // digest-sized, past any SSO buffer
+    cache.put(temporary, value);
+  }
+  std::string reused(300, 'm');
+  cache.put(reused, value);
+  reused.assign(300, 'z');
+  EXPECT_TRUE(cache.get(std::string(300, 'k')).has_value());
+  EXPECT_TRUE(cache.get(std::string(300, 'm')).has_value());
+  EXPECT_FALSE(cache.get(reused).has_value());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ShardedLruCache, EvictionAfterRefreshRemovesTheOtherKey) {
+  core::Prediction value;
+  ShardedLruCache cache(/*capacity=*/2, /*shards=*/1);
+  cache.put("a", value);
+  cache.put("b", value);
+  cache.put("a", value);  // refresh by put: "b" is now LRU
+  cache.put("c", value);  // evicts "b"
+  EXPECT_TRUE(cache.get("a").has_value());
+  EXPECT_FALSE(cache.get("b").has_value());
+  EXPECT_TRUE(cache.get("c").has_value());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ShardedLruCache, PutAfterClearWorks) {
+  core::Prediction value;
+  value.label = 4;
+  ShardedLruCache cache(/*capacity=*/2, /*shards=*/1);
+  cache.put("a", value);
+  cache.put("b", value);
+  cache.clear();
+  cache.put("a", value);
+  cache.put("c", value);
+  cache.put("d", value);  // evicts "a": the cleared shard counts afresh
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_FALSE(cache.get("b").has_value());
+  const auto hit = cache.get("c");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->label, 4);
+  EXPECT_TRUE(cache.get("d").has_value());
 }
 
 TEST(ShardedLruCache, ZeroCapacityDisables) {

@@ -1,10 +1,17 @@
-// Edit-distance variants: known values, metric relationships, properties.
+// Edit-distance variants: known values, metric relationships, properties,
+// and the bit-parallel scoring kernels checked against their DP oracles.
 #include "ssdeep/edit_distance.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "ssdeep/compare.hpp"
+#include "support/corpus_digests.hpp"
 #include "util/rng.hpp"
 
 namespace fhc::ssdeep {
@@ -131,6 +138,169 @@ TEST_P(EditDistanceProperty, TriangleInequalityForLevenshtein) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EditDistanceProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// --- bit-parallel kernels == DP oracles -----------------------------------
+
+constexpr char kBase64[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+// Both kernels against both DP oracles, with each operand as the pattern.
+::testing::AssertionResult kernels_match_dp(std::string_view a, std::string_view b) {
+  for (const auto& [p, t] : {std::pair{a, b}, std::pair{b, a}}) {
+    const std::size_t osa = damerau_levenshtein_osa_bitparallel(p, t);
+    const std::size_t osa_dp = damerau_levenshtein_osa(p, t);
+    const std::size_t weighted = weighted_levenshtein_bitparallel(p, t);
+    const std::size_t weighted_dp = weighted_levenshtein(p, t);
+    if (osa != osa_dp || weighted != weighted_dp) {
+      return ::testing::AssertionFailure()
+             << ::testing::PrintToString(std::string(p)) << " vs "
+             << ::testing::PrintToString(std::string(t)) << ": osa " << osa
+             << " (dp " << osa_dp << "), weighted " << weighted << " (dp "
+             << weighted_dp << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string random_over(fhc::util::Rng& rng, std::size_t len, std::size_t alphabet) {
+  std::string out;
+  for (std::size_t i = 0; i < len; ++i) out.push_back(kBase64[rng.next_below(alphabet)]);
+  return out;
+}
+
+TEST(BitParallelKernels, EveryLengthPairEveryAlphabet) {
+  fhc::util::Rng rng(41);
+  for (const std::size_t alphabet : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 64u}) {
+    for (std::size_t la = 0; la <= 64; ++la) {
+      for (std::size_t lb = la; lb <= 64; ++lb) {
+        const std::string a = random_over(rng, la, alphabet);
+        const std::string b = random_over(rng, lb, alphabet);
+        ASSERT_TRUE(kernels_match_dp(a, b)) << "alphabet " << alphabet;
+      }
+    }
+  }
+}
+
+TEST(BitParallelKernels, TranspositionHeavyMutations) {
+  // Mostly adjacent swaps (some overlapping, e.g. "abc" -> "bca"), plus
+  // the odd substitution and indel, over narrow and full alphabets.
+  fhc::util::Rng rng(42);
+  for (const std::size_t alphabet : {2u, 3u, 4u, 8u, 64u}) {
+    for (int round = 0; round < 400; ++round) {
+      const std::string a = random_over(rng, 2 + rng.next_below(63), alphabet);
+      std::string b = a;
+      for (std::size_t edits = 1 + rng.next_below(12); edits > 0; --edits) {
+        const std::size_t i = rng.next_below(b.size());
+        switch (rng.next_below(8)) {
+          case 0:
+            b[i] = kBase64[rng.next_below(alphabet)];
+            break;
+          case 1:
+            if (b.size() > 1) b.erase(i, 1);
+            break;
+          case 2:
+            if (b.size() < 64) b.insert(i, 1, kBase64[rng.next_below(alphabet)]);
+            break;
+          default:
+            if (i + 1 < b.size()) std::swap(b[i], b[i + 1]);
+            break;
+        }
+      }
+      ASSERT_TRUE(kernels_match_dp(a, b)) << "alphabet " << alphabet;
+    }
+  }
+}
+
+TEST(BitParallelKernels, ArbitraryBytes) {
+  // Hand-built digests may hold any byte: the mask table covers all 256,
+  // '\0' and '\xff' included.
+  fhc::util::Rng rng(43);
+  const auto random_bytes = [&](std::size_t len, bool extremes_only) {
+    std::string out;
+    for (std::size_t i = 0; i < len; ++i) {
+      out.push_back(extremes_only ? (rng.next_below(2) == 0 ? '\0' : '\xff')
+                                  : static_cast<char>(rng.next_below(256)));
+    }
+    return out;
+  };
+  for (int round = 0; round < 1000; ++round) {
+    const bool extremes_only = round % 2 == 0;
+    const std::string a = random_bytes(rng.next_below(65), extremes_only);
+    const std::string b = random_bytes(rng.next_below(65), extremes_only);
+    ASSERT_TRUE(kernels_match_dp(a, b));
+  }
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(std::string(1, '\0'), "\xff"), 1u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(std::string(1, '\0'), "\xff"), 2u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(std::string("\0\xff", 2),
+                                                std::string("\xff\0", 2)),
+            1u);
+}
+
+TEST(BitParallelKernels, EveryPartPairOfCorpusDigests) {
+  std::vector<std::string> parts;
+  for (const FuzzyDigest& digest : testsupport::make_corpus_digests()) {
+    for (const std::string& part : {digest.part1, digest.part2}) {
+      parts.push_back(part);
+      parts.push_back(eliminate_long_runs(part));
+    }
+  }
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (std::size_t j = i; j < parts.size(); ++j) {
+      ASSERT_TRUE(kernels_match_dp(parts[i], parts[j]));
+    }
+  }
+}
+
+TEST(BitParallelKernels, WordEdgeKnownValues) {
+  const std::string full(kBase64, 64);  // 64 distinct symbols: bit 63 in use
+  ASSERT_EQ(full.size(), kBitParallelMaxPattern);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, ""), 64u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, ""), 64u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, "A"), 63u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, "A"), 63u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, "/"), 63u);  // last symbol
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, "/"), 63u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, "!"), 64u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, "!"), 65u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, full), 0u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, full), 0u);
+
+  std::string swapped_last = full;  // transposition across bits 62-63
+  std::swap(swapped_last[62], swapped_last[63]);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, swapped_last), 1u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, swapped_last), 2u);
+  std::string swapped_first = full;
+  std::swap(swapped_first[0], swapped_first[1]);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, swapped_first), 1u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, swapped_first), 2u);
+
+  const std::string rotated = full.substr(1) + full[0];
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(full, rotated), 2u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(full, rotated), 2u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(std::string(64, 'a'), std::string(64, 'b')),
+            64u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(std::string(64, 'a'), std::string(64, 'b')),
+            128u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel("", ""), 0u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel("", ""), 0u);
+
+  // Past the word the kernels fall back to the DP rather than misbehave.
+  const std::string long_pattern = full + "xyz";
+  EXPECT_TRUE(kernels_match_dp(long_pattern, full));
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel(long_pattern, full), 3u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel(long_pattern, full), 3u);
+}
+
+TEST(BitParallelKernels, BackToBackCallsDoNotLeakMasks) {
+  // Each call sets the masks of its own pattern and clears them on exit;
+  // a leftover 'a' or 'b' bit would corrupt the calls that follow.
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel("ab", "ba"), 1u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel("ba", "ba"), 0u);
+  EXPECT_EQ(damerau_levenshtein_osa_bitparallel("xy", "ab"), 2u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel("ab", "ba"), 2u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel("ba", "ba"), 0u);
+  EXPECT_EQ(weighted_levenshtein_bitparallel("xy", "ab"), 4u);
+}
 
 }  // namespace
 }  // namespace fhc::ssdeep

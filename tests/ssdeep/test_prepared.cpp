@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "ssdeep/fuzzy_hash.hpp"
+#include "support/corpus_digests.hpp"
 #include "util/rng.hpp"
 
 namespace fhc::ssdeep {
@@ -25,15 +25,6 @@ void expect_equivalent(const FuzzyDigest& a, const FuzzyDigest& b) {
     EXPECT_EQ(compare_prepared(pb, pa, metric), compare_digests(b, a, metric))
         << b.to_string() << " vs " << a.to_string();
   }
-}
-
-std::string random_text(fhc::util::Rng& rng, std::size_t n) {
-  std::string out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<char>(rng.next_below(256)));
-  }
-  return out;
 }
 
 TEST(PreparedDigest, HoldsNormalizedParts) {
@@ -72,23 +63,7 @@ TEST(PackedGrams, GateMatchesHasCommonSubstring) {
 }
 
 TEST(ComparePrepared, EquivalentOnRealCorpus) {
-  // Random and related inputs across sizes, so blocksizes span equal,
-  // adjacent and incompatible pairings and both gate outcomes occur.
-  fhc::util::Rng rng(22);
-  std::vector<FuzzyDigest> digests;
-  for (const std::size_t size : {120u, 700u, 3000u, 12000u, 50000u}) {
-    const std::string base = random_text(rng, size);
-    digests.push_back(fuzzy_hash(base));
-
-    std::string mutated = base;  // contiguous 10% block rewritten
-    for (std::size_t i = size / 4; i < size / 4 + size / 10; ++i) {
-      mutated[i] = static_cast<char>(rng.next_below(256));
-    }
-    digests.push_back(fuzzy_hash(mutated));
-
-    // ~2x growth lands on the adjacent blocksize for most seeds.
-    digests.push_back(fuzzy_hash(base + random_text(rng, size)));
-  }
+  const std::vector<FuzzyDigest> digests = testsupport::make_corpus_digests();
   for (std::size_t i = 0; i < digests.size(); ++i) {
     for (std::size_t j = i; j < digests.size(); ++j) {
       expect_equivalent(digests[i], digests[j]);

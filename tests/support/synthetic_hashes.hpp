@@ -4,7 +4,7 @@
 //
 // Per class, one random base buffer; training samples are xor-mutated
 // variants of it and queries are distinct held-out variants — so
-// same-class comparisons exercise the DP edit distance while cross-class
+// same-class comparisons exercise the edit distance while cross-class
 // pairs die at the 7-gram gate, the comparison mix fill_feature_row sees
 // in the real pipeline, without the cost of synthesizing ELF images.
 #pragma once

@@ -34,13 +34,17 @@ done
 # baseline (BM_FeatureRowIndexed vs BM_FeatureRowPrepared). PR 7 on: the
 # runtime channel — trace fingerprint+hash cost, and the three-vs-four
 # channel row-fill pair (BM_FeatureRowIndexed vs
-# BM_FeatureRowIndexedFourChannel).
+# BM_FeatureRowIndexedFourChannel). The edit-distance pairs: each DP
+# oracle (BM_{DamerauOsa,WeightedLevenshtein}64) against its BitParallel
+# twin, the kernel the scoring path runs.
 for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
     BM_PrepareDigest BM_FeatureRowPrepared BM_FeatureRowIndexed \
     BM_FeatureRowRawLoop BM_RuntimeTraceHash \
-    BM_FeatureRowIndexedFourChannel; do
+    BM_FeatureRowIndexedFourChannel \
+    BM_DamerauOsa64 BM_DamerauOsa64BitParallel \
+    BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel; do
   if ! grep -q "\"$required\"" BENCH_perf_ssdeep.json; then
     echo "error: BENCH_perf_ssdeep.json is missing $required" >&2
     exit 1
