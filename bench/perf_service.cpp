@@ -1,6 +1,6 @@
-// google-benchmark throughput baselines for fhc::service — batched/sharded
-// classification against the unbatched serial predict() loop the CLI used
-// to run per invocation.
+// google-benchmark throughput baselines for fhc::service — per-key
+// scoring tasks on the worker pool, single flight and the result cache,
+// against the serial predict() loop the CLI used to run per invocation.
 //
 // The workload models the paper's Slurm-prolog deployment: a node screens
 // every job launch, and launches repeat the same few executables (array
@@ -9,21 +9,23 @@
 //
 //   BM_PredictUnbatched/32            serial predict() over the stream —
 //                                     the pre-service baseline
-//   BM_ServiceBatchRepeatDedup/32     cache OFF: micro-batch + in-batch
-//                                     dedup + class-sharded rows
+//   BM_ServiceBatchRepeatDedup/32     cache OFF: one task per distinct
+//                                     sample, repeats join it
 //   BM_ServiceBatchRepeatStream/32    cache ON: steady-state prolog
 //                                     traffic (repeats answered from LRU)
 //   BM_ServiceBatchUnique/N           cache OFF, all-distinct stream: the
-//                                     sharding-only win (≈1x on 1 core,
+//                                     pool-parallel win (≈1x on 1 core,
 //                                     scales with the pool on real nodes)
-//   BM_ServiceShards/S                unique stream at fixed batch 32,
-//                                     explicit shard counts
+//
+// And per request (real time): BM_ServiceIsolatedRequest, a lone cold
+// submit().get() on an idle service, against BM_PredictSingle, serial
+// predict() on the same samples — the service's own overhead on sparse
+// prolog traffic, which should be about one task hand-off.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <future>
 #include <sstream>
@@ -100,13 +102,9 @@ std::vector<core::FeatureHashes> window(const std::vector<core::FeatureHashes>& 
   return out;
 }
 
-service::ServiceConfig bench_config(std::size_t batch, std::size_t cache,
-                                    std::size_t shards = 0) {
+service::ServiceConfig bench_config(std::size_t cache) {
   service::ServiceConfig config;
-  config.max_batch = batch;
-  config.max_delay = std::chrono::milliseconds(50);  // flush on fill, not delay
   config.cache_capacity = cache;
-  config.shards = shards;
   return config;
 }
 
@@ -127,13 +125,12 @@ void BM_PredictUnbatched(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictUnbatched)->Arg(32)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-/// Same stream, cache disabled: the win is micro-batching + in-batch
-/// dedup + sharded rows alone.
+/// Same stream, cache disabled: the win is single flight (repeats join
+/// their sample's task) plus the pool's parallel tasks alone.
 void BM_ServiceBatchRepeatDedup(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  service::ClassificationService svc(data.model(),
-                                     bench_config(batch, /*cache=*/0));
+  service::ClassificationService svc(data.model(), bench_config(/*cache=*/0));
   std::size_t offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc.classify_batch(window(data.repeat_stream, offset, batch)));
@@ -147,7 +144,7 @@ BENCHMARK(BM_ServiceBatchRepeatDedup)->Arg(32)->UseRealTime()->Unit(benchmark::k
 void BM_ServiceBatchRepeatStream(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  service::ClassificationService svc(data.model(), bench_config(batch, 4096));
+  service::ClassificationService svc(data.model(), bench_config(4096));
   std::size_t offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc.classify_batch(window(data.repeat_stream, offset, batch)));
@@ -161,12 +158,12 @@ BENCHMARK(BM_ServiceBatchRepeatStream)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// All-distinct stream, cache off: isolates batching + class sharding (the
-/// multi-core win; on a single-core host this tracks the baseline).
+/// All-distinct stream, cache off: isolates the parallel scoring tasks
+/// (the multi-core win; on a single-core host this tracks the baseline).
 void BM_ServiceBatchUnique(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  service::ClassificationService svc(data.model(), bench_config(batch, /*cache=*/0));
+  service::ClassificationService svc(data.model(), bench_config(/*cache=*/0));
   std::size_t offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc.classify_batch(window(data.unique_pool, offset, batch)));
@@ -175,24 +172,39 @@ void BM_ServiceBatchUnique(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceBatchUnique)->Arg(8)->Arg(32)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-/// Shard-count sweep at fixed batch 32 on the distinct stream.
-void BM_ServiceShards(benchmark::State& state) {
+/// Serial predict() on one distinct sample at a time: the floor for a
+/// lone request (pairs with BM_ServiceIsolatedRequest).
+void BM_PredictSingle(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  service::ClassificationService svc(data.model(),
-                                     bench_config(32, /*cache=*/0, shards));
+  const core::FuzzyHashClassifier clf = data.model();
   std::size_t offset = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(svc.classify_batch(window(data.unique_pool, offset, 32)));
+    benchmark::DoNotOptimize(clf.predict(data.unique_pool[offset]));
+    offset = (offset + 1) % data.unique_pool.size();
   }
-  state.SetItemsProcessed(state.iterations() * 32);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServiceShards)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictSingle)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+/// One cold request at a time on an idle service, cache off: submit ->
+/// scoring task -> callback -> future, with no other request in sight
+/// (sparse prolog traffic).
+void BM_ServiceIsolatedRequest(benchmark::State& state) {
+  const ServiceBenchData& data = bench_data();
+  service::ClassificationService svc(data.model(), bench_config(/*cache=*/0));
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc.submit(data.unique_pool[offset]).get());
+    offset = (offset + 1) % data.unique_pool.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServiceIsolatedRequest)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 /// Pure cache path: one hot binary resubmitted (array-job steady state).
 void BM_ServiceCacheHit(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
-  service::ClassificationService svc(data.model(), bench_config(32, 4096));
+  service::ClassificationService svc(data.model(), bench_config(4096));
   benchmark::DoNotOptimize(svc.submit(data.unique_pool[0]).get());  // warm
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc.submit(data.unique_pool[0]).get());
@@ -216,10 +228,9 @@ constexpr std::size_t kWireRequestsPerIteration = 256;
 /// config, so the delta isolates the wire).
 void BM_ServiceSubmitInProcess(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
-  service::ClassificationService svc(data.model(), bench_config(32, 4096));
+  service::ClassificationService svc(data.model(), bench_config(4096));
   // Warm the LRU: steady state is the cache-served stream, so the pair
-  // isolates the wire overhead, not first-pass scoring (and not the
-  // micro-batch delay a shallow pipeline would otherwise wait out).
+  // isolates the wire overhead, not first-pass scoring.
   for (const core::FeatureHashes& sample : data.unique_pool) {
     benchmark::DoNotOptimize(svc.classify_batch({sample}));
   }
@@ -246,7 +257,7 @@ void BM_ServeSocketPipelined(benchmark::State& state) {
   const ServiceBenchData& data = bench_data();
   const auto connections = static_cast<std::size_t>(state.range(0));
 
-  service::ClassificationService svc(data.model(), bench_config(32, 4096));
+  service::ClassificationService svc(data.model(), bench_config(4096));
   // Same warm-LRU steady state as BM_ServiceSubmitInProcess.
   for (const core::FeatureHashes& sample : data.unique_pool) {
     benchmark::DoNotOptimize(svc.classify_batch({sample}));

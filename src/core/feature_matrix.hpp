@@ -434,9 +434,8 @@ struct PreparedQuery {
 
 /// One query's candidate sets against one TrainIndex: the per-channel
 /// GramIndex probe results (sorted, class-grouped entry ids), computed
-/// once. Slice fills over any class partition share one probe — without
-/// this, a service scoring a row in S parallel slices would repeat the
-/// identical probe S times per channel.
+/// once. Slice fills over any class partition share one probe instead of
+/// repeating the identical probe once per slice and channel.
 class QueryCandidates {
  public:
   QueryCandidates() = default;
@@ -474,11 +473,10 @@ void fill_feature_row(const TrainIndex& index, const FeatureHashes& sample,
                       RowFillStats* stats = nullptr);
 
 /// Columns (f, c) for every channel f and classes c in
-/// [class_begin, class_end) of one feature row — the shard view the
-/// classification service uses to compute one query's similarity row in
-/// parallel slices. `out_row` is the full-width row; only the slice's
-/// columns are written. Covering [0, n_classes) in any partition is
-/// bit-identical to fill_feature_row on the same sample.
+/// [class_begin, class_end) of one feature row, so a query's similarity
+/// row can be filled in independent slices. `out_row` is the full-width
+/// row; only the slice's columns are written. Covering [0, n_classes) in
+/// any partition is bit-identical to fill_feature_row on the same sample.
 void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
                             ssdeep::EditMetric metric, int exclude_id,
                             int class_begin, int class_end,

@@ -150,8 +150,8 @@ std::vector<double> RandomForest::predict_proba_nested(
 Matrix RandomForest::predict_proba_matrix(const Matrix& x) const {
   if (trees_.empty()) throw std::logic_error("RandomForest: not fitted");
   Matrix out(x.rows(), static_cast<std::size_t>(n_classes_));
-  // One pool task per row block (not per row): service micro-batches on
-  // the shared pool no longer queue behind hundreds of single-row tasks,
+  // One pool task per row block (not per row): service scoring tasks on
+  // the shared pool do not queue behind hundreds of single-row tasks,
   // and each task is one cache-friendly tree-major pass.
   constexpr std::size_t kBlockRows = 64;
   const std::size_t blocks = (x.rows() + kBlockRows - 1) / kBlockRows;

@@ -114,7 +114,7 @@ struct SocketServer::Impl {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = 1000;  // ids < 1000 are listeners/wakeups
   std::size_t global_inflight = 0;
-  std::atomic<bool> draining{false};  // also read by path-extraction tasks
+  bool draining = false;
   Clock::time_point drain_deadline{};
 
   // Per-connection timeout machinery (idle / read-progress eviction).
@@ -421,9 +421,8 @@ struct SocketServer::Impl {
     }
     // Pool tasks still running may yet submit, and submitted requests
     // still owe their callbacks (even after force_close_all: their
-    // replies are dropped on arrival). Every callback does run, because
-    // the service queue was flushed after the last submit (begin_drain()
-    // or the extraction task itself).
+    // replies are dropped on arrival). Every callback does run: each
+    // submitted miss has its own scoring task on the pool.
     std::unique_lock lock(outstanding_mutex);
     outstanding_cv.wait(lock, [this] { return outstanding == 0; });
   }
@@ -438,9 +437,6 @@ struct SocketServer::Impl {
       conn->closing = true;
       update_interest(*conn);
     }
-    // Queued-but-unflushed requests must not wait out max_delay (or
-    // worse, a huge test configuration) during shutdown.
-    handler.service().flush();
     // Connections with nothing in flight close immediately; collect ids
     // first (close_conn mutates the map).
     std::vector<std::uint64_t> idle;
@@ -753,7 +749,8 @@ struct SocketServer::Impl {
 
   /// Submits one classify whose reply goes to slot `seq` of `conn_id`:
   /// the service's callback encodes it and posts it to the loop, from
-  /// the dispatcher — or inline, before this returns, on a cache hit.
+  /// the pool worker that scored it — or inline, before this returns, on
+  /// a cache hit.
   /// False when the service queue is full (the callback never runs).
   bool submit_classify(std::uint64_t conn_id, std::uint64_t seq,
                        core::FeatureHashes sample, Clock::time_point decoded,
@@ -822,13 +819,10 @@ struct SocketServer::Impl {
       const std::string error = service::CommandHandler::extract_path(path, sample);
       if (!error.empty()) {
         encode_error(failure.bytes, error);
-      } else if (!submit_classify(conn_id, seq, std::move(sample), decoded, deadline)) {
-        encode_busy(failure.bytes, "service queue full");
-      } else {
-        // Submitted after begin_drain() flushed the service: flush again
-        // so shutdown does not wait out max_delay for this request.
-        if (draining.load()) handler.service().flush();
+      } else if (submit_classify(conn_id, seq, std::move(sample), decoded, deadline)) {
         return;
+      } else {
+        encode_busy(failure.bytes, "service queue full");
       }
     } catch (const std::exception& e) {
       failure.bytes.clear();

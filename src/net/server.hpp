@@ -2,25 +2,25 @@
 // daemon: a non-blocking epoll event loop serving the length-prefixed
 // binary protocol (net/protocol.hpp) over TCP and Unix-domain sockets.
 //
-// Architecture (three threads touch a request):
+// Architecture (the event loop plus the service's worker pool):
 //
 //   event loop (run())      accepts, reads, frames, admission-checks,
 //                           submits to the ClassificationService, and
 //                           writes replies;
-//   service pool worker     CLASSIFY_PATH: reads the file, extracts its
-//                           features and submits them, so one large file
-//                           never stalls the loop; RELOAD: loads and swaps
-//                           the model, so a model load never sits in front
-//                           of any classify reply. It is the pool the
-//                           service scores on, so no task waits on the
-//                           service; an extraction error or a full queue
-//                           goes straight back to the loop;
-//   service dispatcher      the micro-batching scorer. Each request's
-//                           completion callback encodes its reply frame
-//                           and posts it to the loop (an eventfd wakes
-//                           it); a cache hit runs that callback inline on
-//                           the submitting thread. A slow batch therefore
-//                           delays only its own requests' replies.
+//   service pool workers    CLASSIFY_PATH: read the file, extract its
+//                           features and submit them, so one large file
+//                           never stalls the loop; RELOAD: load and swap
+//                           the model, so a model load never sits in
+//                           front of any classify reply; and the
+//                           service's own scoring tasks, one per new
+//                           sample. No task waits on another; an
+//                           extraction error or a full queue goes
+//                           straight back to the loop.
+//
+// Each request's completion callback encodes its reply frame and posts it
+// to the loop (an eventfd wakes it): on the worker that scored it, or
+// inline on the submitting thread for a cache hit. A slow request
+// therefore delays only its own reply.
 //
 // Deadlines: a request's wire deadline_ms counts from frame decode, so
 // extraction spends it too; what is left when the request would be
@@ -39,15 +39,16 @@
 //   * max_connections   concurrent connections across both transports;
 //   * max_pipeline      reply slots in flight per connection;
 //   * max_inflight      classify requests in flight across the server;
-//   * ServiceConfig::max_queue   the dispatcher backlog (try_submit).
+//   * ServiceConfig::max_queue   scoring tasks waiting for a worker
+//                                (try_submit).
 //
 // Backpressure: a connection whose write buffer exceeds the high
 // watermark stops being read until the client drains half of it.
 //
 // Graceful shutdown (QUIT frame, stop(), or SIGTERM via stop()):
-// listeners close first, every connection stops reading, the service
-// flushes its pending queue, in-flight batches finish on their model
-// snapshot, replies drain, then connections close and run() returns.
+// listeners close first, every connection stops reading, requests in
+// flight finish on their model snapshot, replies drain, then
+// connections close and run() returns.
 // Connections that will not drain are force-closed after
 // drain_timeout_ms; run() still waits for every pool task and every
 // submitted request's completion callback before it returns.

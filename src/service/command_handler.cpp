@@ -64,7 +64,6 @@ std::string CommandHandler::stats_line() const {
       << " candidates_scored=" << s.candidates_scored
       << " index_skipped=" << s.index_skipped
       << " index_skip_rate=" << s.index_skip_rate() << " reloads=" << s.reloads
-      << " largest_batch=" << s.largest_batch
       << " unknown_flagged=" << s.unknown_flagged
       << " deadline_expired=" << s.deadline_expired
       << " connections_opened=" << s.connections_opened
@@ -98,8 +97,8 @@ bool CommandHandler::handle_line(const std::string& line, std::ostream& out) {
   if (command.empty()) return true;
 
   if (command == "CLASSIFY") {
-    // Submit every path first so they land in one micro-batch, then
-    // collect replies in order.
+    // Submit every path first so they score in parallel, then collect
+    // replies in order.
     std::vector<Submission> submissions;
     std::string path;
     while (parts >> path) submissions.push_back(submit_path(path));

@@ -69,9 +69,9 @@ class CommandHandler {
   };
 
   /// Loads `model_path` (text/v1/v2 sniffed) and swaps it in. Never
-  /// throws; in-flight batches finish on their snapshot either way. An
-  /// unknown-threshold override set below is re-applied to the fresh
-  /// model, so RELOAD cannot silently drop the deployment knob.
+  /// throws; requests already scoring finish on their snapshot either
+  /// way. An unknown-threshold override set below is re-applied to the
+  /// fresh model, so RELOAD cannot silently drop the deployment knob.
   ReloadResult reload(const std::string& model_path);
 
   /// Deployment override for the open-set rejection threshold

@@ -1,14 +1,11 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/feature_matrix.hpp"
-#include "ml/matrix.hpp"
 #include "util/fault_inject.hpp"
 
 namespace fhc::service {
@@ -41,24 +38,22 @@ ClassificationService::ClassificationService(core::FuzzyHashClassifier model,
   if (!model_->fitted()) {
     throw std::invalid_argument("ClassificationService: model not fitted");
   }
-  if (config_.max_batch == 0) config_.max_batch = 1;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 ClassificationService::~ClassificationService() {
-  {
-    std::lock_guard lock(queue_mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  dispatcher_.join();
+  // Posted tasks capture `this`: wait until the last one has answered
+  // its waiters.
+  std::unique_lock lock(queue_mutex_);
+  stopping_ = true;
+  idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
 namespace {
 
 /// Runs a request's callback. noexcept: OnDone must not throw, and one
-/// that does ends the process here instead of stranding the rest of its
-/// batch (or, on a cache hit, escaping try_submit after `done` ran).
+/// that does ends the process here instead of stranding the other
+/// waiters on its key (or, on a cache hit, escaping try_submit after
+/// `done` ran).
 void resolve(const ClassificationService::OnDone& done, const core::Prediction* prediction,
              std::exception_ptr error) noexcept {
   done(prediction, std::move(error));
@@ -92,74 +87,94 @@ bool ClassificationService::try_submit(
 
 bool ClassificationService::enqueue(core::FeatureHashes sample, OnDone done, bool bounded,
                                     std::optional<std::chrono::milliseconds> deadline) {
-  Request request;
-  request.sample = std::move(sample);
-  request.key = sample_key(request.sample);
-  request.done = std::move(done);
+  std::string key = sample_key(sample);
+  Waiter waiter;
+  waiter.done = std::move(done);
   if (deadline) {
-    request.has_deadline = true;
-    request.deadline = std::chrono::steady_clock::now() + *deadline;
+    waiter.has_deadline = true;
+    waiter.deadline = std::chrono::steady_clock::now() + *deadline;
   }
 
-  // Probe the cache before touching any lock-shared counters so the hot
-  // path (a hit) pays one stats_mutex_ acquisition, and counters land
-  // before the callback — same ordering as score_batch, so a caller that
-  // observes the reply finds its request already counted.
-  if (std::optional<core::Prediction> hit = cache_.get(request.key)) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++counters_.requests;
-      ++counters_.cache_hits;
-      ++counters_.completed;
-      if (hit->is_unknown) ++counters_.unknown_flagged;
-      record_latency_locked(request.watch.milliseconds());
-    }
-    resolve(request.done, &*hit, nullptr);
+  // Probe the cache before taking any lock, so the hot path (a hit) pays
+  // one stats_mutex_ acquisition.
+  if (std::optional<core::Prediction> hit = cache_.get(key)) {
+    answer_hit(waiter, *hit);
     return true;
   }
 
+  std::optional<core::Prediction> hit;
   bool stopped = false;
   {
+    // Lock order: queue_mutex_ before model_mutex_, a cache shard, the
+    // pool's queue and stats_mutex_.
     std::lock_guard lock(queue_mutex_);
-    if (bounded && config_.max_queue > 0 && pending_.size() >= config_.max_queue) {
-      // Admission refusal: the caller owes the client a BUSY reply. The
-      // request is never counted as submitted, so the completed ==
-      // requests accounting stays intact. (queue_mutex_ -> stats_mutex_
-      // is the established lock order below.)
-      std::lock_guard stats_lock(stats_mutex_);
-      ++counters_.requests_rejected;
-      return false;
-    }
-    // Once stopping, the dispatcher may already have drained and exited:
-    // nothing would ever score this request, so it fails below.
+    // Once stopping, the destructor may already have seen the last task
+    // finish: nothing would ever score this request, so it fails below.
     stopped = stopping_;
     if (!stopped) {
-      // Chaos allocation hook: queue growth is the service's unbounded
-      // allocation; an injected bad_alloc here must surface as a per-
-      // request failure, not a crash.
-      util::fi::alloc_guard();
-      pending_.push_back(std::move(request));
+      if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
+        // Single flight: the key's task answers this request too. Posts
+        // nothing, so it is admitted past a full queue like a cache hit.
+        flight->second->waiters.push_back(std::move(waiter));
+      } else if ((hit = cache_.get(key))) {
+        // The key's task cached its result and left in_flight_ between
+        // the probe above and this lock (it puts before it erases):
+        // answer from the cache instead of scoring the key twice.
+      } else if (bounded && config_.max_queue > 0 && queued_ >= config_.max_queue) {
+        // Admission refusal: the caller owes the client a BUSY reply. The
+        // request is never counted as submitted, so the completed ==
+        // requests accounting stays intact.
+        std::lock_guard stats_lock(stats_mutex_);
+        ++counters_.requests_rejected;
+        return false;
+      } else {
+        // Chaos allocation hook: the entry and its task are the service's
+        // per-request allocations; an injected bad_alloc here must
+        // surface as a per-request failure, not a crash.
+        util::fi::alloc_guard();
+        auto flight = std::make_shared<Flight>();
+        flight->key = std::move(key);
+        flight->sample = std::move(sample);
+        flight->waiters.push_back(std::move(waiter));
+        const auto node = in_flight_.emplace(flight->key, flight).first;
+        try {
+          pool_->submit([this, flight] { run_flight(*flight); });
+        } catch (...) {
+          in_flight_.erase(node);  // `done` goes with the entry, never run
+          throw;
+        }
+        ++queued_;
+        ++outstanding_;
+      }
     }
-    std::lock_guard stats_lock(stats_mutex_);
-    ++counters_.requests;
-    if (stopped) ++counters_.completed;
+    if (!hit) {
+      std::lock_guard stats_lock(stats_mutex_);
+      ++counters_.requests;
+      if (stopped) ++counters_.completed;
+    }
   }
-  if (stopped) {
-    resolve(request.done, nullptr,
+  if (hit) {
+    answer_hit(waiter, *hit);
+  } else if (stopped) {
+    resolve(waiter.done, nullptr,
             std::make_exception_ptr(
                 std::runtime_error("ClassificationService: submit after shutdown")));
-    return true;
   }
-  queue_cv_.notify_one();
   return true;
 }
 
-void ClassificationService::flush() {
+void ClassificationService::answer_hit(const Waiter& waiter, const core::Prediction& hit) {
+  // Counters before the callback, as on every path: a caller that
+  // observes the reply finds its request already counted.
   {
-    std::lock_guard lock(queue_mutex_);
-    flush_requested_ = true;
+    std::lock_guard lock(stats_mutex_);
+    ++counters_.requests;
+    ++counters_.cache_hits;
+    ++counters_.completed;
+    if (hit.is_unknown) ++counters_.unknown_flagged;
+    record_latency_locked(waiter.watch.milliseconds());
   }
-  queue_cv_.notify_all();
+  resolve(waiter.done, &hit, nullptr);
 }
 
 void ClassificationService::record_connection_opened() {
@@ -202,11 +217,17 @@ void ClassificationService::reload(core::FuzzyHashClassifier model) {
   {
     std::lock_guard lock(model_mutex_);
     model_ = std::move(fresh);
-    // Invalidate before clearing: a batch still scoring on the old model
+    // Invalidate before clearing: a task still scoring on the old model
     // re-checks this generation under model_mutex_ and skips its cache
-    // puts, so it cannot repopulate the cache with stale predictions
+    // put, so it cannot repopulate the cache with a stale prediction
     // after the clear below.
     ++model_generation_;
+  }
+  {
+    // Keys already scoring on the previous model stop taking joiners: a
+    // request submitted from here on scores on the new model.
+    std::lock_guard lock(queue_mutex_);
+    std::erase_if(in_flight_, [](const auto& entry) { return entry.second->started; });
   }
   // Cached predictions came from the previous model.
   cache_.clear();
@@ -220,12 +241,12 @@ std::shared_ptr<const core::FuzzyHashClassifier> ClassificationService::model() 
 }
 
 ServiceStats ClassificationService::stats() const {
-  // queue_mutex_ -> stats_mutex_ is the established order (submit's
-  // stopping path); read the depth first rather than nesting the other way.
+  // queue_mutex_ -> stats_mutex_ is the established order (enqueue);
+  // read the depth first rather than nesting the other way.
   std::uint64_t depth = 0;
   {
     std::lock_guard lock(queue_mutex_);
-    depth = pending_.size();
+    depth = queued_;
   }
   std::lock_guard lock(stats_mutex_);
   ServiceStats out = counters_;
@@ -251,61 +272,14 @@ void ClassificationService::record_latency_locked(double ms) {
   latency_max_ = std::max(latency_max_, ms);
 }
 
-void ClassificationService::dispatcher_loop() {
-  std::unique_lock lock(queue_mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] {
-      return stopping_ || flush_requested_ || !pending_.empty();
-    });
-    if (pending_.empty()) {
-      flush_requested_ = false;  // nothing to flush
-      if (stopping_) return;     // drained
-      continue;
-    }
-    // A batch is open. Flush when it fills, when the oldest request's
-    // delay budget runs out, at shutdown (drain what's left), or when
-    // flush() asks for an immediate dispatch.
-    if (pending_.size() < config_.max_batch && !stopping_ && !flush_requested_) {
-      const std::chrono::duration<double, std::milli> remaining(
-          static_cast<double>(config_.max_delay.count()) -
-          pending_.front().watch.milliseconds());
-      queue_cv_.wait_for(lock, remaining, [this] {
-        return stopping_ || flush_requested_ ||
-               pending_.size() >= config_.max_batch;
-      });
-    }
-    // flush_requested_ stays set until pending_ drains (cleared at loop
-    // top): one flush() call dispatches a whole backlog even when it is
-    // larger than max_batch — graceful shutdown depends on this.
-    const std::size_t take = std::min(pending_.size(), config_.max_batch);
-    std::vector<Request> batch;
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-    lock.unlock();
-    score_batch(std::move(batch));
-    lock.lock();
-  }
+void ClassificationService::unlink_locked(const Flight& flight) {
+  const auto it = in_flight_.find(flight.key);
+  if (it != in_flight_.end() && it->second.get() == &flight) in_flight_.erase(it);
 }
 
-std::vector<ClassificationService::Request> ClassificationService::shed_expired(
-    std::vector<Request> batch) {
+void ClassificationService::answer_expired(std::span<const Waiter> expired) {
+  if (expired.empty()) return;
   const auto now = std::chrono::steady_clock::now();
-  const double max_age_ms =
-      static_cast<double>(config_.max_queue_delay.count());
-  std::vector<Request> live;
-  std::vector<Request> expired;
-  live.reserve(batch.size());
-  for (Request& request : batch) {
-    const bool over_deadline = request.has_deadline && now >= request.deadline;
-    const bool over_age =
-        max_age_ms > 0.0 && request.watch.milliseconds() > max_age_ms;
-    (over_deadline || over_age ? expired : live).push_back(std::move(request));
-  }
-  if (expired.empty()) return live;
-
   // Counters before callbacks, as everywhere: a caller that observes
   // DeadlineExceeded must find deadline_expired already bumped. These
   // requests contribute nothing to scored/candidates_scored — shedding
@@ -314,152 +288,110 @@ std::vector<ClassificationService::Request> ClassificationService::shed_expired(
     std::lock_guard lock(stats_mutex_);
     counters_.deadline_expired += expired.size();
     counters_.completed += expired.size();
-    for (Request& request : expired) {
-      record_latency_locked(request.watch.milliseconds());
-    }
+    for (const Waiter& waiter : expired) record_latency_locked(waiter.watch.milliseconds());
   }
-  for (Request& request : expired) {
-    const char* what = request.has_deadline && now >= request.deadline
+  for (const Waiter& waiter : expired) {
+    const char* what = waiter.has_deadline && now >= waiter.deadline
                            ? "deadline exceeded before scoring"
                            : "queue delay bound exceeded before scoring";
-    resolve(request.done, nullptr, std::make_exception_ptr(DeadlineExceeded(what)));
+    resolve(waiter.done, nullptr, std::make_exception_ptr(DeadlineExceeded(what)));
   }
-  return live;
 }
 
-void ClassificationService::score_batch(std::vector<Request> batch) {
-  // Expired work is answered first and never reaches a scoring stage —
-  // under overload the capacity goes to requests whose clients are
-  // still waiting.
-  batch = shed_expired(std::move(batch));
-  if (batch.empty()) return;
-
-  // Snapshot the active model: reload() during scoring must not pull the
-  // index out from under this batch.
+void ClassificationService::run_flight(Flight& flight) {
+  // Step 1: take the waiters so far and shed the expired ones, so the
+  // capacity goes to requests whose clients are still waiting. With no
+  // live waiter left the key is unlinked in the same critical section:
+  // a later identical miss posts a fresh task instead of joining a dead
+  // one.
+  std::vector<Waiter> waiters;
+  std::size_t live = 0;
   std::shared_ptr<const core::FuzzyHashClassifier> model;
   std::uint64_t generation = 0;
   {
-    std::lock_guard lock(model_mutex_);
-    model = model_;
-    generation = model_generation_;
+    std::lock_guard lock(queue_mutex_);
+    --queued_;
+    waiters = std::exchange(flight.waiters, {});
+    const auto now = std::chrono::steady_clock::now();
+    const double max_age_ms = static_cast<double>(config_.max_queue_delay.count());
+    const auto is_live = [&](const Waiter& waiter) {
+      return !(waiter.has_deadline && now >= waiter.deadline) &&
+             !(max_age_ms > 0.0 && waiter.watch.milliseconds() > max_age_ms);
+    };
+    live = static_cast<std::size_t>(
+        std::partition(waiters.begin(), waiters.end(), is_live) - waiters.begin());
+    if (live == 0) {
+      unlink_locked(flight);
+    } else {
+      // Snapshot the model inside this section: reload() unlinks every
+      // started key, so no one joins this task once the model it scores
+      // on is stale.
+      std::lock_guard model_lock(model_mutex_);
+      model = model_;
+      generation = model_generation_;
+      flight.started = true;
+    }
   }
+  answer_expired(std::span<const Waiter>(waiters).subspan(live));
+  waiters.resize(live);
 
-  // In-batch dedup: identical samples (repeat binaries burst-submitted by
-  // a prolog) are scored once and fanned out.
-  std::unordered_map<std::string, std::size_t> slot_of_key;
-  std::vector<std::size_t> representative;  // unique slot -> batch index
-  std::vector<std::size_t> slot(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto [it, inserted] = slot_of_key.try_emplace(batch[i].key,
-                                                        representative.size());
-    if (inserted) representative.push_back(i);
-    slot[i] = it->second;
-  }
-
-  const std::size_t uniques = representative.size();
-  std::vector<core::Prediction> results(uniques);
-  std::uint64_t gate_scored = 0;
-  std::uint64_t gate_skipped = 0;
-  try {
-    const core::TrainIndex& index = model->index();
-    const core::ClassifierConfig& cfg = model->config();
-    const int k = index.n_classes();
-    std::size_t shards = config_.shards != 0 ? config_.shards : pool_->size();
-    shards = std::clamp<std::size_t>(shards, 1, static_cast<std::size_t>(k));
-
-    // Stage 1: normalize each unique query once per channel and probe
-    // the candidate index once — the candidate sets are slice-independent,
-    // so stage 2's parallel slices share them instead of re-probing.
-    std::vector<core::PreparedQuery> queries(uniques);
-    std::vector<core::QueryCandidates> candidates(uniques);
-    util::parallel_for(*pool_, 0, uniques, /*grain=*/1, [&](std::size_t u) {
-      queries[u] = core::PreparedQuery(batch[representative[u]].sample, cfg.channels);
-      candidates[u] = core::QueryCandidates(index, queries[u], cfg.channels);
-    });
-
-    // Stage 2: every (query, class-slice) pair is one work item, so a
-    // single query's similarity row — the dominant cost — is computed in
-    // parallel slices across the index and reduced by writing disjoint
-    // column ranges of its row. Each slice reports its candidate-index
-    // gate counters; slices partition the class range, so the batch
-    // totals match one full-row fill per unique query.
-    ml::Matrix rows(uniques, model->row_width());
-    std::atomic<std::uint64_t> scored{0};
-    std::atomic<std::uint64_t> skipped{0};
-    util::parallel_for(*pool_, 0, uniques * shards, /*grain=*/1,
-                       [&](std::size_t item) {
-                         const std::size_t u = item / shards;
-                         const std::size_t s = item % shards;
-                         const int begin = static_cast<int>(
-                             s * static_cast<std::size_t>(k) / shards);
-                         const int end = static_cast<int>(
-                             (s + 1) * static_cast<std::size_t>(k) / shards);
-                         core::RowFillStats slice_stats;
-                         core::fill_feature_row_slice(index, queries[u],
-                                                      candidates[u], cfg.metric,
-                                                      /*exclude_id=*/-1, begin, end,
-                                                      rows.row(u), cfg.channels,
-                                                      &slice_stats);
-                         scored.fetch_add(slice_stats.candidates_scored,
-                                          std::memory_order_relaxed);
-                         skipped.fetch_add(slice_stats.index_skipped,
-                                           std::memory_order_relaxed);
-                       });
-    gate_scored = scored.load(std::memory_order_relaxed);
-    gate_skipped = skipped.load(std::memory_order_relaxed);
-
-    // Stage 3: one tree-major FlatForest pass over the whole micro-batch
-    // instead of a forest walk per row — each tree's nodes stay hot
-    // across the batch, and the result is bit-identical to per-row
-    // predict_from_row (same double accumulation order). Batches beyond
-    // one block fan out across the pool inside predict_rows.
-    model->predict_rows(rows, results, pool_);
-  } catch (...) {
-    const std::exception_ptr error = std::current_exception();
+  std::optional<core::Prediction> prediction;
+  std::exception_ptr error;
+  core::RowFillStats fill;
+  std::vector<Waiter> joined;
+  if (live > 0) {
+    // Step 2: the serial predict() computation — full-row fill, then the
+    // forest pass on that row — with the candidate-index gate counted.
+    try {
+      const core::ClassifierConfig& cfg = model->config();
+      std::vector<float> row(model->row_width());
+      core::fill_feature_row(model->index(), flight.sample, cfg.metric, /*exclude_id=*/-1,
+                             row, cfg.channels, &fill);
+      prediction = model->predict_from_row(row);
+      // Step 3: cache before unlinking, so a miss that arrives after the
+      // unlink finds the result instead of scoring the key again. Under
+      // model_mutex_ after re-checking the generation: if reload()
+      // swapped models meanwhile this result is stale and must not
+      // outlive the reload's cache clear.
+      std::lock_guard lock(model_mutex_);
+      if (generation == model_generation_) cache_.put(flight.key, *prediction);
+    } catch (...) {
+      prediction.reset();
+      error = std::current_exception();
+    }
+    // Step 4: unlink, and take everyone who joined while this scored.
+    {
+      std::lock_guard lock(queue_mutex_);
+      unlink_locked(flight);
+      joined = std::exchange(flight.waiters, {});
+    }
+    // Step 5: counters before callbacks — a client that just observed its
+    // reply must see the counters already reflecting its request.
+    const std::size_t answered = waiters.size() + joined.size();
     {
       std::lock_guard lock(stats_mutex_);
       ++counters_.batches;
-      counters_.completed += batch.size();
-      counters_.largest_batch = std::max<std::uint64_t>(counters_.largest_batch,
-                                                        batch.size());
-    }
-    for (Request& request : batch) resolve(request.done, nullptr, error);
-    return;
-  }
-
-  // Counters before callbacks: a client that just observed its reply
-  // must see the counters already reflecting its request.
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++counters_.batches;
-    counters_.scored += uniques;
-    counters_.candidates_scored += gate_scored;
-    counters_.index_skipped += gate_skipped;
-    counters_.dedup_hits += batch.size() - uniques;
-    counters_.completed += batch.size();
-    counters_.largest_batch = std::max<std::uint64_t>(counters_.largest_batch,
-                                                      batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (results[slot[i]].is_unknown) ++counters_.unknown_flagged;
-    }
-    for (Request& request : batch) record_latency_locked(request.watch.milliseconds());
-  }
-  {
-    // Cache puts happen under model_mutex_ after re-checking the
-    // generation: if reload() swapped models mid-batch these results are
-    // stale and must not outlive the reload's cache clear (a concurrent
-    // reload blocks on the mutex, bumps the generation, and clears after
-    // we release — wiping anything we put here).
-    std::lock_guard lock(model_mutex_);
-    if (generation == model_generation_) {
-      for (const std::size_t i : representative) {
-        cache_.put(batch[i].key, results[slot[i]]);
+      counters_.completed += answered;
+      if (prediction) {
+        ++counters_.scored;
+        counters_.dedup_hits += answered - 1;
+        counters_.candidates_scored += fill.candidates_scored;
+        counters_.index_skipped += fill.index_skipped;
+        if (prediction->is_unknown) counters_.unknown_flagged += answered;
+      }
+      for (const std::vector<Waiter>* group : {&waiters, &joined}) {
+        for (const Waiter& waiter : *group) record_latency_locked(waiter.watch.milliseconds());
       }
     }
+    const core::Prediction* result = prediction ? &*prediction : nullptr;
+    for (const std::vector<Waiter>* group : {&waiters, &joined}) {
+      for (const Waiter& waiter : *group) resolve(waiter.done, result, error);
+    }
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    resolve(batch[i].done, &results[slot[i]], nullptr);
-  }
+
+  // Last: the destructor may run the moment this reaches zero.
+  std::lock_guard lock(queue_mutex_);
+  if (--outstanding_ == 0 && stopping_) idle_cv_.notify_all();
 }
 
 }  // namespace fhc::service

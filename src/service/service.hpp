@@ -5,57 +5,53 @@
 // binary?" for each submission, which at fleet scale is sustained
 // classification traffic, not one-shot CLI calls that reload the model
 // per invocation. ClassificationService keeps one FuzzyHashClassifier
-// resident and turns throughput into the first-class metric with four
-// layers, outermost first:
+// resident behind three layers, outermost first:
 //
 //   1. a sharded LRU result cache keyed by the sample's digest text —
 //      repeat binaries (the common prolog case) skip scoring entirely;
-//   2. a micro-batching queue: a submitted request waits for a
-//      dispatcher thread that flushes when `max_batch` requests are
-//      pending or the oldest has waited `max_delay`;
-//   3. in-batch deduplication: identical samples inside one flush are
-//      scored once and fanned out;
-//   4. class-sharded row scoring: one query's similarity row (the
-//      dominant cost) is computed in parallel slices over the TrainIndex
-//      class range (fill_feature_row_slice) and reduced before the
-//      forest pass.
+//   2. single flight: a miss whose key is already being scored joins
+//      that key's in-flight entry instead of scoring it again;
+//   3. one pool task per in-flight key, posted the moment the first miss
+//      arrives: it sheds expired waiters, fills the query's full
+//      similarity row, runs the forest on it, caches the result and
+//      answers every waiter — including those that joined while it
+//      scored. No request waits for another to arrive.
 //
 // Predictions are bit-identical to serial FuzzyHashClassifier::predict
-// on the same inputs: slicing partitions independent columns, dedup and
-// caching return the result of the exact same computation, and the
-// forest pass goes through predict_rows, whose FlatForest block
-// accumulation is bit-identical to per-row predict_from_row (same
-// double-accumulation order per row).
+// on the same inputs: a task runs the very same row fill and
+// predict_from_row, and single flight and caching return the result of
+// that exact computation.
 //
 // Every request resolves through one completion callback (OnDone), run
 // exactly once with no service lock held and after the counters already
 // reflect it: inline on the submitting thread for a cache hit, on the
-// dispatcher otherwise. submit() wraps that callback in a promise and
-// returns its future; try_submit() hands the callback straight through,
-// so a front-end can answer from the dispatcher without a thread of its
-// own waiting on futures.
+// pool worker that scored its key otherwise. submit() wraps that
+// callback in a promise and returns its future; try_submit() hands the
+// callback straight through, so a front-end can answer from the pool
+// without a thread of its own waiting on futures.
 //
-// reload() swaps the model atomically (shared_ptr snapshot per flush):
-// in-flight batches finish on the model they started with, later
-// flushes use the new one, and the cache is cleared because its entries
-// are stale. The destructor drains the queue — every accepted request's
-// callback runs.
+// reload() swaps the model atomically (shared_ptr snapshot per task):
+// tasks already scoring finish on the model they started with, later
+// tasks use the new one, and the cache is cleared because its entries
+// are stale. The destructor waits for every posted task — every
+// accepted request's callback runs.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -66,19 +62,17 @@
 namespace fhc::service {
 
 struct ServiceConfig {
-  std::size_t max_batch = 32;                  // flush at this many pending
-  std::chrono::milliseconds max_delay{2};      // ... or when the oldest waited this
-  std::size_t shards = 0;                      // row slices per batch; 0 = pool size
   std::size_t cache_capacity = 4096;           // total entries; 0 disables the cache
   std::size_t cache_shards = 8;
   std::size_t latency_window = 4096;           // ring of recent latencies (percentiles)
-  // Admission bound enforced by try_submit(): a sample arriving while
-  // this many requests already wait for the dispatcher is rejected
-  // instead of queued (0 = unbounded; submit() always queues). Cache
-  // hits never queue, so they are always admitted.
+  // Admission bound enforced by try_submit(): a sample that would post
+  // a scoring task while this many posted tasks have not started yet is
+  // rejected instead of queued (0 = unbounded; submit() always queues).
+  // Cache hits and misses that join an in-flight key post nothing, so
+  // they are always admitted.
   std::size_t max_queue = 0;
-  // Load shedding by age: a request that waited in the queue longer than
-  // this is answered DeadlineExceeded at flush time instead of scored —
+  // Load shedding by age: a request that waited longer than this for its
+  // scoring task to start is answered DeadlineExceeded instead of scored —
   // under overload, work the client has likely given up on stops
   // consuming scoring capacity (0 = off). Per-request deadlines passed
   // to submit() shed the same way and compose with this bound.
@@ -98,12 +92,11 @@ class DeadlineExceeded : public std::runtime_error {
 struct ServiceStats {
   std::uint64_t requests = 0;       // samples submitted
   std::uint64_t completed = 0;      // callbacks run (hits + scored + failed)
-  std::uint64_t batches = 0;        // dispatcher flushes
+  std::uint64_t batches = 0;        // scoring tasks that ran (all-shed tasks excluded)
   std::uint64_t scored = 0;         // unique rows that went through scoring
   std::uint64_t cache_hits = 0;     // answered from the LRU at submit()
-  std::uint64_t dedup_hits = 0;     // answered by an identical in-batch sample
+  std::uint64_t dedup_hits = 0;     // joined an identical in-flight sample
   std::uint64_t reloads = 0;
-  std::uint64_t largest_batch = 0;
   // Completed requests whose prediction came back is_unknown (open-set
   // rejection / below the confidence threshold) — cache hits included,
   // since a hit fans out the same flagged prediction.
@@ -117,7 +110,7 @@ struct ServiceStats {
   // timeouts (slow-loris protection).
   std::uint64_t connections_timed_out = 0;
 
-  // Candidate-index gate counters, summed over every row slice scored:
+  // Candidate-index gate counters, summed over every row scored:
   // of the training digests an all-pairs row fill would have visited,
   // how many were actually compared vs. pruned by the TrainIndex's
   // inverted 7-gram candidate index (core::RowFillStats).
@@ -131,7 +124,7 @@ struct ServiceStats {
   std::uint64_t connections_active = 0;    // currently open
   std::uint64_t connections_rejected = 0;  // refused at the accept gate
   std::uint64_t requests_rejected = 0;     // try_submit refusals (queue full)
-  std::uint64_t queue_depth = 0;           // pending (unflushed) at snapshot time
+  std::uint64_t queue_depth = 0;           // scoring tasks posted, not yet started
 
   double index_skip_rate() const {
     const std::uint64_t visited = candidates_scored + index_skipped;
@@ -150,7 +143,7 @@ struct ServiceStats {
   double max_ms = 0.0;
 };
 
-/// Stable cache/dedup identity of a sample: its exact digest text across
+/// Stable cache/single-flight identity of a sample: its exact digest text across
 /// all channels (samples with equal keys produce equal feature rows).
 std::string sample_key(const core::FeatureHashes& sample);
 
@@ -159,26 +152,28 @@ class ClassificationService {
   /// A request's completion: exactly one of `prediction` (valid only for
   /// the call) and `error` is set. Runs once, with no service lock held,
   /// after stats() already counts the request — inline on the submitting
-  /// thread for a cache hit, on the dispatcher otherwise. It must not
+  /// thread for a cache hit, on a pool worker otherwise. It must not
   /// throw (it is called from noexcept context) and should not block:
-  /// the rest of its batch waits behind it.
+  /// the other waiters on its key, and the worker it runs on, wait
+  /// behind it.
   using OnDone = std::function<void(const core::Prediction* prediction,
                                     std::exception_ptr error)>;
 
-  /// Takes ownership of a fitted model. `pool` is where batch scoring
-  /// runs (nullptr = the process-wide shared pool).
+  /// Takes ownership of a fitted model. `pool` is where the scoring
+  /// tasks run (nullptr = the process-wide shared pool).
   explicit ClassificationService(core::FuzzyHashClassifier model,
                                  ServiceConfig config = {},
                                  util::ThreadPool* pool = nullptr);
 
-  /// Drains every pending request, then stops the dispatcher.
+  /// Waits until every posted scoring task has run and answered its
+  /// waiters.
   ~ClassificationService();
 
   ClassificationService(const ClassificationService&) = delete;
   ClassificationService& operator=(const ClassificationService&) = delete;
 
   /// Enqueues one sample and returns a future for it: a promise behind
-  /// an OnDone, fulfilled by the dispatcher (or immediately on a cache
+  /// an OnDone, fulfilled by the scoring task (or immediately on a cache
   /// hit), carrying any scoring exception. `deadline` is the request's
   /// time budget from now: if it expires before scoring starts, the
   /// future carries DeadlineExceeded and the sample is never scored (a
@@ -189,19 +184,15 @@ class ClassificationService {
 
   /// Bounded admission with a callback: enqueues like submit() and
   /// resolves through `done`, but refuses the sample (returning false,
-  /// counting requests_rejected, never calling `done`) when
-  /// config().max_queue > 0 and that many requests already wait for the
-  /// dispatcher. Cache hits bypass the queue, are always admitted, and
-  /// run `done` before this returns. If it throws, `done` never runs.
+  /// counting requests_rejected, never calling `done`) when it would post
+  /// a scoring task while config().max_queue > 0 posted tasks have not
+  /// started. Cache hits and joins of an in-flight key bypass the bound;
+  /// a hit runs `done` before this returns. If it throws, `done` never
+  /// runs.
   /// Front-ends turn a refusal into an explicit BUSY reply instead of
   /// queueing without bound.
   bool try_submit(core::FeatureHashes sample, OnDone done,
                   std::optional<std::chrono::milliseconds> deadline = std::nullopt);
-
-  /// Asks the dispatcher to flush the pending queue now instead of
-  /// waiting out max_delay — graceful-shutdown and drain paths use this
-  /// so queued requests resolve promptly under idle traffic.
-  void flush();
 
   /// Front-end connection accounting (surfaced through stats()).
   void record_connection_opened();
@@ -219,36 +210,50 @@ class ClassificationService {
   /// `model` is not fitted (the current model stays active).
   void reload(core::FuzzyHashClassifier model);
 
-  /// The currently active model (in-flight batches may still reference a
+  /// The currently active model (tasks still scoring may reference a
   /// predecessor).
   std::shared_ptr<const core::FuzzyHashClassifier> model() const;
 
   ServiceStats stats() const;
   const ServiceConfig& config() const noexcept { return config_; }
 
-  /// The pool batch scoring runs on. Front-ends may post work that never
-  /// waits on the service to it (the socket server extracts CLASSIFY_PATH
-  /// features and runs RELOADs here); a task that waited on a future
-  /// would starve scoring.
+  /// The pool the scoring tasks run on. Front-ends may post work that
+  /// never waits on the service to it (the socket server extracts
+  /// CLASSIFY_PATH features and runs RELOADs here); a task that waited
+  /// on a future would starve scoring. Scoring tasks themselves never
+  /// wait on the pool (no parallel_for, no futures).
   util::ThreadPool& pool() const noexcept { return *pool_; }
 
  private:
-  struct Request {
-    core::FeatureHashes sample;
-    std::string key;
+  /// One request waiting for its key's prediction.
+  struct Waiter {
     OnDone done;
     util::Stopwatch watch;  // started at submit; read when resolved
-    // Absolute expiry computed at enqueue (steady clock); checked by the
-    // dispatcher before any scoring work starts.
+    // Absolute expiry computed at enqueue (steady clock); checked when
+    // the key's scoring task starts.
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
   };
 
-  void dispatcher_loop();
-  void score_batch(std::vector<Request> batch);
-  /// Splits off and answers the batch's expired requests (DeadlineExceeded,
-  /// counted before their callbacks run). Returns the live remainder.
-  std::vector<Request> shed_expired(std::vector<Request> batch);
+  /// A key with a scoring task posted: the sample to score and everyone
+  /// waiting for it. Its task unlinks it from in_flight_ once it has
+  /// cached the result; reload() unlinks the ones already scoring on
+  /// the old model, so no later request joins them.
+  struct Flight {
+    std::string key;  // in_flight_'s key views this string
+    core::FeatureHashes sample;
+    std::vector<Waiter> waiters;
+    bool started = false;  // its task took its model snapshot
+  };
+
+  /// The pool task posted for `flight`: sheds, scores, caches, answers.
+  void run_flight(Flight& flight);
+  /// Removes `flight` from in_flight_ if it is still linked there.
+  void unlink_locked(const Flight& flight);
+  /// Counts the expired waiters (DeadlineExceeded), then answers them.
+  void answer_expired(std::span<const Waiter> expired);
+  /// Counts a cache hit, then runs its callback.
+  void answer_hit(const Waiter& waiter, const core::Prediction& hit);
   void record_latency_locked(double ms);
   /// Shared body of submit()/try_submit(); false = refused (bounded only).
   bool enqueue(core::FeatureHashes sample, OnDone done, bool bounded,
@@ -263,11 +268,12 @@ class ClassificationService {
 
   ShardedLruCache cache_;
 
-  mutable std::mutex queue_mutex_;  // stats() reads the depth
-  std::condition_variable queue_cv_;
-  std::deque<Request> pending_;
+  mutable std::mutex queue_mutex_;   // guards the members below but idle_cv_
+  std::condition_variable idle_cv_;  // the destructor waits for outstanding_ == 0
+  std::unordered_map<std::string_view, std::shared_ptr<Flight>> in_flight_;
+  std::size_t queued_ = 0;       // tasks posted, not yet started (queue_depth)
+  std::size_t outstanding_ = 0;  // tasks posted, not yet finished
   bool stopping_ = false;
-  bool flush_requested_ = false;  // flush(): dispatch pending now
 
   mutable std::mutex stats_mutex_;
   ServiceStats counters_;               // percentile fields unused here
@@ -275,8 +281,6 @@ class ClassificationService {
   std::size_t latency_next_ = 0;
   std::size_t latency_count_ = 0;
   double latency_max_ = 0.0;
-
-  std::thread dispatcher_;  // last member: joins before the rest tears down
 };
 
 }  // namespace fhc::service

@@ -2,9 +2,9 @@
 // scored.
 //
 // The load-bearing properties: a request whose deadline passes while it
-// waits in the dispatcher queue resolves with DeadlineExceeded and a
-// zero candidates_scored delta (shedding costs no scoring work), live
-// requests sharing a batch with shed ones still answer bit-identically
+// waits for its scoring task to start resolves with DeadlineExceeded and
+// a zero candidates_scored delta (shedding costs no scoring work), live
+// requests submitted alongside shed ones still answer bit-identically
 // to serial predict, the queue-age bound (max_queue_delay) sheds the
 // same way, the DEADLINE_EXCEEDED wire opcode reaches socket clients,
 // and a CLASSIFY_PATH deadline counts from frame decode, so time spent
@@ -26,6 +26,7 @@
 #include "net/server.hpp"
 #include "service/command_handler.hpp"
 #include "service/service.hpp"
+#include "support/gated_pool.hpp"
 #include "support/scratch_dir.hpp"
 #include "support/synthetic_hashes.hpp"
 
@@ -61,33 +62,32 @@ core::FuzzyHashClassifier clone_model() {
   return copy;
 }
 
-/// A service whose dispatcher is parked (enormous max_delay, huge
-/// max_batch): nothing flushes until flush() is called, so tests control
-/// exactly when the deadline check runs relative to the deadline.
+/// Paired with a GatedPool: no scoring task starts until the test
+/// releases the gate, so tests control exactly when the deadline check
+/// runs relative to the deadline.
 ServiceConfig parked_config() {
   ServiceConfig config;
-  config.max_batch = 64;
-  config.max_delay = std::chrono::milliseconds(60000);
   config.cache_capacity = 0;  // a hit would answer without queueing
   return config;
 }
 
 TEST(DeadlineLifecycle, ExpiredRequestIsNeverScored) {
   const Fixture& fx = fixture();
-  ClassificationService svc(clone_model(), parked_config());
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone_model(), parked_config(), gate.get());
   const ServiceStats before = svc.stats();
 
   std::future<core::Prediction> future =
       svc.submit(fx.queries[0], std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  svc.flush();
+  gate.release();
   EXPECT_THROW(future.get(), DeadlineExceeded);
 
   const ServiceStats after = svc.stats();
   EXPECT_EQ(after.deadline_expired - before.deadline_expired, 1u);
   EXPECT_EQ(after.completed - before.completed, 1u);
   // The proof the request never reached scoring: no rows scored, no
-  // candidates visited, not even a batch flushed for it.
+  // candidates visited, not even a scoring task counted for it.
   EXPECT_EQ(after.scored, before.scored);
   EXPECT_EQ(after.candidates_scored, before.candidates_scored);
   EXPECT_EQ(after.batches, before.batches);
@@ -95,17 +95,18 @@ TEST(DeadlineLifecycle, ExpiredRequestIsNeverScored) {
 
 TEST(DeadlineLifecycle, LiveRequestsInAMixedBatchStayBitIdentical) {
   const Fixture& fx = fixture();
-  ClassificationService svc(clone_model(), parked_config());
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone_model(), parked_config(), gate.get());
 
   // One generous deadline, one already-hopeless deadline, one without —
-  // flushed as a single batch.
+  // all parked until the gate opens.
   std::future<core::Prediction> live =
       svc.submit(fx.queries[0], std::chrono::milliseconds(60000));
   std::future<core::Prediction> doomed =
       svc.submit(fx.queries[1], std::chrono::milliseconds(1));
   std::future<core::Prediction> unbounded = svc.submit(fx.queries[2]);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  svc.flush();
+  gate.release();
 
   EXPECT_THROW(doomed.get(), DeadlineExceeded);
   const core::Prediction live_pred = live.get();
@@ -129,34 +130,36 @@ TEST(DeadlineLifecycle, QueueAgeBoundShedsWithoutPerRequestDeadline) {
   const Fixture& fx = fixture();
   ServiceConfig config = parked_config();
   config.max_queue_delay = std::chrono::milliseconds(5);
-  ClassificationService svc(clone_model(), config);
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone_model(), config, gate.get());
 
   std::future<core::Prediction> future = svc.submit(fx.queries[0]);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  svc.flush();
+  gate.release();
   EXPECT_THROW(future.get(), DeadlineExceeded);
   EXPECT_EQ(svc.stats().deadline_expired, 1u);
   EXPECT_EQ(svc.stats().scored, 0u);
 
-  // Fresh work flushed promptly still scores.
+  // Fresh work on the open pool still scores.
   std::future<core::Prediction> quick = svc.submit(fx.queries[1]);
-  svc.flush();
   EXPECT_NO_THROW(quick.get());
 }
 
 TEST(DeadlineLifecycle, GenerousDeadlineDoesNotShed) {
   const Fixture& fx = fixture();
-  ClassificationService svc(clone_model(), parked_config());
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone_model(), parked_config(), gate.get());
   std::future<core::Prediction> future =
       svc.submit(fx.queries[0], std::chrono::milliseconds(60000));
-  svc.flush();
+  gate.release();
   EXPECT_NO_THROW(future.get());
   EXPECT_EQ(svc.stats().deadline_expired, 0u);
 }
 
 TEST(DeadlineLifecycle, DeadlineExceededReachesTheWire) {
   const Fixture& fx = fixture();
-  ClassificationService svc(clone_model(), parked_config());
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone_model(), parked_config(), gate.get());
   service::CommandHandler handler(svc);
   net::ServerConfig server_config;
   server_config.unix_path = "/tmp/fhc_chaos_ddl_" +
@@ -169,7 +172,7 @@ TEST(DeadlineLifecycle, DeadlineExceededReachesTheWire) {
   endpoint.unix_path = server.unix_socket_path();
   ASSERT_EQ(client.connect(endpoint, /*retries=*/100), "");
 
-  // Frame 1: 1 ms deadline (doomed while the dispatcher is parked).
+  // Frame 1: 1 ms deadline (doomed while the scoring task is parked).
   // Frame 2: no deadline (must still answer bit-identically).
   std::vector<std::string> digests;
   for (std::size_t i = 0; i < fx.queries[0].channel_count(); ++i) {
@@ -180,7 +183,7 @@ TEST(DeadlineLifecycle, DeadlineExceededReachesTheWire) {
   net::encode_classify_digests(wire, digests);
   ASSERT_TRUE(client.send_bytes(wire));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  svc.flush();
+  gate.release();
 
   net::Response response;
   std::string error;
@@ -200,11 +203,11 @@ TEST(DeadlineLifecycle, DeadlineExceededReachesTheWire) {
 }
 
 TEST(DeadlineLifecycle, PathDeadlineCountsExtractionTime) {
-  // max_batch 1 flushes the moment a request queues, so a 1 ms budget
-  // counted from enqueue would usually score. Counted from frame decode
-  // it is long gone once the file is hashed: shed, never scored.
+  // A scoring task is posted the moment a request is submitted, so a
+  // 1 ms budget counted from enqueue would usually score. Counted from
+  // frame decode it is long gone once the file is hashed: shed, never
+  // scored.
   ServiceConfig config;
-  config.max_batch = 1;
   config.cache_capacity = 0;
   ClassificationService svc(clone_model(), config);
   service::CommandHandler handler(svc);

@@ -26,6 +26,7 @@
 #include "net/server.hpp"
 #include "service/command_handler.hpp"
 #include "service/service.hpp"
+#include "support/gated_pool.hpp"
 #include "support/synthetic_hashes.hpp"
 #include "util/fault_inject.hpp"
 
@@ -85,8 +86,9 @@ struct TestDaemon {
   SocketServer server;
 
   explicit TestDaemon(service::ServiceConfig service_config = {},
-                      ServerConfig server_config = {})
-      : svc(clone_model(), service_config),
+                      ServerConfig server_config = {},
+                      util::ThreadPool* pool = nullptr)
+      : svc(clone_model(), service_config, pool),
         handler(svc),
         server(handler, [&] {
           if (server_config.unix_path.empty()) {
@@ -305,16 +307,15 @@ TEST(ChaosServer, SlowLorisPartialFrameEvictedWithinTwiceTimeout) {
 }
 
 TEST(ChaosServer, ConnectionOwedRepliesIsNeverEvicted) {
-  // Park the dispatcher so the reply takes far longer than the idle
+  // Park the scoring task so the reply takes far longer than the idle
   // timeout: the connection is owed a reply the whole time and must not
   // be evicted.
+  testsupport::GatedPool gate;
   service::ServiceConfig service_config;
-  service_config.max_batch = 64;
-  service_config.max_delay = std::chrono::milliseconds(60000);
   service_config.cache_capacity = 0;
   ServerConfig server_config;
   server_config.idle_timeout_ms = 100;
-  TestDaemon daemon(service_config, server_config);
+  TestDaemon daemon(service_config, server_config, gate.get());
 
   const Fixture& fx = fixture();
   BlockingClient client;
@@ -324,7 +325,7 @@ TEST(ChaosServer, ConnectionOwedRepliesIsNeverEvicted) {
 
   // Well past several idle timeouts with the request still pending.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  daemon.svc.flush();
+  gate.release();
 
   Response response;
   std::string error;

@@ -155,8 +155,8 @@ TEST(FeatureMatrix, RejectsMismatchedExcludeIds) {
 }
 
 TEST(FeatureMatrix, SlicesComposeToFullRow) {
-  // The service computes one row as parallel class slices; any partition
-  // of [0, K) must reproduce fill_feature_row bit-for-bit.
+  // Slice fills over any partition of [0, K) must reproduce
+  // fill_feature_row bit-for-bit.
   const auto& data = small_data();
   TrainIndex index(data.hashes, data.labels, data.names);
   const int k = index.n_classes();

@@ -30,6 +30,7 @@
 
 #include "net/client.hpp"
 #include "service/command_handler.hpp"
+#include "support/gated_pool.hpp"
 #include "support/scratch_dir.hpp"
 #include "support/synthetic_hashes.hpp"
 
@@ -114,8 +115,9 @@ struct TestDaemon {
   explicit TestDaemon(core::FuzzyHashClassifier model,
                       service::ServiceConfig service_config = {},
                       ServerConfig server_config = {},
-                      bool with_tcp = false)
-      : svc(std::move(model), service_config),
+                      bool with_tcp = false,
+                      util::ThreadPool* pool = nullptr)
+      : svc(std::move(model), service_config, pool),
         handler(svc),
         server(handler, [&] {
           if (server_config.unix_path.empty()) {
@@ -142,6 +144,18 @@ struct TestDaemon {
     Endpoint endpoint;
     endpoint.port = server.tcp_port();
     return endpoint;
+  }
+
+  /// Blocks until the server has closed its listeners, the first step of
+  /// a drain: every frame sent ahead of a QUIT has been dispatched.
+  void wait_until_draining() const {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      BlockingClient probe;
+      if (!probe.connect(unix_endpoint()).empty()) return;
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "the server never drained";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 };
 
@@ -251,18 +265,17 @@ TEST(SocketServer, PipelinedRepliesInterleaveControlFramesInOrder) {
 
 TEST(SocketServer, AdmissionControlBoundsServiceQueueWithBusyFrames) {
   const Fixture& fx = fixture();
+  testsupport::GatedPool gate;  // holds the scoring tasks
   service::ServiceConfig service_config;
   service_config.max_queue = 2;
-  service_config.max_batch = 64;
-  service_config.max_delay = std::chrono::milliseconds(10000);  // hold the batch
   service_config.cache_capacity = 0;
-  TestDaemon daemon(clone(fx.model), service_config);
+  TestDaemon daemon(clone(fx.model), service_config, {}, false, gate.get());
   BlockingClient client;
   ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
   // 8 distinct queries: 2 admitted (fill the queue), 6 must be refused
-  // with BUSY. The dispatcher is parked on max_delay, so nothing drains
-  // the queue while the frames arrive.
+  // with BUSY. The gate parks the scoring tasks, so nothing drains the
+  // queue while the frames arrive.
   const std::size_t total = 8;
   std::string wire;
   for (std::size_t i = 0; i < total; ++i) wire += classify_frame(fx.queries[i]);
@@ -280,9 +293,9 @@ TEST(SocketServer, AdmissionControlBoundsServiceQueueWithBusyFrames) {
   EXPECT_EQ(held.queue_depth, 2u);
   EXPECT_EQ(held.requests, 2u);
 
-  // QUIT releases the parked batch (graceful drain flushes the service),
-  // and the reply order is exactly the request order: prediction,
-  // prediction, BUSY x6, OK.
+  // Release the parked tasks and QUIT: the reply order is exactly the
+  // request order — prediction, prediction, BUSY x6, OK.
+  gate.release();
   std::string quit;
   encode_quit(quit);
   ASSERT_TRUE(client.send_bytes(quit));
@@ -306,23 +319,25 @@ TEST(SocketServer, AdmissionControlBoundsServiceQueueWithBusyFrames) {
 
 TEST(SocketServer, PerConnectionPipelineLimitAnswersBusy) {
   const Fixture& fx = fixture();
+  testsupport::GatedPool gate;  // holds the scoring tasks
   service::ServiceConfig service_config;
-  service_config.max_batch = 64;
-  service_config.max_delay = std::chrono::milliseconds(10000);
   service_config.cache_capacity = 0;
   ServerConfig server_config;
   server_config.max_pipeline = 3;
-  TestDaemon daemon(clone(fx.model), service_config, server_config);
+  TestDaemon daemon(clone(fx.model), service_config, server_config, false, gate.get());
   BlockingClient client;
   ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
   // 6 classifies + QUIT in one write: the frames dispatch strictly in
   // order on the same connection, so exactly 3 are in flight when the
-  // limit trips, and QUIT's drain releases the parked batch — no timing.
+  // limit trips. The gate opens only once QUIT has been dispatched —
+  // no timing.
   std::string wire;
   for (std::size_t i = 0; i < 6; ++i) wire += classify_frame(fx.queries[i]);
   encode_quit(wire);
   ASSERT_TRUE(client.send_bytes(wire));
+  daemon.wait_until_draining();
+  gate.release();
 
   Response response;
   std::string error;
@@ -729,39 +744,32 @@ TEST(SocketServer, ReloadBehindPathRequestAppliesAfterIt) {
   expect_prediction_matches(response, fx.strict_model.predict(features));
 }
 
-/// A dispatcher that only flushes on request: a request submitted during
-/// shutdown resolves promptly only if someone flushes after it.
-service::ServiceConfig parked_service_config() {
-  service::ServiceConfig config;
-  config.max_batch = 64;
-  config.max_delay = std::chrono::milliseconds(60000);
-  return config;
-}
-
 TEST(SocketServer, StopWithZeroDrainTimeoutWaitsOutPathExtraction) {
-  // A drain timeout of 0 force-closes the connection while its file is
-  // still being hashed on the pool. The task must not outlive the server
-  // (it holds a pointer into it), and its future must still resolve.
+  // A drain timeout of 0 force-closes the connection while its path
+  // request is still parked on the pool. The extraction task must not
+  // outlive the server (it holds a pointer into it), and the request it
+  // submits must still resolve.
   const Fixture& fx = fixture();
   const testsupport::ScratchDir dir("net_drain_stop");
   const std::string big =
       testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  testsupport::GatedPool gate;
   ServerConfig server_config;
   server_config.drain_timeout_ms = 0;
-  TestDaemon daemon(clone(fx.model), parked_service_config(), server_config);
+  TestDaemon daemon(clone(fx.model), {}, server_config, false, gate.get());
   BlockingClient client;
   ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
   ASSERT_TRUE(client.send_bytes(path_frame(big)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // hashing now
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // parked now
   const auto stop_at = std::chrono::steady_clock::now();
   daemon.server.stop();
-  daemon.server.join();
-  // Well inside the parked max_delay: the late submit was flushed.
-  EXPECT_LT(std::chrono::steady_clock::now() - stop_at, std::chrono::seconds(30));
   Response response;
   std::string error;
   EXPECT_FALSE(client.read_response(response, &error));  // force-closed
+  gate.release();  // only now does the extraction run
+  daemon.server.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_at, std::chrono::seconds(30));
 
   const service::ServiceStats stats = daemon.svc.stats();
   EXPECT_EQ(stats.requests, 1u);  // the extraction finished and submitted
@@ -770,22 +778,26 @@ TEST(SocketServer, StopWithZeroDrainTimeoutWaitsOutPathExtraction) {
 }
 
 TEST(SocketServer, QuitWhilePathExtractsStillAnswersIt) {
+  // QUIT starts the drain while the path request's extraction is still
+  // parked on the pool: the drain waits for the extraction, the scoring
+  // task and the reply.
   const Fixture& fx = fixture();
   const testsupport::ScratchDir dir("net_drain_quit");
   const std::string big =
       testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  testsupport::GatedPool gate;
   ServerConfig server_config;
   server_config.drain_timeout_ms = 60000;  // the drain must outlast hashing
-  TestDaemon daemon(clone(fx.model), parked_service_config(), server_config);
+  TestDaemon daemon(clone(fx.model), {}, server_config, false, gate.get());
   BlockingClient client;
   ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
-  // QUIT flushes the service before the path request reaches it; the
-  // late submit must flush again or the drain would wait out max_delay.
   std::string wire = path_frame(big);
   encode_quit(wire);
   const auto sent_at = std::chrono::steady_clock::now();
   ASSERT_TRUE(client.send_bytes(wire));
+  daemon.wait_until_draining();
+  gate.release();
   Response response;
   std::string error;
   ASSERT_TRUE(client.read_response(response, &error)) << error;
@@ -804,19 +816,22 @@ TEST(SocketServer, QuitWhilePathExtractsStillAnswersIt) {
 
 TEST(SocketServer, CacheHitOnOneConnectionOvertakesParkedMissOnAnother) {
   // Replies go from the service's callback straight to the loop, so a
-  // hit on connection B never queues behind A's unscored miss.
+  // hit on connection B never queues behind A's unanswered miss — here
+  // a path request whose extraction holds one of the pool's two workers.
   const Fixture& fx = fixture();
-  TestDaemon daemon(clone(fx.model), parked_service_config());
-  std::future<core::Prediction> warm = daemon.svc.submit(fx.queries[0]);
-  daemon.svc.flush();
-  warm.get();  // queries[0] is cached
+  const testsupport::ScratchDir dir("net_hol_hit");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
+  util::ThreadPool pool(2);
+  TestDaemon daemon(clone(fx.model), {}, {}, false, &pool);
+  daemon.svc.submit(fx.queries[0]).get();  // queries[0] is cached
   BlockingClient a;
   BlockingClient b;
   ASSERT_EQ(a.connect(daemon.unix_endpoint(), /*retries=*/20), "");
   ASSERT_EQ(b.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
-  ASSERT_TRUE(a.send_bytes(classify_frame(fx.queries[1])));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is parked
+  ASSERT_TRUE(a.send_bytes(path_frame(big)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is hashing
   b.set_recv_timeout(2000);
   ASSERT_TRUE(b.send_bytes(classify_frame(fx.queries[0])));
   Response response;
@@ -824,28 +839,34 @@ TEST(SocketServer, CacheHitOnOneConnectionOvertakesParkedMissOnAnother) {
   ASSERT_TRUE(b.read_response(response, &error))
       << "the cache hit waited behind the other connection's miss: " << error;
   expect_prediction_matches(response, fx.model.predict(fx.queries[0]));
-  EXPECT_EQ(daemon.svc.stats().queue_depth, 1u);  // A still parked
+  a.set_recv_timeout(1);
+  EXPECT_EQ(a.read_response_status(response, &error), BlockingClient::ReadStatus::kTransport)
+      << "A answered before B's cache hit";  // A still unanswered
 
-  daemon.svc.flush();
+  a.set_recv_timeout(0);
   ASSERT_TRUE(a.read_response(response, &error)) << error;
-  expect_prediction_matches(response, fx.model.predict(fx.queries[1]));
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(big)));
 }
 
 TEST(SocketServer, ReloadOnOneConnectionOvertakesParkedMissOnAnother) {
   // RELOAD runs as its own pool task: its OK on connection B does not
-  // wait for A's unscored request.
+  // wait for A's unanswered request, whose extraction holds the other
+  // pool worker.
   const Fixture& fx = fixture();
   const testsupport::ScratchDir dir("net_hol_reload");
+  const std::string big =
+      testsupport::write_noise_file(dir, "big", testsupport::slow_input_bytes());
   const std::string model_path = (dir.root() / "same.fhcb").string();
   fx.model.save_binary_file(model_path);
-  TestDaemon daemon(clone(fx.model), parked_service_config());
+  util::ThreadPool pool(2);
+  TestDaemon daemon(clone(fx.model), {}, {}, false, &pool);
   BlockingClient a;
   BlockingClient b;
   ASSERT_EQ(a.connect(daemon.unix_endpoint(), /*retries=*/20), "");
   ASSERT_EQ(b.connect(daemon.unix_endpoint(), /*retries=*/20), "");
 
-  ASSERT_TRUE(a.send_bytes(classify_frame(fx.queries[1])));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is parked
+  ASSERT_TRUE(a.send_bytes(path_frame(big)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // A is hashing
   b.set_recv_timeout(2000);
   std::string wire;
   encode_reload(wire, model_path);
@@ -855,11 +876,13 @@ TEST(SocketServer, ReloadOnOneConnectionOvertakesParkedMissOnAnother) {
   ASSERT_TRUE(b.read_response(response, &error))
       << "the RELOAD waited behind the other connection's miss: " << error;
   EXPECT_EQ(response.op, Opcode::kOk) << response.text;
-  EXPECT_EQ(daemon.svc.stats().queue_depth, 1u);  // A still parked
+  a.set_recv_timeout(1);
+  EXPECT_EQ(a.read_response_status(response, &error), BlockingClient::ReadStatus::kTransport)
+      << "A answered before B's RELOAD";  // A still unanswered
 
-  daemon.svc.flush();
+  a.set_recv_timeout(0);
   ASSERT_TRUE(a.read_response(response, &error)) << error;
-  expect_prediction_matches(response, fx.model.predict(fx.queries[1]));
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(big)));
 }
 
 }  // namespace

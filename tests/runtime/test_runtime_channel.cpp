@@ -263,8 +263,6 @@ TEST(RuntimeChannel, MaskAblationPinsChannels) {
 }
 
 TEST(RuntimeChannel, ServiceBatchMatchesSerialPredict) {
-  service::ServiceConfig config;
-  config.max_batch = 4;
   // The classifier is move-only; serve a binary-round-tripped clone (the
   // attach path a daemon would take), which the attach test proved
   // bit-identical to the original.
@@ -275,7 +273,7 @@ TEST(RuntimeChannel, ServiceBatchMatchesSerialPredict) {
   std::memcpy(aligned.data(), bytes.data(), bytes.size());
   FuzzyHashClassifier copy;
   copy.load_binary(std::span<const std::byte>(aligned), nullptr);
-  service::ClassificationService svc(std::move(copy), config);
+  service::ClassificationService svc(std::move(copy));
   const std::vector<Prediction> batched =
       svc.classify_batch(model().corpus.queries);
   ASSERT_EQ(batched.size(), model().corpus.queries.size());

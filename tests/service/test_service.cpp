@@ -1,9 +1,12 @@
-// ClassificationService: batching, sharding, caching, reload, stats.
+// ClassificationService: per-key scoring tasks, single flight, caching,
+// reload, admission, stats.
 //
 // The load-bearing property everywhere: the service is an *equivalent*
-// front-end to FuzzyHashClassifier::predict — every layer (micro-batch,
-// in-batch dedup, class-sharded rows, LRU cache) must return predictions
-// bit-identical to the serial path.
+// front-end to FuzzyHashClassifier::predict — every layer (scoring task,
+// single-flight join, LRU cache) must return predictions bit-identical
+// to the serial path. Tests that need requests to wait at a known point
+// run the service on a GatedPool, whose worker does nothing until the
+// test releases it.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 
 #include <unistd.h>
 
+#include "support/gated_pool.hpp"
 #include "support/synthetic_hashes.hpp"
 
 namespace fhc::service {
@@ -108,19 +112,6 @@ TEST(ClassificationService, ClassifyBatchBitIdenticalToSerialPredict) {
   }
 }
 
-TEST(ClassificationService, ShardCountsProduceIdenticalPredictions) {
-  const Fixture& fx = fixture();
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    ServiceConfig config;
-    config.shards = shards;  // 16 > n_classes exercises the clamp
-    ClassificationService svc(clone(fx.model), config);
-    const auto batch = svc.classify_batch(fx.queries);
-    for (std::size_t i = 0; i < fx.queries.size(); ++i) {
-      expect_identical(batch[i], fx.model.predict(fx.queries[i]));
-    }
-  }
-}
-
 TEST(ClassificationService, ConcurrentSubmitsAgreeWithSerialPredict) {
   const Fixture& fx = fixture();
   ClassificationService svc(clone(fx.model));
@@ -163,24 +154,77 @@ TEST(ClassificationService, CacheHitsReturnIdenticalPredictions) {
   EXPECT_EQ(stats.scored, 1u);
 }
 
-TEST(ClassificationService, InBatchDedupScoresRepeatsOnce) {
+TEST(ClassificationService, SingleFlightScoresRepeatsOnce) {
+  // The first miss posts the key's task; the 7 repeats submitted while it
+  // waits for the gated worker join it instead of scoring again.
   const Fixture& fx = fixture();
+  testsupport::GatedPool gate;
   ServiceConfig config;
-  config.cache_capacity = 0;  // isolate dedup from the cache
-  config.max_batch = 8;
-  config.max_delay = std::chrono::milliseconds(10000);  // flush only on fill
-  ClassificationService svc(clone(fx.model), config);
-  const std::vector<core::FeatureHashes> repeats(8, fx.queries[1]);
-  const auto batch = svc.classify_batch(repeats);
-  for (const core::Prediction& pred : batch) {
-    expect_identical(pred, fx.model.predict(fx.queries[1]));
+  config.cache_capacity = 0;  // isolate single flight from the cache
+  ClassificationService svc(clone(fx.model), config, gate.get());
+  std::vector<std::future<core::Prediction>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(svc.submit(fx.queries[1]));
+  EXPECT_EQ(svc.stats().queue_depth, 1u);  // one task for the key
+  gate.release();
+  for (std::future<core::Prediction>& future : futures) {
+    expect_identical(future.get(), fx.model.predict(fx.queries[1]));
   }
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.scored, 1u);
   EXPECT_EQ(stats.dedup_hits, 7u);
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.largest_batch, 8u);
+}
+
+TEST(ClassificationService, SingleFlightScoresEachKeyOnceUnderConcurrentSubmits) {
+  // 8 threads submit the same 4 cold samples, interleaved, for 8 rounds.
+  // A repeat either joins its key's in-flight task or, once that task has
+  // cached the result, hits the cache: each key is scored exactly once,
+  // however the submits straddle the scoring.
+  const Fixture& fx = fixture();
+  ClassificationService svc(clone(fx.model));
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kKeys = 4;
+  constexpr std::size_t kRounds = 8;
+  constexpr std::size_t kPerThread = kKeys * kRounds;
+  struct Slot {
+    std::atomic<int> calls{0};
+    std::optional<core::Prediction> prediction;
+  };
+  std::vector<Slot> slots(kThreads * kPerThread);
+  std::atomic<std::size_t> answered{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        Slot& slot = slots[t * kPerThread + i];
+        EXPECT_TRUE(svc.try_submit(
+            fx.queries[(t + i) % kKeys],
+            [&slot, &answered](const core::Prediction* pred, std::exception_ptr) {
+              if (pred != nullptr) slot.prediction = *pred;
+              slot.calls.fetch_add(1);
+              answered.fetch_add(1);
+            }));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  while (answered.load() < slots.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.scored, kKeys);
+  EXPECT_EQ(stats.requests, slots.size());
+  EXPECT_EQ(stats.completed, stats.requests);
+  EXPECT_EQ(stats.scored + stats.dedup_hits + stats.cache_hits, stats.requests);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const Slot& slot = slots[t * kPerThread + i];
+      EXPECT_EQ(slot.calls.load(), 1);
+      ASSERT_TRUE(slot.prediction);
+      expect_identical(*slot.prediction, fx.model.predict(fx.queries[(t + i) % kKeys]));
+    }
+  }
 }
 
 TEST(ClassificationService, ReloadSwapsWithoutDroppingInFlight) {
@@ -196,7 +240,7 @@ TEST(ClassificationService, ReloadSwapsWithoutDroppingInFlight) {
   }
   // Every future resolves; none is dropped or broken by the swap. Each
   // result is bit-identical to one of the two models' serial predictions
-  // (which model scored it depends on flush timing).
+  // (which model scored it depends on when its task started).
   std::size_t resolved = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const core::Prediction pred = futures[i].get();
@@ -219,7 +263,7 @@ TEST(ClassificationService, ReloadSwapsWithoutDroppingInFlight) {
 TEST(ClassificationService, ReloadV2AttachedModelSurvivesFileReplacement) {
   // The daemon's RELOAD path with the v2 container: both generations are
   // mmap'd + attached zero-copy, and the model file is atomically
-  // REPLACED on disk between them. In-flight batches submitted against
+  // REPLACED on disk between them. In-flight requests submitted against
   // the old generation must still resolve after the swap — the keepalive
   // chain (snapshot -> classifier -> TrainIndex/forest -> ModelMap) pins
   // the old mapping even though its directory entry is gone.
@@ -275,7 +319,6 @@ TEST(ClassificationService, StatsCountersAreConsistent) {
   EXPECT_EQ(stats.scored + stats.cache_hits + stats.dedup_hits, total);
   EXPECT_GE(stats.cache_hits, static_cast<std::uint64_t>(2 * fx.queries.size()));
   EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.largest_batch, svc.config().max_batch);
   EXPECT_GE(stats.cache_hit_rate(), 0.0);
   EXPECT_LE(stats.cache_hit_rate(), 1.0);
   EXPECT_LE(stats.p50_ms, stats.p99_ms);
@@ -298,8 +341,8 @@ TEST(ClassificationService, GateCountersShowTheIndexWorking) {
   EXPECT_GE(after_first.index_skip_rate(), 0.0);
   EXPECT_LE(after_first.index_skip_rate(), 1.0);
 
-  // Class slices partition each row, so the service totals must equal
-  // one full-width indexed fill per scored query.
+  // The service totals must equal one full-width indexed fill per
+  // scored query.
   core::RowFillStats expected;
   const core::TrainIndex& index = svc.model()->index();
   const auto metric = svc.model()->config().metric;
@@ -311,7 +354,7 @@ TEST(ClassificationService, GateCountersShowTheIndexWorking) {
   EXPECT_EQ(after_first.candidates_scored, expected.candidates_scored);
   EXPECT_EQ(after_first.index_skipped, expected.index_skipped);
 
-  // Counters accumulate across batches.
+  // Counters accumulate across tasks.
   svc.classify_batch(fx.queries);
   const ServiceStats after_second = svc.stats();
   EXPECT_EQ(after_second.candidates_scored, 2 * after_first.candidates_scored);
@@ -321,15 +364,15 @@ TEST(ClassificationService, GateCountersShowTheIndexWorking) {
 TEST(ClassificationService, DestructorDrainsPendingRequests) {
   const Fixture& fx = fixture();
   std::vector<std::future<core::Prediction>> futures;
+  testsupport::GatedPool gate;
   {
     ServiceConfig config;
-    config.max_batch = 64;                                // bigger than the stream
-    config.max_delay = std::chrono::milliseconds(10000);  // only shutdown flushes
     config.cache_capacity = 0;
-    ClassificationService svc(clone(fx.model), config);
+    ClassificationService svc(clone(fx.model), config, gate.get());
     for (const core::FeatureHashes& query : fx.queries) {
       futures.push_back(svc.submit(query));
     }
+    gate.release();  // the tasks are still queued when the destructor starts
   }  // destructor must drain, not drop
   for (std::size_t i = 0; i < futures.size(); ++i) {
     expect_identical(futures[i].get(), fx.model.predict(fx.queries[i]));
@@ -349,15 +392,14 @@ TEST(ClassificationService, RejectsUnfittedModels) {
 
 TEST(ClassificationService, TrySubmitBoundsQueueAndCountsRejections) {
   const Fixture& fx = fixture();
+  testsupport::GatedPool gate;  // parks the scoring tasks
   ServiceConfig config;
   config.max_queue = 2;
-  config.max_batch = 64;
-  config.max_delay = std::chrono::milliseconds(10000);  // park the batch
   config.cache_capacity = 0;
-  ClassificationService svc(clone(fx.model), config);
+  ClassificationService svc(clone(fx.model), config, gate.get());
 
-  // The dispatcher is waiting out max_delay, so submissions accumulate:
-  // exactly max_queue are admitted, the rest are refused and counted.
+  // No task can start, so submissions accumulate: exactly max_queue are
+  // admitted, the rest are refused and counted.
   std::vector<std::future<core::Prediction>> admitted;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -379,9 +421,9 @@ TEST(ClassificationService, TrySubmitBoundsQueueAndCountsRejections) {
   // completed == requests invariant survives admission control.
   EXPECT_EQ(held.requests, 2u);
 
-  // flush() releases the parked batch; admitted futures resolve
+  // Releasing the gate runs the parked tasks; admitted futures resolve
   // bit-identically to the serial path and the queue empties.
-  svc.flush();
+  gate.release();
   for (std::size_t i = 0; i < admitted.size(); ++i) {
     expect_identical(admitted[i].get(), fx.model.predict(fx.queries[i]));
   }
@@ -392,23 +434,22 @@ TEST(ClassificationService, TrySubmitBoundsQueueAndCountsRejections) {
   // With the queue empty, try_submit admits again.
   std::future<core::Prediction> future;
   EXPECT_TRUE(try_submit(svc, fx.queries[0], future));
-  svc.flush();
   expect_identical(future.get(), fx.model.predict(fx.queries[0]));
 }
 
 TEST(ClassificationService, TrySubmitAdmitsCacheHitsPastFullQueue) {
   const Fixture& fx = fixture();
+  testsupport::GatedPool gate;
   ServiceConfig config;
   config.max_queue = 1;
-  config.max_batch = 64;
-  config.max_delay = std::chrono::milliseconds(10000);
-  ClassificationService svc(clone(fx.model), config);
+  ClassificationService svc(clone(fx.model), config, gate.get());
 
-  // Score and cache q0 first.
+  // Score and cache q0 first, then park the worker again.
   std::future<core::Prediction> warm;
   ASSERT_TRUE(try_submit(svc, fx.queries[0], warm));
-  svc.flush();
+  gate.release();
   expect_identical(warm.get(), fx.model.predict(fx.queries[0]));
+  gate.close();
 
   // Fill the queue, then submit the cached sample: a hit never occupies
   // the queue, so it is admitted even at the bound.
@@ -419,9 +460,13 @@ TEST(ClassificationService, TrySubmitAdmitsCacheHitsPastFullQueue) {
   std::future<core::Prediction> hit;
   EXPECT_TRUE(try_submit(svc, fx.queries[0], hit));
   expect_identical(hit.get(), fx.model.predict(fx.queries[0]));
+  // So is a repeat of the queued sample: it joins q1's task.
+  std::future<core::Prediction> joined;
+  EXPECT_TRUE(try_submit(svc, fx.queries[1], joined));
 
-  svc.flush();
+  gate.release();
   expect_identical(fills.get(), fx.model.predict(fx.queries[1]));
+  expect_identical(joined.get(), fx.model.predict(fx.queries[1]));
 }
 
 /// Records one request's completion callback: how often it ran, what it
@@ -447,47 +492,52 @@ struct CallbackProbe {
 };
 
 TEST(ClassificationService, CallbacksRunOnceAfterTheirRequestIsCounted) {
-  // Every resolution path — scored, in-batch dedup fan-out, deadline
-  // shed, cache hit — runs the callback exactly once, with no service
-  // lock held, and stats() read inside it already counts the request.
+  // Every resolution path — deadline shed, scored, single-flight join,
+  // cache hit — runs the callback exactly once, with no service lock
+  // held, and stats() read inside it already counts the request.
   const Fixture& fx = fixture();
+  CallbackProbe shed;
   CallbackProbe scored;
   CallbackProbe dedup_first;
   CallbackProbe dedup_second;
-  CallbackProbe shed;
   CallbackProbe hit;
   {
-    ServiceConfig config;
-    config.max_batch = 64;
-    config.max_delay = std::chrono::milliseconds(10000);  // park the batch
-    ClassificationService svc(clone(fx.model), config);
+    // One gated worker: the tasks run one by one, in submission order,
+    // once released.
+    testsupport::GatedPool gate;
+    ClassificationService svc(clone(fx.model), {}, gate.get());
 
+    ASSERT_TRUE(svc.try_submit(fx.queries[2], shed.callback(svc),
+                               std::chrono::milliseconds(1)));
     ASSERT_TRUE(svc.try_submit(fx.queries[0], scored.callback(svc)));
     ASSERT_TRUE(svc.try_submit(fx.queries[1], dedup_first.callback(svc)));
     ASSERT_TRUE(svc.try_submit(fx.queries[1], dedup_second.callback(svc)));
-    ASSERT_TRUE(svc.try_submit(fx.queries[2], shed.callback(svc),
-                               std::chrono::milliseconds(1)));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // q2 expires
     EXPECT_EQ(scored.calls.load(), 0);  // still parked
-    svc.flush();
-    for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second, &shed}) {
+    gate.release();
+    for (CallbackProbe* probe : {&shed, &scored, &dedup_first, &dedup_second}) {
       probe->wait();
     }
 
-    // The expired request is answered before the batch is scored.
+    // The expired request is answered before anything is scored.
     EXPECT_EQ(shed.seen.deadline_expired, 1u);
     EXPECT_EQ(shed.seen.completed, 1u);
     EXPECT_EQ(shed.seen.scored, 0u);
     EXPECT_FALSE(shed.prediction);
     EXPECT_THROW(std::rethrow_exception(shed.error), DeadlineExceeded);
 
-    // The live three: counters for the whole batch land before any of
-    // its callbacks.
-    for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second}) {
+    // q0's task: its counters land before its callback.
+    EXPECT_EQ(scored.seen.completed, 2u);
+    EXPECT_EQ(scored.seen.scored, 1u);
+    EXPECT_EQ(scored.seen.dedup_hits, 0u);
+    EXPECT_EQ(scored.seen.batches, 1u);
+    EXPECT_FALSE(scored.error);
+    // q1's task answers both of its waiters, after counting both.
+    for (CallbackProbe* probe : {&dedup_first, &dedup_second}) {
       EXPECT_EQ(probe->seen.completed, 4u);
       EXPECT_EQ(probe->seen.scored, 2u);
       EXPECT_EQ(probe->seen.dedup_hits, 1u);
-      EXPECT_EQ(probe->seen.batches, 1u);
+      EXPECT_EQ(probe->seen.batches, 2u);
       EXPECT_FALSE(probe->error);
     }
     ASSERT_TRUE(scored.prediction);
@@ -504,33 +554,35 @@ TEST(ClassificationService, CallbacksRunOnceAfterTheirRequestIsCounted) {
     EXPECT_EQ(hit.seen.completed, 5u);
     ASSERT_TRUE(hit.prediction);
     expect_identical(*hit.prediction, fx.model.predict(fx.queries[0]));
-  }  // the destructor drains: no callback is left to run twice
-  for (CallbackProbe* probe : {&scored, &dedup_first, &dedup_second, &shed, &hit}) {
+  }  // the destructor waits for the tasks: no callback is left to run twice
+  for (CallbackProbe* probe : {&shed, &scored, &dedup_first, &dedup_second, &hit}) {
     EXPECT_EQ(probe->calls.load(), 1);
   }
 }
 
-TEST(ClassificationService, FlushDispatchesBacklogLargerThanMaxBatch) {
+TEST(ClassificationService, RequestAfterReloadNeverJoinsAStaleFlight) {
+  // reload() unlinks the keys already scoring on the old model: a repeat
+  // submitted after it returns scores on the new model instead of
+  // joining a task that snapshotted the old one.
   const Fixture& fx = fixture();
+  const core::FuzzyHashClassifier* models[] = {&fx.model, &fx.strict_model};
   ServiceConfig config;
-  config.max_batch = 4;
-  config.max_delay = std::chrono::milliseconds(10000);
-  config.cache_capacity = 0;
+  config.cache_capacity = 0;  // every repeat reaches single flight
+  config.latency_window = 1;  // keeps stats() cheap enough to spin on
   ClassificationService svc(clone(fx.model), config);
-
-  // 12 pending > max_batch: one flush() must drain the whole backlog
-  // (the flush request is sticky until the queue empties) — graceful
-  // daemon shutdown depends on this.
-  std::vector<std::future<core::Prediction>> futures;
-  for (std::size_t i = 0; i < 12; ++i) futures.push_back(svc.submit(fx.queries[i]));
-  svc.flush();
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    expect_identical(futures[i].get(), fx.model.predict(fx.queries[i]));
+  for (std::size_t round = 0; round < 64; ++round) {
+    const core::FeatureHashes& query = fx.queries[round % fx.queries.size()];
+    const core::FuzzyHashClassifier& next = *models[(round + 1) % 2];
+    core::FuzzyHashClassifier fresh = clone(next);
+    std::future<core::Prediction> before = svc.submit(query);
+    while (svc.stats().queue_depth != 0) {
+      // Spin until the task has started: it now scores on the old model.
+    }
+    svc.reload(std::move(fresh));
+    std::future<core::Prediction> after = svc.submit(query);
+    expect_identical(after.get(), next.predict(query));
+    before.get();
   }
-  const ServiceStats stats = svc.stats();
-  EXPECT_GE(stats.batches, 3u);  // 12 across batches of <= 4
-  EXPECT_LE(stats.largest_batch, 4u);
-  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(ClassificationService, ConnectionCountersTrackTheSocketFrontEnd) {

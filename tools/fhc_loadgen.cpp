@@ -23,7 +23,8 @@
 //                     capped at 1s, jittered)
 //   --deadline-ms N   attach an N ms deadline to every CLASSIFY frame;
 //                     work the daemon cannot start in time comes back as
-//                     DEADLINE_EXCEEDED instead of queueing
+//                     DEADLINE_EXCEEDED instead of queueing (0 = already
+//                     expired at decode: every uncached request is shed)
 //   --recv-timeout-ms N  bound every blocking read (chaos runs)
 //   --stats           print the daemon's STATS line after the run
 //   --quit            send QUIT after the run (graceful daemon shutdown)
@@ -217,9 +218,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline-ms") {
       std::size_t deadline = 0;
       const char* text = value();
-      if (text == nullptr || !parse_size(text, deadline) || deadline == 0) {
-        return usage();
-      }
+      if (text == nullptr || !parse_size(text, deadline)) return usage();
       deadline_ms = static_cast<std::uint32_t>(deadline);
     } else if (arg == "--recv-timeout-ms") {
       std::size_t timeout = 0;

@@ -1,9 +1,11 @@
 // fhc-serve: resident classification daemon.
 //
-//   fhc_serve MODEL [max_batch] [cache_capacity]          (legacy stdio form)
 //   fhc_serve MODEL [--stdio] [--unix PATH] [--tcp [HOST:]PORT] [options]
 //
-// Loads the model once and serves it through one or both front-ends:
+// Loads the model once and serves it through one or both front-ends.
+// Each new sample is scored as soon as it arrives, as one task on the
+// service's worker pool; repeats are answered from the prediction cache
+// or share the scoring already in flight for them.
 //
 // stdio (default when no socket is configured, or explicit --stdio): the
 // line protocol a Slurm prolog drives through a pipe or FIFO —
@@ -78,18 +80,16 @@ bool parse_tcp_spec(const std::string& spec, std::string& host, int& port) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: fhc_serve MODEL [max_batch=32] [cache_capacity=4096]   (stdio)\n"
-      "       fhc_serve MODEL [front-ends] [options]\n"
+      "usage: fhc_serve MODEL [front-ends] [options]\n"
       "front-ends (default --stdio; sockets may combine, stdio may not):\n"
       "  --stdio               line protocol on stdin/stdout (FIFO-friendly)\n"
       "  --unix PATH           framed binary protocol on a Unix socket\n"
       "  --tcp [HOST:]PORT     framed binary protocol on TCP (default host\n"
       "                        127.0.0.1; port 0 = ephemeral, printed on stderr)\n"
       "options:\n"
-      "  --max-batch N         micro-batch size (default 32)\n"
       "  --cache N             prediction cache capacity (default 4096)\n"
-      "  --max-queue N         service queue bound; over -> BUSY (default 1024,\n"
-      "                        0 = unbounded)\n"
+      "  --max-queue N         scoring tasks waiting for a worker; over -> BUSY\n"
+      "                        (default 1024, 0 = unbounded)\n"
       "  --unknown-threshold T open-set floor: predictions under max-prob T\n"
       "                        are flagged unknown (overrides the model's\n"
       "                        calibrated threshold; survives RELOAD)\n"
@@ -133,109 +133,87 @@ int main(int argc, char** argv) {
   bool have_unknown_threshold = false;
   double unknown_threshold = 0.0;
 
-  // Legacy positional form: MODEL [max_batch] [cache_capacity], stdio.
-  const bool legacy = argc <= 4 && (argc < 3 || argv[2][0] != '-');
-  if (legacy) {
-    want_stdio = true;
-    if (argc > 2 &&
-        (!parse_size(argv[2], service_config.max_batch) ||
-         service_config.max_batch == 0)) {
-      std::fprintf(stderr, "fhc_serve: bad max_batch '%s'\n", argv[2]);
-      return usage();
-    }
-    if (argc > 3 && !parse_size(argv[3], service_config.cache_capacity)) {
-      std::fprintf(stderr, "fhc_serve: bad cache_capacity '%s'\n", argv[3]);
-      return usage();
-    }
-  } else {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return ++i < argc ? argv[i] : nullptr;
-      };
-      if (arg == "--stdio") {
-        want_stdio = true;
-      } else if (arg == "--unix") {
-        const char* path = value();
-        if (path == nullptr) return usage();
-        server_config.unix_path = path;
-        want_socket = true;
-      } else if (arg == "--tcp") {
-        const char* spec = value();
-        if (spec == nullptr ||
-            !parse_tcp_spec(spec, server_config.tcp_host, server_config.tcp_port)) {
-          std::fprintf(stderr, "fhc_serve: bad --tcp spec\n");
-          return usage();
-        }
-        want_socket = true;
-      } else if (arg == "--max-batch") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, service_config.max_batch) ||
-            service_config.max_batch == 0) {
-          return usage();
-        }
-      } else if (arg == "--cache") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, service_config.cache_capacity)) {
-          return usage();
-        }
-      } else if (arg == "--max-queue") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, service_config.max_queue)) {
-          return usage();
-        }
-      } else if (arg == "--unknown-threshold") {
-        const char* text = value();
-        char* end = nullptr;
-        unknown_threshold = text != nullptr ? std::strtod(text, &end) : 0.0;
-        if (text == nullptr || end == text || *end != '\0' ||
-            unknown_threshold < 0.0 || unknown_threshold > 1.0) {
-          std::fprintf(stderr,
-                       "fhc_serve: --unknown-threshold must be in [0,1]\n");
-          return usage();
-        }
-        have_unknown_threshold = true;
-      } else if (arg == "--max-connections") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, server_config.max_connections)) {
-          return usage();
-        }
-      } else if (arg == "--max-inflight") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, server_config.max_inflight)) {
-          return usage();
-        }
-      } else if (arg == "--pipeline-depth") {
-        const char* text = value();
-        if (text == nullptr || !parse_size(text, server_config.max_pipeline)) {
-          return usage();
-        }
-      } else if (arg == "--max-queue-delay-ms") {
-        const char* text = value();
-        std::size_t delay = 0;
-        if (text == nullptr || !parse_size(text, delay)) return usage();
-        service_config.max_queue_delay = std::chrono::milliseconds(delay);
-      } else if (arg == "--idle-timeout-ms") {
-        const char* text = value();
-        std::size_t timeout = 0;
-        if (text == nullptr || !parse_size(text, timeout)) return usage();
-        server_config.idle_timeout_ms = static_cast<int>(timeout);
-      } else if (arg == "--read-timeout-ms") {
-        const char* text = value();
-        std::size_t timeout = 0;
-        if (text == nullptr || !parse_size(text, timeout)) return usage();
-        server_config.read_progress_timeout_ms = static_cast<int>(timeout);
-      } else {
-        std::fprintf(stderr, "fhc_serve: unknown option '%s'\n", arg.c_str());
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto value = [&]() -> const char* {
+      return ++i < argc ? argv[i] : nullptr;
+    };
+    if (arg == "--stdio") {
+      want_stdio = true;
+    } else if (arg == "--unix") {
+      const char* path = value();
+      if (path == nullptr) return usage();
+      server_config.unix_path = path;
+      want_socket = true;
+    } else if (arg == "--tcp") {
+      const char* spec = value();
+      if (spec == nullptr ||
+          !parse_tcp_spec(spec, server_config.tcp_host, server_config.tcp_port)) {
+        std::fprintf(stderr, "fhc_serve: bad --tcp spec\n");
         return usage();
       }
-    }
-    if (!want_stdio && !want_socket) want_stdio = true;
-    if (want_stdio && want_socket) {
-      std::fprintf(stderr,
-                   "fhc_serve: --stdio cannot combine with socket front-ends\n");
+      want_socket = true;
+    } else if (arg == "--cache") {
+      const char* text = value();
+      if (text == nullptr || !parse_size(text, service_config.cache_capacity)) {
+        return usage();
+      }
+    } else if (arg == "--max-queue") {
+      const char* text = value();
+      if (text == nullptr || !parse_size(text, service_config.max_queue)) {
+        return usage();
+      }
+    } else if (arg == "--unknown-threshold") {
+      const char* text = value();
+      char* end = nullptr;
+      unknown_threshold = text != nullptr ? std::strtod(text, &end) : 0.0;
+      if (text == nullptr || end == text || *end != '\0' ||
+          unknown_threshold < 0.0 || unknown_threshold > 1.0) {
+        std::fprintf(stderr,
+                     "fhc_serve: --unknown-threshold must be in [0,1]\n");
+        return usage();
+      }
+      have_unknown_threshold = true;
+    } else if (arg == "--max-connections") {
+      const char* text = value();
+      if (text == nullptr || !parse_size(text, server_config.max_connections)) {
+        return usage();
+      }
+    } else if (arg == "--max-inflight") {
+      const char* text = value();
+      if (text == nullptr || !parse_size(text, server_config.max_inflight)) {
+        return usage();
+      }
+    } else if (arg == "--pipeline-depth") {
+      const char* text = value();
+      if (text == nullptr || !parse_size(text, server_config.max_pipeline)) {
+        return usage();
+      }
+    } else if (arg == "--max-queue-delay-ms") {
+      const char* text = value();
+      std::size_t delay = 0;
+      if (text == nullptr || !parse_size(text, delay)) return usage();
+      service_config.max_queue_delay = std::chrono::milliseconds(delay);
+    } else if (arg == "--idle-timeout-ms") {
+      const char* text = value();
+      std::size_t timeout = 0;
+      if (text == nullptr || !parse_size(text, timeout)) return usage();
+      server_config.idle_timeout_ms = static_cast<int>(timeout);
+    } else if (arg == "--read-timeout-ms") {
+      const char* text = value();
+      std::size_t timeout = 0;
+      if (text == nullptr || !parse_size(text, timeout)) return usage();
+      server_config.read_progress_timeout_ms = static_cast<int>(timeout);
+    } else {
+      std::fprintf(stderr, "fhc_serve: unknown option '%s'\n", arg.c_str());
       return usage();
     }
+  }
+  if (!want_stdio && !want_socket) want_stdio = true;
+  if (want_stdio && want_socket) {
+    std::fprintf(stderr,
+                 "fhc_serve: --stdio cannot combine with socket front-ends\n");
+    return usage();
   }
 
 #ifdef SIGPIPE

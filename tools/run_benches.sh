@@ -57,10 +57,14 @@ done
 # PR 8 on: the socket front-end pair — the in-process submit baseline vs
 # the epoll wire path at 1/8/64 pipelined connections (p50/p99 counters
 # are the client-observed per-request latency).
+#
+# The lone-request pair: a cold submit().get() on an idle service vs
+# serial predict() on the same samples.
 for required in \
     BM_PredictUnbatched/32/real_time BM_ServiceBatchRepeatDedup/32/real_time \
     BM_ServiceBatchRepeatStream/32/real_time BM_ServiceBatchUnique/32/real_time \
-    BM_ServiceShards/1/real_time BM_ServiceCacheHit/real_time \
+    BM_PredictSingle/real_time BM_ServiceIsolatedRequest/real_time \
+    BM_ServiceCacheHit/real_time \
     BM_ServiceSubmitInProcess/real_time BM_ServeSocketPipelined/1/real_time \
     BM_ServeSocketPipelined/8/real_time BM_ServeSocketPipelined/64/real_time; do
   if ! grep -q "\"$required\"" BENCH_perf_service.json; then
