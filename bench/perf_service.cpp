@@ -21,15 +21,22 @@
 // submit().get() on an idle service, against BM_PredictSingle, serial
 // predict() on the same samples — the service's own overhead on sparse
 // prolog traffic, which should be about one task hand-off.
+//
+// And per CLASSIFY_PATH extraction: BM_ExtractPath, the read + ELF parse
+// + three fuzzy hashes of an uncached request (cache_capacity 0),
+// against BM_ExtractPathCached, a repeat of the same binary answered
+// from the extraction cache (one open + fstat + lookup).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -37,6 +44,7 @@
 #include "net/server.hpp"
 #include "service/command_handler.hpp"
 #include "service/service.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/synthetic_hashes.hpp"
 
 namespace {
@@ -212,6 +220,49 @@ void BM_ServiceCacheHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServiceCacheHit)->UseRealTime();
+
+// ---- CLASSIFY_PATH extraction cache ----------------------------------------
+
+/// A corpus ELF on disk, old enough to be cached: written once, then one
+/// wait of the racy window.
+const std::string& settled_elf() {
+  static const testsupport::ScratchDir dir("bench_extract");
+  static const std::string path = [] {
+    std::string elf = testsupport::write_corpus_elfs(dir, 1).front();
+    std::this_thread::sleep_for(service::CommandHandler::kRacyWindow +
+                                std::chrono::milliseconds(100));
+    return elf;
+  }();
+  return path;
+}
+
+/// One binary extracted over and over through CommandHandler, after two
+/// warm-up extractions (the doorkeeper records it, then it is inserted).
+void run_extract_path(benchmark::State& state, std::size_t cache) {
+  const std::string& path = settled_elf();
+  service::ClassificationService svc(bench_data().model(), bench_config(cache));
+  service::CommandHandler handler(svc);
+  core::FeatureHashes sample;
+  for (int warm = 0; warm < 2; ++warm) benchmark::DoNotOptimize(handler.extract_path(path, sample));
+  for (auto _ : state) {
+    const std::string error = handler.extract_path(path, sample);
+    if (!error.empty()) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(sample);
+  }
+  if (cache > 0 && handler.extract_cache_hits() == 0) {
+    state.SkipWithError("the extraction cache never hit");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ExtractPath(benchmark::State& state) { run_extract_path(state, /*cache=*/0); }
+BENCHMARK(BM_ExtractPath)->Unit(benchmark::kMicrosecond);
+
+void BM_ExtractPathCached(benchmark::State& state) { run_extract_path(state, 4096); }
+BENCHMARK(BM_ExtractPathCached)->Unit(benchmark::kMicrosecond);
 
 // ---- socket front-end (PR 8) ----------------------------------------------
 // The pair to read together (items_per_second): the same steady-state

@@ -816,7 +816,7 @@ struct SocketServer::Impl {
     Completion failure{conn_id, seq, /*classify=*/true, {}};
     try {
       core::FeatureHashes sample;
-      const std::string error = service::CommandHandler::extract_path(path, sample);
+      const std::string error = handler.extract_path(path, sample);
       if (!error.empty()) {
         encode_error(failure.bytes, error);
       } else if (submit_classify(conn_id, seq, std::move(sample), decoded, deadline)) {

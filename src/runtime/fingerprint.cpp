@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/io_util.hpp"
+
 namespace fhc::runtime {
 
 std::string fingerprint_bytes(const CounterTrace& trace,
@@ -73,6 +75,12 @@ core::ChannelSet runtime_channel_set() {
 void attach_trace(core::FeatureHashes& sample, const CounterTrace& trace,
                   const FingerprintConfig& config) {
   sample.set_channel(3, hash_trace(trace, config));
+}
+
+core::FeatureHashes extract_path_spec(const PathSpec& spec) {
+  core::FeatureHashes sample = core::extract_feature_hashes(util::read_file(spec.exe));
+  if (spec.trace) attach_trace(sample, load_trace_file(*spec.trace));
+  return sample;
 }
 
 }  // namespace fhc::runtime

@@ -62,4 +62,9 @@ core::ChannelSet runtime_channel_set();
 void attach_trace(core::FeatureHashes& sample, const CounterTrace& trace,
                   const FingerprintConfig& config = {});
 
+/// Reads `spec.exe` and extracts its static channels, then attaches the
+/// fingerprint of `spec.trace` when there is one. Throws on a read,
+/// parse or extraction failure.
+core::FeatureHashes extract_path_spec(const PathSpec& spec);
+
 }  // namespace fhc::runtime

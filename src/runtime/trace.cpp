@@ -1,5 +1,7 @@
 #include "runtime/trace.hpp"
 
+#include <sys/stat.h>
+
 #include <cctype>
 #include <charconv>
 #include <stdexcept>
@@ -141,6 +143,13 @@ CounterTrace parse_trace(std::string_view text) {
 CounterTrace load_trace_file(const std::string& path) {
   const std::vector<std::uint8_t> bytes = util::read_file(path);
   return parse_trace(std::string(bytes.begin(), bytes.end()));
+}
+
+PathSpec split_path_spec(const std::string& spec) {
+  const std::size_t at = spec.rfind('@');
+  struct stat st {};
+  if (at == std::string::npos || ::stat(spec.c_str(), &st) == 0) return {spec, std::nullopt};
+  return {spec.substr(0, at), spec.substr(at + 1)};
 }
 
 }  // namespace fhc::runtime

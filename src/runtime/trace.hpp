@@ -17,6 +17,7 @@
 // ingest path allocation-light.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,5 +59,18 @@ CounterTrace parse_trace(std::string_view text);
 
 /// Reads `path` and parse_trace's it.
 CounterTrace load_trace_file(const std::string& path);
+
+/// One `FILE[@TRACE]` item of a classify request: the executable, and the
+/// perf-stat trace to fingerprint into the runtime channel, if any.
+struct PathSpec {
+  std::string exe;
+  std::optional<std::string> trace;
+};
+
+/// Splits a `FILE[@TRACE]` item. A spec that names an existing file as a
+/// whole is the executable, `@` and all (an SSSD home such as
+/// /home/alice@example.com/bin/app); only otherwise is it split at its
+/// last `@`. A spec without `@` costs no system call.
+PathSpec split_path_spec(const std::string& spec);
 
 }  // namespace fhc::runtime

@@ -1,5 +1,6 @@
 #include "service/command_handler.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <ostream>
@@ -13,21 +14,62 @@
 
 namespace fhc::service {
 
+namespace {
+
+/// The insert rule for a file just read: its identity did not change
+/// during the read, and its ctime is outside the racy window.
+bool settled(const util::RegularFile& file) {
+  if (file.current_identity() != file.identity()) return false;
+  const std::chrono::nanoseconds ctime{file.identity().ctime_ns};
+  return std::chrono::system_clock::now().time_since_epoch() - ctime >=
+         CommandHandler::kRacyWindow;
+}
+
+}  // namespace
+
+CommandHandler::CommandHandler(ClassificationService& svc)
+    : svc_(svc), extracted_(svc.config().cache_capacity) {}
+
+core::FeatureHashes CommandHandler::extract_file(const std::string& path) {
+  const util::RegularFile file(path);
+  const std::size_t capacity = extracted_.capacity();
+  if (capacity == 0) return core::extract_feature_hashes(file.read_all());
+  const util::FileIdentity& key = file.identity();
+  {
+    std::lock_guard lock(extract_mutex_);
+    if (const core::FeatureHashes* hit = extracted_.get(key)) {
+      ++extract_cache_hits_;
+      return *hit;
+    }
+  }
+  core::FeatureHashes out = core::extract_feature_hashes(file.read_all());
+  if (settled(file)) {
+    const std::size_t hash = util::FileIdentityHash{}(key);
+    std::lock_guard lock(extract_mutex_);
+    if (seen_once_.erase(hash) > 0) {
+      extracted_.put(key, out);
+    } else {
+      if (seen_once_.size() >= capacity) seen_once_.clear();
+      seen_once_.insert(hash);
+    }
+  }
+  return out;
+}
+
 std::string CommandHandler::extract_path(const std::string& path_spec,
                                          core::FeatureHashes& out) {
   try {
-    const std::size_t at = path_spec.rfind('@');
-    const auto image = util::read_file(
-        at == std::string::npos ? path_spec : path_spec.substr(0, at));
-    out = core::extract_feature_hashes(image);
-    if (at != std::string::npos) {
-      runtime::attach_trace(out,
-                            runtime::load_trace_file(path_spec.substr(at + 1)));
-    }
+    const runtime::PathSpec spec = runtime::split_path_spec(path_spec);
+    out = spec.trace ? runtime::extract_path_spec(spec) : extract_file(spec.exe);
   } catch (const std::exception& e) {
     return e.what();
   }
   return {};
+}
+
+std::uint64_t CommandHandler::extract_cache_hits() const {
+  std::lock_guard lock(extract_mutex_);
+  return extract_cache_hits_;
 }
 
 CommandHandler::Submission CommandHandler::submit_path(const std::string& path_spec) {
@@ -61,6 +103,7 @@ std::string CommandHandler::stats_line() const {
       << " batches=" << s.batches << " scored=" << s.scored
       << " cache_hits=" << s.cache_hits << " dedup_hits=" << s.dedup_hits
       << " cache_hit_rate=" << s.cache_hit_rate()
+      << " extract_cache_hits=" << extract_cache_hits()
       << " candidates_scored=" << s.candidates_scored
       << " index_skipped=" << s.index_skipped
       << " index_skip_rate=" << s.index_skip_rate() << " reloads=" << s.reloads

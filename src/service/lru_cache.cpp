@@ -12,7 +12,8 @@ ShardedLruCache::ShardedLruCache(std::size_t capacity, std::size_t shards)
   shards_ = std::vector<Shard>(shards);
   // Distribute slots round-robin so the shard capacities sum to capacity_.
   for (std::size_t s = 0; s < shards; ++s) {
-    shards_[s].capacity = capacity_ / shards + (s < capacity_ % shards ? 1 : 0);
+    shards_[s].lru = LruMap<std::string, core::Prediction>(
+        capacity_ / shards + (s < capacity_ % shards ? 1 : 0));
   }
 }
 
@@ -24,35 +25,22 @@ std::optional<core::Prediction> ShardedLruCache::get(const std::string& key) {
   if (!enabled()) return std::nullopt;
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  shard.order.splice(shard.order.begin(), shard.order, it->second);
-  return it->second->second;
+  const core::Prediction* hit = shard.lru.get(key);
+  if (hit == nullptr) return std::nullopt;
+  return *hit;
 }
 
 void ShardedLruCache::put(const std::string& key, const core::Prediction& value) {
   if (!enabled()) return;
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = value;
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
-    return;
-  }
-  if (shard.order.size() >= shard.capacity) {
-    shard.index.erase(shard.order.back().first);
-    shard.order.pop_back();
-  }
-  shard.order.emplace_front(key, value);
-  shard.index.emplace(shard.order.front().first, shard.order.begin());
+  shard.lru.put(key, value);
 }
 
 void ShardedLruCache::clear() {
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    shard.order.clear();
-    shard.index.clear();
+    shard.lru.clear();
   }
 }
 
@@ -60,7 +48,7 @@ std::size_t ShardedLruCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    total += shard.order.size();
+    total += shard.lru.size();
   }
   return total;
 }

@@ -620,6 +620,27 @@ TEST(SocketServer, PathRepliesBitIdenticalToSerialPredict) {
   }
 }
 
+TEST(SocketServer, PathWithAtSignIsTheExecutable) {
+  // An SSSD-style home directory ("alice@example.com") is not an
+  // "exe@trace" item: the whole path names the file.
+  const Fixture& fx = fixture();
+  const testsupport::ScratchDir dir("net_at_path");
+  const std::vector<std::string> elfs = testsupport::write_corpus_elfs(dir, 1);
+  const std::filesystem::path home = dir.root() / "alice@example.com" / "bin";
+  std::filesystem::create_directories(home);
+  const std::string path = (home / "app").string();
+  std::filesystem::copy_file(elfs[0], path);
+  TestDaemon daemon(clone(fx.model));
+  BlockingClient client;
+  ASSERT_EQ(client.connect(daemon.unix_endpoint(), /*retries=*/20), "");
+
+  ASSERT_TRUE(client.send_bytes(path_frame(path)));
+  Response response;
+  std::string error;
+  ASSERT_TRUE(client.read_response(response, &error)) << error;
+  expect_prediction_matches(response, fx.model.predict(testsupport::features_of(path)));
+}
+
 TEST(SocketServer, PipelinedPathErrorKeepsOrderAndReleasesInflight) {
   const Fixture& fx = fixture();
   const testsupport::ScratchDir dir("net_path_error");

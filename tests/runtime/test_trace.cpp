@@ -93,6 +93,34 @@ TEST(LoadTraceFile, ReadsAndParses) {
   EXPECT_THROW(load_trace_file(path.string()), std::runtime_error);
 }
 
+TEST(SplitPathSpec, WholeExistingFileWinsOverTheSplit) {
+  // An SSSD-style home directory puts an '@' in the executable's path.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("fhc_split_" + std::to_string(::getpid())) /
+                                    "bob@example.com";
+  std::filesystem::create_directories(dir);
+  const std::string exe = (dir / "app").string();
+  std::ofstream(exe) << "binary";
+
+  PathSpec spec = split_path_spec(exe);
+  EXPECT_EQ(spec.exe, exe);
+  EXPECT_FALSE(spec.trace.has_value());
+
+  spec = split_path_spec(exe + "@/tmp/t.csv");
+  EXPECT_EQ(spec.exe, exe);
+  EXPECT_EQ(spec.trace, "/tmp/t.csv");
+
+  spec = split_path_spec("/no/such/app");
+  EXPECT_EQ(spec.exe, "/no/such/app");
+  EXPECT_FALSE(spec.trace.has_value());
+
+  spec = split_path_spec("/no/such/app@");
+  EXPECT_EQ(spec.exe, "/no/such/app");
+  EXPECT_EQ(spec.trace, "");
+
+  std::filesystem::remove_all(dir.parent_path());
+}
+
 TEST(Fingerprint, DeterministicAndShapedLikeTheTrace) {
   const TraceSpec spec = hpc_trace_spec(0);
   const CounterTrace trace = synthesize_trace(spec, 1);

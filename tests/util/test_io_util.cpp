@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -23,6 +26,12 @@ class IoUtilTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+/// Waits out the kernel's file-timestamp tick (a jiffy on kernels that
+/// stamp coarse-grained), so the next write gets a later ctime.
+void next_timestamp_tick() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+}
 
 TEST_F(IoUtilTest, WriteReadRoundTripBinary) {
   std::vector<std::uint8_t> data{0x00, 0xff, 0x7f, 0x80, 0x0a, 0x00};
@@ -85,6 +94,60 @@ TEST_F(IoUtilTest, ReadFollowsSymlinkToRegularFile) {
   std::filesystem::create_symlink(dir_ / "target", dir_ / "link");
   const auto bytes = read_file(dir_ / "link");
   EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "payload");
+}
+
+TEST_F(IoUtilTest, IdentityIsStableForAnUntouchedFile) {
+  write_file(dir_ / "f", std::string("stable bytes"));
+  const RegularFile first(dir_ / "f");
+  EXPECT_EQ(first.current_identity(), first.identity());
+  EXPECT_EQ(first.identity().size, 12);
+  const auto bytes = first.read_all();
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "stable bytes");
+  EXPECT_EQ(first.current_identity(), first.identity());
+  const RegularFile second(dir_ / "f");
+  EXPECT_EQ(second.identity(), first.identity());
+  EXPECT_EQ(FileIdentityHash{}(second.identity()), FileIdentityHash{}(first.identity()));
+}
+
+TEST_F(IoUtilTest, IdentityChangesAfterSameSizeRewriteWithMtimeRestored) {
+  const auto path = dir_ / "f";
+  write_file(path, std::string("original"));
+  const RegularFile before(path);
+  next_timestamp_tick();
+
+  // Same size, same inode, mtime put back: only ctime can tell.
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, "rewrites", 8, 0), 8);
+  ::close(fd);
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  const struct timespec times[2] = {st.st_atim,
+                                    {before.identity().mtime_ns / 1'000'000'000,
+                                     before.identity().mtime_ns % 1'000'000'000}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+
+  const RegularFile after(path);
+  EXPECT_EQ(after.identity().ino, before.identity().ino);
+  EXPECT_EQ(after.identity().size, before.identity().size);
+  EXPECT_EQ(after.identity().mtime_ns, before.identity().mtime_ns);
+  EXPECT_NE(after.identity(), before.identity());
+  // The descriptor opened before the write sees the change too.
+  EXPECT_EQ(before.current_identity(), after.identity());
+}
+
+TEST_F(IoUtilTest, IdentityChangesAfterRenameReplace) {
+  const auto path = dir_ / "f";
+  write_file(path, std::string("original"));
+  const FileIdentity before = RegularFile(path).identity();
+  next_timestamp_tick();
+  write_file(dir_ / "f.new", std::string("replaced"));
+  std::filesystem::rename(dir_ / "f.new", path);
+  const RegularFile after(path);
+  EXPECT_NE(after.identity(), before);
+  EXPECT_NE(after.identity().ino, before.ino);
+  const auto bytes = after.read_all();
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "replaced");
 }
 
 TEST_F(IoUtilTest, ListFilesRecursiveSorted) {

@@ -51,7 +51,6 @@
 #include "service/command_handler.hpp"
 #include "service/service.hpp"
 #include "util/fault_inject.hpp"
-#include "util/io_util.hpp"
 
 using namespace fhc;
 
@@ -98,14 +97,8 @@ struct Case {
 bool build_case(const core::FuzzyHashClassifier& model, const std::string& spec,
                 Case& out, std::string& error) {
   try {
-    const std::size_t at = spec.rfind('@');
-    const auto image =
-        util::read_file(at == std::string::npos ? spec : spec.substr(0, at));
-    core::FeatureHashes sample = core::extract_feature_hashes(image);
-    if (at != std::string::npos) {
-      runtime::attach_trace(sample,
-                            runtime::load_trace_file(spec.substr(at + 1)));
-    }
+    const core::FeatureHashes sample =
+        runtime::extract_path_spec(runtime::split_path_spec(spec));
     out.spec = spec;
     out.expected = model.predict(sample);
     std::vector<std::string> digests;

@@ -36,7 +36,6 @@
 #include "core/classifier.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/trace.hpp"
-#include "util/io_util.hpp"
 
 using namespace fhc;
 
@@ -81,16 +80,7 @@ int main(int argc, char** argv) {
   int errors = 0;
   for (int i = 2; i < argc; ++i) {
     try {
-      const std::string arg = argv[i];
-      const std::size_t at = arg.rfind('@');
-      const std::string file = at == std::string::npos ? arg : arg.substr(0, at);
-      const auto image = util::read_file(file);
-      core::FeatureHashes sample = core::extract_feature_hashes(image);
-      if (at != std::string::npos) {
-        runtime::attach_trace(sample,
-                              runtime::load_trace_file(arg.substr(at + 1)));
-      }
-      samples.push_back(std::move(sample));
+      samples.push_back(runtime::extract_path_spec(runtime::split_path_spec(argv[i])));
       paths.push_back(argv[i]);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "fhc_classify: %s: %s\n", argv[i], e.what());

@@ -56,7 +56,6 @@
 #include "net/protocol.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/trace.hpp"
-#include "util/io_util.hpp"
 
 using namespace fhc;
 
@@ -108,13 +107,8 @@ bool encode_sample_frame(const std::string& spec, std::string& frame,
                          std::optional<std::uint32_t> deadline_ms,
                          std::string& error) {
   try {
-    const std::size_t at = spec.rfind('@');
-    const auto image =
-        util::read_file(at == std::string::npos ? spec : spec.substr(0, at));
-    core::FeatureHashes sample = core::extract_feature_hashes(image);
-    if (at != std::string::npos) {
-      runtime::attach_trace(sample, runtime::load_trace_file(spec.substr(at + 1)));
-    }
+    const core::FeatureHashes sample =
+        runtime::extract_path_spec(runtime::split_path_spec(spec));
     std::vector<std::string> digests;
     digests.reserve(sample.channel_count());
     for (std::size_t i = 0; i < sample.channel_count(); ++i) {

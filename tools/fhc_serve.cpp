@@ -87,7 +87,7 @@ int usage() {
       "  --tcp [HOST:]PORT     framed binary protocol on TCP (default host\n"
       "                        127.0.0.1; port 0 = ephemeral, printed on stderr)\n"
       "options:\n"
-      "  --cache N             prediction cache capacity (default 4096)\n"
+      "  --cache N             prediction and extraction cache capacity (default 4096)\n"
       "  --max-queue N         scoring tasks waiting for a worker; over -> BUSY\n"
       "                        (default 1024, 0 = unbounded)\n"
       "  --unknown-threshold T open-set floor: predictions under max-prob T\n"

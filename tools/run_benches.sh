@@ -60,13 +60,17 @@ done
 #
 # The lone-request pair: a cold submit().get() on an idle service vs
 # serial predict() on the same samples.
+#
+# The extraction pair: an uncached CLASSIFY_PATH extraction vs a repeat
+# answered from CommandHandler's extraction cache.
 for required in \
     BM_PredictUnbatched/32/real_time BM_ServiceBatchRepeatDedup/32/real_time \
     BM_ServiceBatchRepeatStream/32/real_time BM_ServiceBatchUnique/32/real_time \
     BM_PredictSingle/real_time BM_ServiceIsolatedRequest/real_time \
     BM_ServiceCacheHit/real_time \
     BM_ServiceSubmitInProcess/real_time BM_ServeSocketPipelined/1/real_time \
-    BM_ServeSocketPipelined/8/real_time BM_ServeSocketPipelined/64/real_time; do
+    BM_ServeSocketPipelined/8/real_time BM_ServeSocketPipelined/64/real_time \
+    BM_ExtractPath BM_ExtractPathCached; do
   if ! grep -q "\"$required\"" BENCH_perf_service.json; then
     echo "error: BENCH_perf_service.json is missing $required" >&2
     exit 1
