@@ -21,6 +21,8 @@
 #include "ssdeep/edit_distance.hpp"
 #include "ssdeep/fuzzy_hash.hpp"
 #include "ssdeep/prepared.hpp"
+#include "ssdeep/rolling_hash.hpp"
+#include "support/reference_fuzzy_hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -43,6 +45,35 @@ void BM_FuzzyHash(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FuzzyHash)->Range(1 << 10, 1 << 22);
+
+void BM_FuzzyHashReference(benchmark::State& state) {
+  // The per-level engine the byte-lane hasher replaced (the differential
+  // tests' oracle): BM_FuzzyHash / BM_FuzzyHashReference at one size is
+  // the rewrite's speedup, measured in the same binary run.
+  const auto data = random_bytes(1, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        testsupport::reference_fuzzy_hash(std::span<const std::uint8_t>(data)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_FuzzyHashReference)->Range(1 << 10, 1 << 22);
+
+void BM_RollingHash(benchmark::State& state) {
+  // The context trigger alone over 1 MiB: every byte must pass through it,
+  // so this is the ceiling on BM_FuzzyHash's throughput.
+  const auto data = random_bytes(1, 1 << 20);
+  for (auto _ : state) {
+    ssdeep::RollingHash roll;
+    std::uint32_t acc = 0;
+    for (const std::uint8_t c : data) acc ^= roll.update(c);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_RollingHash);
 
 void BM_CompareRelatedDigests(benchmark::State& state) {
   // Related inputs: the edit distance actually runs.

@@ -4,12 +4,17 @@
 
 namespace fhc::ssdeep {
 
+namespace {
+
+constexpr std::uint8_t kLaneInit = static_cast<std::uint8_t>(kHashInit);
+
+}  // namespace
+
 FuzzyHasher::FuzzyHasher() { reset(); }
 
 void FuzzyHasher::reset() {
+  lanes_.fill(kLaneInit);
   for (auto& level : levels_) {
-    level.h = kHashInit;
-    level.halfh = kHashInit;
     level.digest.clear();
     level.halfdigest.clear();
   }
@@ -22,7 +27,42 @@ void FuzzyHasher::reset() {
 
 void FuzzyHasher::update(std::span<const std::uint8_t> data) {
   total_size_ += data.size();
-  for (const std::uint8_t c : data) step(c);
+  const std::uint8_t* p = data.data();
+  const std::uint8_t* const end = p + data.size();
+  while (p != end) {
+    std::uint32_t h = 0;
+    // Until bh_end_ passes kLowLevels, levels kLowLevels and up are dead.
+    const bool fired = bh_end_ <= kLowLevels ? absorb<kLowLevels>(p, end, h)
+                                             : absorb<kHalfLane>(p, end, h);
+    if (fired) on_trigger(h);
+  }
+}
+
+template <std::size_t kLevels>
+bool FuzzyHasher::absorb(const std::uint8_t*& p, const std::uint8_t* end,
+                         std::uint32_t& h) {
+  // Every live level's blocksize is a multiple of bh_start_'s, so no
+  // level triggers unless this one does.
+  RollingHash roll = roll_;
+  Lanes lanes = lanes_;
+  const std::uint64_t bs = blocksize_of(bh_start_);
+  bool fired = false;
+  while (p != end) {
+    const std::uint8_t c = *p++;
+    h = roll.update(c);
+    for (std::size_t part = 0; part < kLanes; part += kHalfLane) {
+      for (std::size_t i = part; i < part + kLevels; ++i) {
+        lanes[i] = static_cast<std::uint8_t>((lanes[i] * unsigned{kLanePrime}) ^ c);
+      }
+    }
+    if (h % bs == bs - 1) {
+      fired = true;
+      break;
+    }
+  }
+  lanes_ = lanes;
+  roll_ = roll;
+  return fired;
 }
 
 void FuzzyHasher::update(std::string_view text) {
@@ -35,12 +75,10 @@ void FuzzyHasher::try_fork_blockhash() {
   // The new level inherits the in-progress chunk hashes of the previous
   // highest level: both have absorbed exactly the same bytes since that
   // level's last emission.
-  BlockHash& prev = levels_[bh_end_ - 1];
-  BlockHash& next = levels_[bh_end_];
-  next.h = prev.h;
-  next.halfh = prev.halfh;
-  next.digest.clear();
-  next.halfdigest.clear();
+  lanes_[bh_end_] = lanes_[bh_end_ - 1];
+  lanes_[kHalfLane + bh_end_] = lanes_[kHalfLane + bh_end_ - 1];
+  levels_[bh_end_].digest.clear();
+  levels_[bh_end_].halfdigest.clear();
   ++bh_end_;
 }
 
@@ -55,14 +93,7 @@ void FuzzyHasher::try_reduce_blockhash() {
   ++bh_start_;
 }
 
-void FuzzyHasher::step(std::uint8_t c) {
-  const std::uint32_t h = roll_.update(c);
-
-  for (std::size_t i = bh_start_; i < bh_end_; ++i) {
-    levels_[i].h = fnv_step(c, levels_[i].h);
-    levels_[i].halfh = fnv_step(c, levels_[i].halfh);
-  }
-
+void FuzzyHasher::on_trigger(std::uint32_t h) {
   for (std::size_t i = bh_start_; i < bh_end_; ++i) {
     const std::uint64_t bs = blocksize_of(i);
     // Blocksizes are nested powers of two times kMinBlocksize, so once the
@@ -74,16 +105,16 @@ void FuzzyHasher::step(std::uint8_t c) {
       // level to life so it can observe the rest of the stream.
       if (i == bh_end_ - 1) try_fork_blockhash();
     }
-    BlockHash& level = levels_[i];
+    BlockDigests& level = levels_[i];
     if (level.digest.size() < kSpamsumLength - 1) {
       // Emit one character and start a fresh chunk. If the digest is full
       // we intentionally do NOT reset, folding the rest of the input into
       // the final character (spamsum's tail-overflow rule).
-      level.digest.push_back(fhc::util::base64_char(level.h));
-      level.h = kHashInit;
+      level.digest.push_back(fhc::util::base64_char(lanes_[i]));
+      lanes_[i] = kLaneInit;
       if (level.halfdigest.size() < kSpamsumLength / 2 - 1) {
-        level.halfdigest.push_back(fhc::util::base64_char(level.halfh));
-        level.halfh = kHashInit;
+        level.halfdigest.push_back(fhc::util::base64_char(lanes_[kHalfLane + i]));
+        lanes_[kHalfLane + i] = kLaneInit;
       }
     } else {
       try_reduce_blockhash();
@@ -108,16 +139,15 @@ FuzzyDigest FuzzyHasher::digest() const {
   FuzzyDigest out;
   out.blocksize = static_cast<std::uint32_t>(blocksize_of(bi));
   out.part1 = levels_[bi].digest;
-  if (has_tail) out.part1.push_back(fhc::util::base64_char(levels_[bi].h));
+  if (has_tail) out.part1.push_back(fhc::util::base64_char(lanes_[bi]));
 
   if (bi + 1 < bh_end_) {
-    const BlockHash& next = levels_[bi + 1];
-    out.part2 = next.halfdigest;
-    if (has_tail) out.part2.push_back(fhc::util::base64_char(next.halfh));
+    out.part2 = levels_[bi + 1].halfdigest;
+    if (has_tail) out.part2.push_back(fhc::util::base64_char(lanes_[kHalfLane + bi + 1]));
   } else if (has_tail && levels_[bi].digest.empty()) {
     // Input too small for even one trigger at this level: mirror part1's
     // single tail character so the digest stays comparable.
-    out.part2.push_back(fhc::util::base64_char(levels_[bi].h));
+    out.part2.push_back(fhc::util::base64_char(lanes_[bi]));
   }
   return out;
 }

@@ -11,9 +11,12 @@
 //   h1 — sum of the window bytes,
 //   h2 — position-weighted sum (ROLLING_WINDOW * newest ... 1 * oldest),
 //   h3 — a shift-xor accumulator over all bytes seen (mod 2^32).
+//
+// The window is a 64-bit shift register, newest byte lowest: the byte
+// leaving the window is the one kRollingWindow - 1 shifts up, so there is
+// no ring index to advance and no store-to-load chain through memory.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,9 +31,8 @@ class RollingHash {
     h2_ -= h1_;
     h2_ += static_cast<std::uint32_t>(kRollingWindow) * c;
     h1_ += c;
-    h1_ -= window_[pos_];
-    window_[pos_] = c;
-    pos_ = (pos_ + 1) % kRollingWindow;
+    h1_ -= static_cast<std::uint8_t>(window_ >> kOldestShift);
+    window_ = (window_ << 8) | c;
     h3_ <<= 5;
     h3_ ^= c;
     return sum();
@@ -42,11 +44,13 @@ class RollingHash {
   void reset() noexcept { *this = RollingHash{}; }
 
  private:
-  std::array<std::uint8_t, kRollingWindow> window_{};
+  static constexpr unsigned kOldestShift = 8 * (kRollingWindow - 1);
+  static_assert(kRollingWindow <= 8);
+
+  std::uint64_t window_ = 0;  // last kRollingWindow bytes, newest lowest
   std::uint32_t h1_ = 0;
   std::uint32_t h2_ = 0;
   std::uint32_t h3_ = 0;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace fhc::ssdeep

@@ -269,6 +269,41 @@ void seed_row_differential() {
   write_seed(target, "transposed_parts", transposed);
 }
 
+void seed_fuzzy_hash() {
+  const std::string target = "fuzz_fuzzy_hash";
+  // Header: flags (split count in bits 0-2, copy bit 3), then one u16le
+  // per split point; the payload follows.
+  const auto seed = [&](const std::string& name, std::uint8_t flags,
+                        std::vector<std::uint16_t> cuts, std::string_view payload) {
+    std::string bytes(1, static_cast<char>(flags | cuts.size()));
+    for (const std::uint16_t cut : cuts) {
+      bytes.push_back(static_cast<char>(cut & 0xff));
+      bytes.push_back(static_cast<char>(cut >> 8));
+    }
+    bytes += payload;
+    write_seed(target, name, bytes);
+  };
+  seed("empty", 0, {}, "");
+  seed("short_one_split", 0, {3}, "abcdefghij");
+  seed("text_one_shot", 0, {}, synth_text(3, 700));
+  // Crosses the 192- and 384-byte boundaries where digest() moves up a
+  // level, cut around them and continued on a copy.
+  seed("text_boundaries", 8, {191, 192, 384, 385}, synth_text(5, 1200));
+  const std::vector<std::uint8_t> noise = [] {
+    util::Rng rng(17);
+    std::vector<std::uint8_t> out(6000);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_below(256));
+    return out;
+  }();
+  seed("noise_many_splits", 0, {1, 7, 100, 1000, 3071, 3072, 5999},
+       std::string_view(reinterpret_cast<const char*>(noise.data()), noise.size()));
+  // Two-symbol input: long runs make the rolling hash repeat itself.
+  util::Rng rng(23);
+  std::string binary(4000, 'a');
+  for (char& c : binary) c = rng.next_below(2) == 0 ? 'a' : 'b';
+  seed("two_symbols_copy", 8, {2000}, binary);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -283,6 +318,7 @@ int main(int argc, char** argv) {
   seed_net_frame();
   seed_trace();
   seed_row_differential();
+  seed_fuzzy_hash();
   std::printf("make_seed_corpus: corpora written under %s\n", argv[1]);
   return 0;
 }

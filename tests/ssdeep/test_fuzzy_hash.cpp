@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "corpus/app_spec.hpp"
+#include "corpus/synth_app.hpp"
+#include "elf/strings_extract.hpp"
+#include "elf/symbols_extract.hpp"
 #include "ssdeep/compare.hpp"
 #include "util/rng.hpp"
 
@@ -98,6 +103,73 @@ TEST(FuzzyHash, TotalSizeTracksInput) {
   hasher.update("12345");
   hasher.update("678");
   EXPECT_EQ(hasher.total_size(), 8u);
+}
+
+// Fixed digests, recorded from the per-level engine before the byte-lane
+// rewrite. The differential test (test_fuzzy_hash_reference.cpp) and every
+// bit-identity check downstream compare two runs of code that could drift
+// together; this table pins the algorithm itself.
+TEST(FuzzyHash, KnownAnswers) {
+  struct Case {
+    std::string name;
+    std::vector<std::uint8_t> input;
+    const char* digest;
+  };
+  const auto bytes = [](std::string_view text) {
+    return std::vector<std::uint8_t>(text.begin(), text.end());
+  };
+  std::vector<Case> cases = {
+      {"empty", {}, "3::"},
+      {"abc", bytes("abc"), "3:uG:uG"},
+      // The rolling hash of a zero run stays 0: no trigger and no tail.
+      {"64 KiB of zeros", std::vector<std::uint8_t>(64 * 1024, 0), "3::"},
+  };
+
+  fhc::util::Rng rng(20);
+  std::vector<std::uint8_t> noise(1 << 20);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+  cases.push_back({"1 MiB Rng(20) stream", std::move(noise),
+                   "24576:jLatoQGa8uqKwzihg090ne8kvjREpj1VuGNE4PPGOqRSS8:"
+                   "viHwJkak+j1Vut2mb8"});
+
+  struct Sample {
+    const char* app;
+    std::size_t image_size;
+    const char* file;
+    const char* strings;
+    const char* symbols;
+  };
+  const Sample samples[] = {
+      {"HMMER", 71648,
+       "1536:Lr6ZGthIrcxTdFYehftG6mKi1OOsXBvdo1Bbhwy6:BqWdFXFk6mK8OOw/Ul",
+       "192:gWsPHfrm1lB7FmRT3GyL5tpOX9iTlRnSzwEWSO4o/gh9MhfVHTEe6kN14YCRUSyJ:"
+       "gWQ6p+zWXonqwCo/wqdwXk1UA9of6d",
+       "96:0nkN14pNQ5kBQfGUSy/5Fv5UIh94IaO+L9JcfqmF1IyQ3G:"
+       "QkN14YCRUSy/5FRf9tf+L9Jcfqw1DkG"},
+      {"Velvet", 100200,
+       "1536:43EjkVzYQR4joavl07OteIgiTU/x/UC+nixD3iA98RUW7JiJUOPEtuo:"
+       "40jY0QRkN06UI7T6/r+iMA98Z7JYguo",
+       "192:ensmSaqD0IB7FmRT3GJSW2VxDiTQliOTjlJUS/5FjYfv/FHcUfHad:"
+       "KVqxp+z1Wq2iTBuv5cM6d",
+       "96:01US/5FjYAemdc/UA3H+BJcJW/UcaR5S6DdFw3:6US/5FjYfv/FHcUfg"},
+  };
+  for (const Sample& sample : samples) {
+    const corpus::AppClassSpec* spec =
+        corpus::find_class(corpus::paper_app_classes(), sample.app);
+    ASSERT_NE(spec, nullptr) << sample.app;
+    std::vector<std::uint8_t> image = corpus::SampleSynthesizer(*spec, 42).build(1, 0);
+    // A different image means the corpus generator moved, not the hasher.
+    ASSERT_EQ(image.size(), sample.image_size) << sample.app;
+    const std::string app = sample.app;
+    cases.push_back({app + " strings", bytes(elf::strings_text(image)), sample.strings});
+    cases.push_back({app + " symbols", bytes(elf::global_text_symbols_text(image)),
+                     sample.symbols});
+    cases.push_back({app + " file", std::move(image), sample.file});
+  }
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(fuzzy_hash(c.input).to_string(), c.digest) << c.name;
+  }
 }
 
 // --- similarity preservation (the CTPH promise) --------------------------

@@ -36,7 +36,9 @@ done
 # channel row-fill pair (BM_FeatureRowIndexed vs
 # BM_FeatureRowIndexedFourChannel). The edit-distance pairs: each DP
 # oracle (BM_{DamerauOsa,WeightedLevenshtein}64) against its BitParallel
-# twin, the kernel the scoring path runs.
+# twin, the kernel the scoring path runs. The hasher pair: the byte-lane
+# engine (BM_FuzzyHash) against the per-level reference engine it
+# replaced, at two sizes, plus the rolling hash alone (its ceiling).
 for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
@@ -44,7 +46,9 @@ for required in \
     BM_FeatureRowRawLoop BM_RuntimeTraceHash \
     BM_FeatureRowIndexedFourChannel \
     BM_DamerauOsa64 BM_DamerauOsa64BitParallel \
-    BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel; do
+    BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel \
+    BM_FuzzyHash/262144 BM_FuzzyHashReference/262144 \
+    BM_FuzzyHash/2097152 BM_FuzzyHashReference/2097152 BM_RollingHash; do
   if ! grep -q "\"$required\"" BENCH_perf_ssdeep.json; then
     echo "error: BENCH_perf_ssdeep.json is missing $required" >&2
     exit 1
