@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the SSDeep substrate: hashing
 // throughput, digest comparison cost (gated vs scored path, raw vs
 // prepared), edit distances (DP oracles vs the bit-parallel scoring
-// kernels), and the classifier's feature-row extraction. The
+// kernels), the strings channel's scan (bitmask engine vs the
+// byte-at-a-time reference) and the classifier's feature-row extraction. The
 // prepared-vs-raw pairs quantify what PreparedDigest saves by normalizing
 // each side once instead of on every comparison.
 #include <benchmark/benchmark.h>
@@ -15,6 +16,9 @@
 
 #include "core/feature_matrix.hpp"
 #include "core/features.hpp"
+#include "corpus/app_spec.hpp"
+#include "corpus/corpus.hpp"
+#include "elf/strings_extract.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/synthetic.hpp"
 #include "ssdeep/compare.hpp"
@@ -23,6 +27,7 @@
 #include "ssdeep/prepared.hpp"
 #include "ssdeep/rolling_hash.hpp"
 #include "support/reference_fuzzy_hash.hpp"
+#include "support/reference_strings.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -74,6 +79,52 @@ void BM_RollingHash(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_RollingHash);
+
+/// Corpus ELF images, stripped and unstripped: the mix of code, data and
+/// string tables the strings scan sees on a prolog request.
+const std::vector<std::vector<std::uint8_t>>& strings_bench_images() {
+  static const std::vector<std::vector<std::uint8_t>> images = [] {
+    corpus::Corpus corpus(corpus::scaled_app_classes(0.02), 42);
+    std::vector<std::vector<std::uint8_t>> out;
+    const auto& samples = corpus.samples();
+    const std::size_t stride = std::max<std::size_t>(1, samples.size() / 32);
+    for (std::size_t s = 0; s < samples.size(); s += stride) {
+      out.push_back(corpus.sample_bytes(samples[s], s % 2 == 1));
+    }
+    return out;
+  }();
+  return images;
+}
+
+template <typename Scan>
+void run_strings_bench(benchmark::State& state, Scan scan) {
+  const auto& images = strings_bench_images();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    for (const auto& image : images) {
+      benchmark::DoNotOptimize(scan(std::span<const std::uint8_t>(image)));
+      bytes += static_cast<std::int64_t>(image.size());
+    }
+  }
+  state.SetBytesProcessed(bytes);
+}
+
+void BM_StringsText(benchmark::State& state) {
+  run_strings_bench(state, [](std::span<const std::uint8_t> image) {
+    return elf::strings_text(image);
+  });
+}
+BENCHMARK(BM_StringsText);
+
+void BM_StringsTextReference(benchmark::State& state) {
+  // The byte-at-a-time loop the bitmask scan replaced (the differential
+  // tests' oracle): BM_StringsText / BM_StringsTextReference is the
+  // rewrite's speedup on the same images.
+  run_strings_bench(state, [](std::span<const std::uint8_t> image) {
+    return testsupport::reference_strings_text(image);
+  });
+}
+BENCHMARK(BM_StringsTextReference);
 
 void BM_CompareRelatedDigests(benchmark::State& state) {
   // Related inputs: the edit distance actually runs.

@@ -4,7 +4,6 @@
 //                 5333-sample dataset. Smaller values shrink every class
 //                 proportionally (min 3 samples) for quick runs.
 //   FHC_SEED    — experiment master seed (default 42).
-//   FHC_THREADS — worker-thread override for the shared pool.
 #pragma once
 
 #include <cstdint>

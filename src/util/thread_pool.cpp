@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -13,13 +15,23 @@ namespace {
 // it to degrade to serial execution instead of deadlocking on wait_idle()
 // when invoked from within a task (nested parallelism).
 thread_local bool t_inside_worker = false;
+
+/// The CPUs the calling thread may run on. Under a cpuset or `taskset`
+/// that is fewer than hardware_concurrency(), which counts the machine's.
+std::size_t default_worker_count() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware != 0 ? hardware : 2;
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 2;
-  }
+  if (threads == 0) threads = default_worker_count();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

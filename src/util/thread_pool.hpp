@@ -8,9 +8,10 @@
 //  * Determinism: parallel_for never reorders side effects that matter —
 //    callers write to disjoint output slots indexed by the loop variable,
 //    so results are independent of scheduling.
-//  * The pool is explicitly sized (default: hardware_concurrency) and can
-//    be shared across subsystems; a size of 0 or 1 degrades to serial
-//    execution in the calling thread, which keeps unit tests simple.
+//  * The pool is explicitly sized (default: the CPUs in the calling
+//    thread's affinity mask) and can be shared across subsystems; a size
+//    of 0 or 1 degrades to serial execution in the calling thread, which
+//    keeps unit tests simple.
 #pragma once
 
 #include <condition_variable>
@@ -26,8 +27,10 @@ namespace fhc::util {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers. 0 means "use hardware_concurrency", which
-  /// itself falls back to 2 if the runtime reports 0.
+  /// Creates `threads` workers. 0 means one per CPU in the calling
+  /// thread's affinity mask (sched_getaffinity), so a daemon confined to
+  /// a cpuset runs as many workers as it has CPUs. Where the mask cannot
+  /// be read, hardware_concurrency() is used, or 2 if that reports 0.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -21,53 +21,41 @@ std::vector<std::uint8_t> from_string(const std::string& s) {
 
 TEST(ExtractStrings, FindsRunsOfFourOrMore) {
   const auto data = bytes({'a', 'b', 'c', 'd', 0, 'x', 'y', 0});
-  const auto runs = extract_strings(data);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0], "abcd");
+  EXPECT_EQ(strings_text(data), "abcd\n");
 }
 
 TEST(ExtractStrings, RespectsMinLength) {
-  const auto data = from_string("abc");
-  EXPECT_TRUE(extract_strings(data).empty());
-  StringsOptions opts;
-  opts.min_length = 3;
-  const auto runs = extract_strings(data, opts);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0], "abc");
+  EXPECT_EQ(kMinStringLength, 4u);
+  EXPECT_EQ(strings_text(from_string("abc")), "");
+  EXPECT_EQ(strings_text(from_string("abcd")), "abcd\n");
 }
 
 TEST(ExtractStrings, RunAtBufferEndIsEmitted) {
-  const auto data = from_string("tail-run");
-  const auto runs = extract_strings(data);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0], "tail-run");
+  EXPECT_EQ(strings_text(from_string("tail-run")), "tail-run\n");
 }
 
 TEST(ExtractStrings, SplitsOnNonPrintable) {
   const auto data = bytes({'f', 'i', 'r', 's', 't', 0x01, 's', 'e', 'c', 'o', 'n', 'd'});
-  const auto runs = extract_strings(data);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0], "first");
-  EXPECT_EQ(runs[1], "second");
+  EXPECT_EQ(strings_text(data), "first\nsecond\n");
 }
 
 TEST(ExtractStrings, SpacesAndPunctuationArePrintable) {
   const auto data = from_string("usage: %s [options] <input>");
-  const auto runs = extract_strings(data);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0], "usage: %s [options] <input>");
+  EXPECT_EQ(strings_text(data), "usage: %s [options] <input>\n");
 }
 
 TEST(ExtractStrings, HighBitBytesTerminateRuns) {
   const auto data = bytes({'a', 'b', 'c', 'd', 0x80, 0xff, 'e', 'f', 'g', 'h'});
-  const auto runs = extract_strings(data);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0], "abcd");
-  EXPECT_EQ(runs[1], "efgh");
+  EXPECT_EQ(strings_text(data), "abcd\nefgh\n");
+}
+
+TEST(ExtractStrings, TabTerminatesRuns) {
+  // GNU strings counts '\t' as printable and would print one line; this
+  // engine keeps 0x20..0x7e only (see strings_extract.hpp).
+  EXPECT_EQ(strings_text(from_string("abcd\tefgh")), "abcd\nefgh\n");
 }
 
 TEST(ExtractStrings, EmptyInput) {
-  EXPECT_TRUE(extract_strings({}).empty());
   EXPECT_TRUE(strings_text({}).empty());
 }
 

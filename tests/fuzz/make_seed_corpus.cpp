@@ -304,6 +304,43 @@ void seed_fuzzy_hash() {
   seed("two_symbols_copy", 8, {2000}, binary);
 }
 
+void seed_strings() {
+  const std::string target = "fuzz_strings";
+  write_seed(target, "empty", "");
+  write_seed(target, "three", "abc");
+  write_seed(target, "four", "abcd");
+  write_seed(target, "tab_splits", "abcd\tefgh");
+  // Runs of 3, 4 and 5 straddling the 64- and 128-byte block seams, and
+  // one that touches the end of the image.
+  std::string seams(190, '\0');
+  seams.replace(62, 3, "abc");
+  seams.replace(125, 4, "wxyz");
+  seams.replace(150, 5, "12345");
+  seams.replace(186, 4, "tail");
+  write_seed(target, "block_seams", seams);
+  write_seed(target, "all_printable", synth_text(41, 200));
+  // 0xa0 and 0xfe share their low 7 bits with ' ' and '~'.
+  write_seed(target, "high_bit_twins",
+             std::string_view("abcd\xa0"
+                              "efgh\xfe"
+                              "ijkl\x7f"
+                              "mnop\x1f"
+                              "qrst",
+                              24));
+  util::Rng rng(43);
+  std::vector<std::uint8_t> noise(300);
+  for (auto& b : noise) {
+    b = rng.next_below(3) == 0 ? static_cast<std::uint8_t>(rng.next_below(256))
+                               : static_cast<std::uint8_t>(0x20 + rng.next_below(95));
+  }
+  write_seed(target, "mixed_noise", noise);
+  elf::ElfSpec spec;
+  spec.text = synth_bytes(44, 256);
+  spec.rodata = synth_bytes(45, 128);
+  spec.symbols = {{.name = "main"}, {.name = "solve_step", .value = 16}};
+  write_seed(target, "elf", elf::write_elf(spec));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -319,6 +356,7 @@ int main(int argc, char** argv) {
   seed_trace();
   seed_row_differential();
   seed_fuzzy_hash();
+  seed_strings();
   std::printf("make_seed_corpus: corpora written under %s\n", argv[1]);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -17,6 +18,29 @@ TEST(ThreadPool, HasAtLeastOneWorker) {
   EXPECT_GE(pool.size(), 1u);
   ThreadPool pool3(3);
   EXPECT_EQ(pool3.size(), 3u);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  // A pool sized by default on a thread confined to one CPU (as under
+  // `taskset -c N` or a one-core cpuset) has one worker, whatever
+  // hardware_concurrency() says. The CPU is one the thread already has.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof original, &original), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &original)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  std::size_t workers = 0;
+  {
+    ThreadPool pool(0);
+    workers = pool.size();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof original, &original), 0);
+  EXPECT_EQ(workers, 1u);
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {

@@ -17,7 +17,7 @@ CORPUS_ROOT="$(dirname "$0")/../tests/fuzz/corpus"
 
 for target in fuzz_parse_digest fuzz_elf_reader fuzz_model_load \
               fuzz_net_frame fuzz_trace fuzz_row_differential \
-              fuzz_fuzzy_hash; do
+              fuzz_fuzzy_hash fuzz_strings; do
   bin="$BUILD_DIR/tests/fuzz/$target"
   if [ ! -x "$bin" ]; then
     echo "error: $bin not built (configure with -DFHC_FUZZ=ON)" >&2

@@ -39,6 +39,8 @@ done
 # twin, the kernel the scoring path runs. The hasher pair: the byte-lane
 # engine (BM_FuzzyHash) against the per-level reference engine it
 # replaced, at two sizes, plus the rolling hash alone (its ceiling).
+# The strings-scan pair: the 64-byte bitmask scan (BM_StringsText)
+# against the byte-at-a-time reference loop it replaced, on corpus images.
 for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
@@ -48,7 +50,8 @@ for required in \
     BM_DamerauOsa64 BM_DamerauOsa64BitParallel \
     BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel \
     BM_FuzzyHash/262144 BM_FuzzyHashReference/262144 \
-    BM_FuzzyHash/2097152 BM_FuzzyHashReference/2097152 BM_RollingHash; do
+    BM_FuzzyHash/2097152 BM_FuzzyHashReference/2097152 BM_RollingHash \
+    BM_StringsText BM_StringsTextReference; do
   if ! grep -q "\"$required\"" BENCH_perf_ssdeep.json; then
     echo "error: BENCH_perf_ssdeep.json is missing $required" >&2
     exit 1
