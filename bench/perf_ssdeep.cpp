@@ -165,6 +165,36 @@ void BM_ComparePreparedRelatedDigests(benchmark::State& state) {
 }
 BENCHMARK(BM_ComparePreparedRelatedDigests);
 
+void BM_ComparePregatedRelatedDigests(benchmark::State& state) {
+  // The same prepared pair scored the way the row fill scores a probe
+  // candidate: from the probe's hit bits (here the part pairs that share
+  // a 7-gram, which is what the probe reports) with the query's match
+  // masks built once. No gram gate and no per-call mask build; against
+  // BM_ComparePreparedRelatedDigests this is what each candidate saves.
+  auto a = random_bytes(2, 100000);
+  auto b = a;
+  for (std::size_t i = 30000; i < 40000; ++i) b[i] ^= 0x5a;
+  const ssdeep::PreparedDigest da(ssdeep::fuzzy_hash(std::span<const std::uint8_t>(a)));
+  const ssdeep::PreparedDigest db(ssdeep::fuzzy_hash(std::span<const std::uint8_t>(b)));
+  const ssdeep::DigestMasks masks(da.view());
+  std::uint32_t hit_bits = 0;
+  if (ssdeep::sorted_grams_intersect(da.part1().grams, db.part1().grams)) {
+    hit_bits |= ssdeep::kHitPart1;
+  }
+  if (ssdeep::sorted_grams_intersect(da.part2().grams, db.part2().grams)) {
+    hit_bits |= ssdeep::kHitPart2;
+  }
+  if (da.blocksize() != db.blocksize() || hit_bits == 0) {
+    state.SkipWithError("related digests lost their shared grams");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ssdeep::compare_prepared_pregated(da.view(), masks, db.view(), hit_bits));
+  }
+}
+BENCHMARK(BM_ComparePregatedRelatedDigests);
+
 void BM_ComparePreparedUnrelatedDigests(benchmark::State& state) {
   // The classifier's dominant case (cross-class pair, 7-gram gate
   // rejects): raw comparison re-runs eliminate_long_runs and re-packs and

@@ -489,10 +489,11 @@ std::vector<std::string> TrainIndex::feature_names() const {
 }
 
 PreparedQuery::PreparedQuery(const FeatureHashes& sample, const ChannelMask& mask)
-    : channels(sample.channel_count()) {
+    : channels(sample.channel_count()), channel_masks(sample.channel_count()) {
   for (std::size_t f = 0; f < channels.size(); ++f) {
     if (!mask.enabled(f)) continue;
     channels[f] = ssdeep::PreparedDigest(sample.channel(f));
+    channel_masks[f] = ssdeep::DigestMasks(channels[f].view());
   }
 }
 
@@ -554,25 +555,30 @@ QueryCandidates::QueryCandidates(const TrainIndex& index,
     // One probe per pairable blocksize bucket (at most three), matching
     // the part pairing compare_prepared scores at that blocksize
     // relation: part1/part2 against their own kind when equal, crosswise
-    // when one side's blocksize doubles the other's.
+    // when one side's blocksize doubles the other's. Each probe's hit bit
+    // names the query part it used.
     scratch.reset(grams.entries.size());
     for (const TrainIndex::ChannelGramIndex::BlocksizeIndex& bsi :
          grams.by_blocksize) {
       if (!ssdeep::blocksizes_can_pair(own.blocksize(), bsi.blocksize)) continue;
       if (bsi.blocksize == own.blocksize()) {
-        bsi.part1.collect(own.part1().grams, scratch);
-        bsi.part2.collect(own.part2().grams, scratch);
+        bsi.part1.collect(own.part1().grams, scratch, ssdeep::kHitPart1);
+        bsi.part2.collect(own.part2().grams, scratch, ssdeep::kHitPart2);
       } else if (own.blocksize() == std::uint64_t{bsi.blocksize} * 2) {
         // The query's part1 lives at the bucket's part2 blocksize.
-        bsi.part2.collect(own.part1().grams, scratch);
+        bsi.part2.collect(own.part1().grams, scratch, ssdeep::kHitPart1);
       } else {
-        bsi.part1.collect(own.part2().grams, scratch);
+        bsi.part1.collect(own.part2().grams, scratch, ssdeep::kHitPart2);
       }
     }
     // Entry ids ascend in (class, bucket, pos) order, so sorting groups
     // the candidates by class with classes ascending.
     scratch.sort();
-    per_channel_[f].assign(scratch.ids().begin(), scratch.ids().end());
+    std::vector<Candidate>& out = per_channel_[f];
+    out.reserve(scratch.ids().size());
+    for (const std::uint32_t id : scratch.ids()) {
+      out.push_back({id, scratch.hit_bits(id)});
+    }
   }
 }
 
@@ -601,8 +607,9 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
     if (!channels.enabled(f)) continue;
     const ssdeep::PreparedDigest& own = query.channel(f);
     const ssdeep::PreparedDigestView own_view = own.view();
+    const ssdeep::DigestMasks& own_masks = query.masks(f);
     const TrainIndex::ChannelGramIndex& grams = index.gram_index(f);
-    const std::vector<std::uint32_t>& hits = candidates.of(f);
+    const std::vector<QueryCandidates::Candidate>& hits = candidates.of(f);
 
     // The list is class-grouped, so the slice's share is one contiguous
     // run — binary-search its start instead of stepping over every
@@ -610,16 +617,17 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
     std::uint64_t scored = 0;
     std::size_t i = static_cast<std::size_t>(
         std::partition_point(hits.begin(), hits.end(),
-                             [&](std::uint32_t id) {
-                               return grams.entries[id].cls < class_begin;
+                             [&](const QueryCandidates::Candidate& hit) {
+                               return grams.entries[hit.id].cls < class_begin;
                              }) -
         hits.begin());
     while (i < hits.size()) {
-      const int c = grams.entries[hits[i]].cls;
+      const int c = grams.entries[hits[i].id].cls;
       if (c >= class_end) break;
       int best = 0;
       while (i < hits.size()) {
-        const TrainIndex::GramEntry& entry = grams.entries[hits[i]];
+        const QueryCandidates::Candidate& hit = hits[i];
+        const TrainIndex::GramEntry& entry = grams.entries[hit.id];
         if (entry.cls != c) break;
         ++i;
         if (best == 100) continue;  // cannot improve; drain the class group
@@ -627,8 +635,9 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
             index.prepared(f, c)[static_cast<std::size_t>(entry.bucket)];
         const auto pos = static_cast<std::size_t>(entry.pos);
         if (exclude_id >= 0 && bucket.ids[pos] == exclude_id) continue;
-        const int score =
-            ssdeep::compare_prepared(own_view, index.view_of(bucket, pos), metric);
+        // The probe already decided every gate: score from its hit bits.
+        const int score = ssdeep::compare_prepared_pregated(
+            own_view, own_masks, index.view_of(bucket, pos), hit.hit_bits, metric);
         ++scored;
         if (score > best) best = score;
       }

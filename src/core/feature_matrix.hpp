@@ -21,10 +21,17 @@
 // query's own grams, yielding the exact set of training digests that can
 // score > 0 — a comparison passes the merge-scan gate only when a 7-gram
 // is shared, so every non-candidate is provably score 0 and is never
-// touched. The all-pairs scan (whole-bucket blocksize gate + per-digest
-// merge-scan gate) is kept as the reference oracle
-// (fill_feature_row_slice_all_pairs); the indexed fill is bit-identical
-// to it (property tests in tests/core/test_feature_matrix.cpp).
+// touched. The probe also decides the gates of the candidates it
+// returns: QueryCandidates keeps each candidate's hit bits (which query
+// parts shared a gram with it), PreparedQuery builds the query's
+// bit-parallel match masks once per channel, and the fill scores each
+// candidate with ssdeep::compare_prepared_pregated, which runs the edit
+// distance on the hit part pairs only. The all-pairs scan (whole-bucket
+// blocksize gate + per-digest compare_prepared with its merge-scan gate)
+// is kept as the reference oracle (fill_feature_row_slice_all_pairs); the
+// indexed fill is bit-identical to it, and the pregated compare equals
+// compare_prepared on every candidate pair (property tests in
+// tests/core/test_feature_matrix.cpp).
 //
 // Storage vs view: everything the row fill reads — normalized part text,
 // gram arrays, prepared-digest records, CSR posting lists, entry tables —
@@ -415,12 +422,15 @@ class ChannelMask {
 inline constexpr ChannelMask kAllChannels{};
 
 /// A query's channels prepared once, so repeated or sliced scoring against
-/// the index never re-normalizes the sample side. Channels disabled by the
-/// mask stay default-constructed (they are never compared); channel()
-/// hands out an empty prepared digest past the sample's own channel count
-/// (it pairs with nothing and scores 0, like a stripped symbols channel).
+/// the index never re-normalizes the sample side, and never rebuilds its
+/// match masks: channel_masks[f] holds both parts' masks of channels[f].
+/// Channels disabled by the mask stay default-constructed (they are never
+/// compared); channel() and masks() hand out empty values past the
+/// sample's own channel count (an empty digest pairs with nothing and
+/// scores 0, like a stripped symbols channel).
 struct PreparedQuery {
   std::vector<ssdeep::PreparedDigest> channels;
+  std::vector<ssdeep::DigestMasks> channel_masks;  // parallel to channels
 
   PreparedQuery() = default;
   explicit PreparedQuery(const FeatureHashes& sample,
@@ -430,26 +440,39 @@ struct PreparedQuery {
     static const ssdeep::PreparedDigest kEmpty{};
     return f < channels.size() ? channels[f] : kEmpty;
   }
+  const ssdeep::DigestMasks& masks(std::size_t f) const noexcept {
+    static const ssdeep::DigestMasks kEmpty{};
+    return f < channel_masks.size() ? channel_masks[f] : kEmpty;
+  }
 };
 
 /// One query's candidate sets against one TrainIndex: the per-channel
-/// GramIndex probe results (sorted, class-grouped entry ids), computed
-/// once. Slice fills over any class partition share one probe instead of
-/// repeating the identical probe once per slice and channel.
+/// GramIndex probe results (sorted, class-grouped entry ids, each with
+/// its hit bits), computed once. Slice fills over any class partition
+/// share one probe instead of repeating the identical probe once per
+/// slice and channel.
 class QueryCandidates {
  public:
+  /// One probed training digest: its entry id in
+  /// index.gram_index(f).entries and which query parts hit it
+  /// (ssdeep::kHitPart1 / kHitPart2, see compare_prepared_pregated).
+  struct Candidate {
+    std::uint32_t id = 0;
+    std::uint32_t hit_bits = 0;
+  };
+
   QueryCandidates() = default;
   QueryCandidates(const TrainIndex& index, const PreparedQuery& query,
                   const ChannelMask& channels = kAllChannels);
 
-  /// Sorted candidate entry ids of channel `f` (empty for disabled
-  /// channels), indices into index.gram_index(f).entries.
-  const std::vector<std::uint32_t>& of(std::size_t f) const noexcept {
+  /// Candidates of channel `f` by ascending id (empty for disabled
+  /// channels).
+  const std::vector<Candidate>& of(std::size_t f) const noexcept {
     return per_channel_[f];
   }
 
  private:
-  std::vector<std::vector<std::uint32_t>> per_channel_;
+  std::vector<std::vector<Candidate>> per_channel_;
 };
 
 /// What the candidate index saved on one (or more, when accumulated) row
@@ -486,7 +509,8 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
 
 /// Slice fill over a precomputed probe: identical output to the overload
 /// above, but the GramIndex probe is not repeated — `candidates` must
-/// have been built from the same (index, query, channels).
+/// have been built from the same (index, query, channels). perfbench
+/// calls it to time the probe (core.probe_ms) apart from the fill.
 void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
                             const QueryCandidates& candidates,
                             ssdeep::EditMetric metric, int exclude_id,

@@ -111,12 +111,12 @@ int score_strings(std::string_view a, std::string_view b, std::uint32_t blocksiz
   return score_strings_pregated(a, b, blocksize, metric);
 }
 
-int score_strings_pregated(std::string_view a, std::string_view b,
-                           std::uint32_t blocksize, EditMetric metric) {
-  const std::size_t dist = metric == EditMetric::kDamerauOsa
-                               ? damerau_levenshtein_osa_bitparallel(a, b)
-                               : weighted_levenshtein_bitparallel(a, b);
+namespace {
 
+/// The post-kernel half of scoring: an edit distance between parts of
+/// these lengths, produced at `blocksize`, as a similarity in [0, 100].
+int scale_distance(std::size_t dist, std::string_view a, std::string_view b,
+                   std::uint32_t blocksize, EditMetric metric) {
   // Scale the distance by its worst case, then onto [0, 100]. The worst
   // case depends on the metric: the weighted Levenshtein (substitution
   // cost 2) can reach len(a)+len(b) — spamsum's original denominator —
@@ -140,6 +140,26 @@ int score_strings_pregated(std::string_view a, std::string_view b,
     score = std::min(score, cap);
   }
   return static_cast<int>(score);
+}
+
+}  // namespace
+
+int score_strings_pregated(std::string_view a, std::string_view b,
+                           std::uint32_t blocksize, EditMetric metric) {
+  const std::size_t dist = metric == EditMetric::kDamerauOsa
+                               ? damerau_levenshtein_osa_bitparallel(a, b)
+                               : weighted_levenshtein_bitparallel(a, b);
+  return scale_distance(dist, a, b, blocksize, metric);
+}
+
+int score_strings_pregated(const MatchMasks& a_masks, std::string_view a,
+                           std::string_view b, std::uint32_t blocksize,
+                           EditMetric metric) {
+  const std::size_t dist =
+      metric == EditMetric::kDamerauOsa
+          ? damerau_levenshtein_osa_bitparallel(a_masks, a.size(), b)
+          : weighted_levenshtein_bitparallel(a_masks, a.size(), b);
+  return scale_distance(dist, a, b, blocksize, metric);
 }
 
 int compare_digests(const FuzzyDigest& a, const FuzzyDigest& b, EditMetric metric) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "ssdeep/digest.hpp"
+#include "ssdeep/edit_distance.hpp"
 #include "ssdeep/rolling_hash.hpp"
 
 namespace fhc::ssdeep {
@@ -92,5 +93,12 @@ int score_strings(std::string_view a, std::string_view b, std::uint32_t blocksiz
 /// the bit-parallel kernels take `a` as their one-word pattern.
 int score_strings_pregated(std::string_view a, std::string_view b,
                            std::uint32_t blocksize, EditMetric metric);
+
+/// score_strings_pregated with `a`'s match masks prebuilt: `a_masks`
+/// holds build_match_masks(a). Same preconditions; the scorer for one
+/// query part against many train parts.
+int score_strings_pregated(const MatchMasks& a_masks, std::string_view a,
+                           std::string_view b, std::uint32_t blocksize,
+                           EditMetric metric);
 
 }  // namespace fhc::ssdeep

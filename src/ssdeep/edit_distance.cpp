@@ -101,56 +101,29 @@ std::size_t damerau_levenshtein_full(std::string_view a, std::string_view b) {
   return d[m + 1][n + 1];
 }
 
-namespace {
-
-// Per-thread match-mask table: bit i of entry c is set when pattern[i] == c.
-// All 256 entries start zero; PatternMasks sets the pattern's entries for
-// one call and zeroes exactly those again, so no allocation and no
-// 2 KiB clear per call. Hand-built digests may hold any byte, hence 256.
-thread_local std::array<std::uint64_t, 256> t_match_masks{};
-
-class PatternMasks {
- public:
-  explicit PatternMasks(std::string_view pattern)
-      : masks_(t_match_masks), pattern_(pattern) {
-    for (std::size_t i = 0; i < pattern_.size(); ++i) {
-      masks_[static_cast<unsigned char>(pattern_[i])] |= std::uint64_t{1} << i;
-    }
+void build_match_masks(std::string_view pattern, MatchMasks& masks) noexcept {
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    masks[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
   }
-  ~PatternMasks() {
-    for (const char c : pattern_) masks_[static_cast<unsigned char>(c)] = 0;
-  }
-  PatternMasks(const PatternMasks&) = delete;
-  PatternMasks& operator=(const PatternMasks&) = delete;
+}
 
-  std::uint64_t operator[](char c) const noexcept {
-    return masks_[static_cast<unsigned char>(c)];
-  }
-
- private:
-  std::array<std::uint64_t, 256>& masks_;
-  std::string_view pattern_;
-};
-
-}  // namespace
-
-std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_view b) {
-  if (a.size() > kBitParallelMaxPattern) return damerau_levenshtein_osa(a, b);
-  if (a.empty()) return b.size();
-  const PatternMasks pm(a);
+std::size_t damerau_levenshtein_osa_bitparallel(const MatchMasks& pattern_masks,
+                                                std::size_t pattern_len,
+                                                std::string_view b) noexcept {
+  if (pattern_len == 0) return b.size();
 
   // Vertical deltas of the current DP column (VP: +1, VN: -1); D0 marks
   // the cells whose diagonal delta is 0. Bits above the pattern carry
   // garbage, but carries and shifts only move upward, so the tracked
   // last row (bit m-1) never sees it.
-  const std::uint64_t last = std::uint64_t{1} << (a.size() - 1);
+  const std::uint64_t last = std::uint64_t{1} << (pattern_len - 1);
   std::uint64_t vp = ~std::uint64_t{0};
   std::uint64_t vn = 0;
   std::uint64_t d0 = 0;
   std::uint64_t pm_prev = 0;
-  std::size_t dist = a.size();
+  std::size_t dist = pattern_len;
   for (const char c : b) {
-    const std::uint64_t pm_c = pm[c];
+    const std::uint64_t pm_c = pattern_masks[static_cast<unsigned char>(c)];
     // Transposition: bit i is set when pattern[i-1..i] is the last two
     // text characters swapped and the previous column's row i-1 was not
     // already a zero-delta diagonal (the swap would gain nothing there).
@@ -169,20 +142,59 @@ std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_
   return dist;
 }
 
-std::size_t weighted_levenshtein_bitparallel(std::string_view a, std::string_view b) {
-  if (a.size() > kBitParallelMaxPattern) return weighted_levenshtein(a, b);
-  if (a.empty()) return b.size();
-  const PatternMasks pm(a);
+std::size_t weighted_levenshtein_bitparallel(const MatchMasks& pattern_masks,
+                                             std::size_t pattern_len,
+                                             std::string_view b) noexcept {
+  if (pattern_len == 0) return b.size();
 
   // Zero bits of s within the pattern count the LCS so far.
   std::uint64_t s = ~std::uint64_t{0};
   for (const char c : b) {
-    const std::uint64_t u = s & pm[c];
+    const std::uint64_t u = s & pattern_masks[static_cast<unsigned char>(c)];
     s = (s + u) | (s - u);
   }
   // The left shift drops the bits above the pattern (1 <= |a| <= 64).
-  const auto lcs = static_cast<std::size_t>(std::popcount(~s << (64 - a.size())));
-  return a.size() + b.size() - 2 * lcs;
+  const auto lcs = static_cast<std::size_t>(std::popcount(~s << (64 - pattern_len)));
+  return pattern_len + b.size() - 2 * lcs;
+}
+
+namespace {
+
+// Per-thread match-mask table for the string_view kernels. All 256
+// entries start zero; PatternMasks sets the pattern's entries for one
+// call and zeroes exactly those again, so no allocation and no 2 KiB
+// clear per call.
+thread_local MatchMasks t_match_masks{};
+
+class PatternMasks {
+ public:
+  explicit PatternMasks(std::string_view pattern) : pattern_(pattern) {
+    build_match_masks(pattern_, t_match_masks);
+  }
+  ~PatternMasks() {
+    for (const char c : pattern_) t_match_masks[static_cast<unsigned char>(c)] = 0;
+  }
+  PatternMasks(const PatternMasks&) = delete;
+  PatternMasks& operator=(const PatternMasks&) = delete;
+
+  const MatchMasks& masks() const noexcept { return t_match_masks; }
+
+ private:
+  std::string_view pattern_;
+};
+
+}  // namespace
+
+std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_view b) {
+  if (a.size() > kBitParallelMaxPattern) return damerau_levenshtein_osa(a, b);
+  const PatternMasks pm(a);
+  return damerau_levenshtein_osa_bitparallel(pm.masks(), a.size(), b);
+}
+
+std::size_t weighted_levenshtein_bitparallel(std::string_view a, std::string_view b) {
+  if (a.size() > kBitParallelMaxPattern) return weighted_levenshtein(a, b);
+  const PatternMasks pm(a);
+  return weighted_levenshtein_bitparallel(pm.masks(), a.size(), b);
 }
 
 }  // namespace fhc::ssdeep

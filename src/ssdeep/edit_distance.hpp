@@ -20,9 +20,17 @@
 // same values by the paper's recursion; they serve ablation, strings of
 // any length, and as the test oracles the kernels are checked against
 // (tests/ssdeep/test_edit_distance.cpp, fuzz_row_differential).
+//
+// Each kernel has two entry points. The core takes the pattern's match
+// masks prebuilt (MatchMasks), so a caller scoring one pattern against
+// many texts builds them once (ssdeep::DigestMasks, held per query by
+// core::PreparedQuery). The string_view form is a thin wrapper that
+// fills a per-thread table from the pattern and calls the core.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace fhc::ssdeep {
@@ -65,5 +73,26 @@ std::size_t damerau_levenshtein_osa_bitparallel(std::string_view a, std::string_
 /// Hyyrö bit-parallel recurrence. Same length limit, fallback and
 /// allocation guarantee as damerau_levenshtein_osa_bitparallel.
 std::size_t weighted_levenshtein_bitparallel(std::string_view a, std::string_view b);
+
+/// Match masks of one pattern of at most kBitParallelMaxPattern chars:
+/// bit i of entry c is set when pattern[i] == c. 256 entries, because
+/// hand-built digests may hold any byte.
+using MatchMasks = std::array<std::uint64_t, 256>;
+
+/// ORs `pattern`'s bits into `masks`, which must be all zero for the
+/// result to be the pattern's masks. Requires
+/// pattern.size() <= kBitParallelMaxPattern.
+void build_match_masks(std::string_view pattern, MatchMasks& masks) noexcept;
+
+/// The kernel cores over prebuilt masks: `pattern_masks` holds
+/// build_match_masks(a) and `pattern_len` is a.size(), at most
+/// kBitParallelMaxPattern. Equal to the string_view forms on (a, b);
+/// `b` may be any length.
+std::size_t damerau_levenshtein_osa_bitparallel(const MatchMasks& pattern_masks,
+                                                std::size_t pattern_len,
+                                                std::string_view b) noexcept;
+std::size_t weighted_levenshtein_bitparallel(const MatchMasks& pattern_masks,
+                                             std::size_t pattern_len,
+                                             std::string_view b) noexcept;
 
 }  // namespace fhc::ssdeep

@@ -16,10 +16,12 @@ std::uint64_t gram_index_build_count() noexcept {
 
 void CandidateSet::reset(std::size_t universe) {
   if (stamp_.size() < universe) stamp_.resize(universe, 0);
-  if (++epoch_ == 0) {
-    // Epoch wrapped: every stale stamp could collide with the new epoch.
+  epoch_ += kHitBitsMask + 1;
+  if (epoch_ == 0) {
+    // Epoch wrapped: every stale stamp could collide with the new epoch
+    // and hand its old hit bits to the new one.
     std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
+    epoch_ = kHitBitsMask + 1;
   }
   ids_.clear();
 }
@@ -27,7 +29,7 @@ void CandidateSet::reset(std::size_t universe) {
 void CandidateSet::sort() { std::sort(ids_.begin(), ids_.end()); }
 
 void GramIndexView::collect(std::span<const std::uint64_t> sorted_query_grams,
-                            CandidateSet& out) const {
+                            CandidateSet& out, std::uint32_t hit_bits) const {
   // Galloping merge: both sides are sorted, so each lower_bound starts
   // where the previous match left off — total cost O(q log k) worst case,
   // better when the query's grams cluster.
@@ -43,7 +45,7 @@ void GramIndexView::collect(std::span<const std::uint64_t> sorted_query_grams,
     if (*it != gram) continue;
     const auto key = static_cast<std::size_t>(it - keys_.begin());
     for (std::uint32_t p = offsets_[key]; p < offsets_[key + 1]; ++p) {
-      out.insert(postings_[p]);
+      out.insert(postings_[p], hit_bits);
     }
   }
 }
@@ -94,9 +96,9 @@ GramIndexView GramIndex::view() const {
 }
 
 void GramIndex::collect(std::span<const std::uint64_t> sorted_query_grams,
-                        CandidateSet& out) const {
+                        CandidateSet& out, std::uint32_t hit_bits) const {
   if (!finalized_) throw std::logic_error("GramIndex::collect: not finalized");
-  view().collect(sorted_query_grams, out);
+  view().collect(sorted_query_grams, out, hit_bits);
 }
 
 }  // namespace fhc::ssdeep

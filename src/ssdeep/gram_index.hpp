@@ -17,6 +17,15 @@
 // costs one galloping merge of the query's <= 58 grams against the key
 // array, independent of how many digests share no gram.
 //
+// The probe is also the gate for the candidates it returns. Each probe
+// uses one query part's grams against one part of the indexed digests,
+// and CandidateSet records per id which probes hit it (hit bits). A set
+// bit is exactly sorted_grams_intersect on that part pair: both gram
+// arrays are non-empty (so both parts hold 7-64 chars) and share a
+// gram. A clear bit means the pair scores 0. So the row fill scores a
+// candidate with compare_prepared_pregated, which runs the edit distance
+// on the hit part pairs only and repeats none of those gates.
+//
 // The index is append-then-seal: add() every digest's presorted gram
 // array (PreparedDigest already stores them), then finalize() to build
 // the CSR layout (sorted unique keys, offsets, postings). Probing needs
@@ -38,17 +47,25 @@
 
 namespace fhc::ssdeep {
 
-/// Reusable deduplicating accumulator of candidate ids in [0, universe).
-/// reset() is O(1) amortized (epoch stamps, not a clear), insert() is
-/// O(1), and ids() returns the distinct ids inserted since the last
-/// reset, in insertion order until sort() is called.
+/// Reusable deduplicating accumulator of candidate ids in [0, universe),
+/// each with the OR of the hit bits (bits 0-1) it was inserted with
+/// since the last reset. reset() is O(1) amortized (epoch stamps, not a
+/// clear), insert() is O(1), and ids() returns the distinct ids inserted
+/// since the last reset, in insertion order until sort() is called.
 class CandidateSet {
  public:
+  /// The bits of an insert() that are kept; higher ones are dropped.
+  static constexpr std::uint32_t kHitBitsMask = 3;
+
   void reset(std::size_t universe);
 
-  void insert(std::uint32_t id) {
-    if (stamp_[id] == epoch_) return;
-    stamp_[id] = epoch_;
+  void insert(std::uint32_t id, std::uint32_t hit_bits) {
+    std::uint32_t& stamp = stamp_[id];
+    if ((stamp & ~kHitBitsMask) == epoch_) {
+      stamp |= hit_bits & kHitBitsMask;
+      return;
+    }
+    stamp = epoch_ | (hit_bits & kHitBitsMask);
     ids_.push_back(id);
   }
 
@@ -59,8 +76,19 @@ class CandidateSet {
   std::span<const std::uint32_t> ids() const noexcept { return ids_; }
   bool empty() const noexcept { return ids_.empty(); }
 
+  /// The hit bits of `id`, which must be in ids().
+  std::uint32_t hit_bits(std::uint32_t id) const noexcept {
+    return stamp_[id] & kHitBitsMask;
+  }
+
+  /// Test hook: the next reset() takes the epoch-wrap branch, which
+  /// clears every stamp, instead of after 2^30 resets.
+  void wrap_epoch_on_next_reset() noexcept { epoch_ = ~kHitBitsMask; }
+
  private:
-  std::vector<std::uint32_t> stamp_;  // stamp_[id] == epoch_ <=> id collected
+  // stamp_[id] = epoch | hit bits; the epoch part equals epoch_ <=> id
+  // collected. epoch_ steps by 4, keeping bits 0-1 free.
+  std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> ids_;
 };
@@ -80,10 +108,11 @@ class GramIndexView {
 
   /// Probes with a presorted (possibly duplicated) query gram array and
   /// inserts the id of every indexed part sharing at least one gram into
-  /// `out`. Equivalent to running sorted_grams_intersect between the
-  /// query array and every indexed array, without touching non-matches.
+  /// `out`, with `hit_bits`. Equivalent to running sorted_grams_intersect
+  /// between the query array and every indexed array, without touching
+  /// non-matches.
   void collect(std::span<const std::uint64_t> sorted_query_grams,
-               CandidateSet& out) const;
+               CandidateSet& out, std::uint32_t hit_bits) const;
 
   std::size_t gram_count() const noexcept { return keys_.size(); }
   std::size_t posting_count() const noexcept { return postings_.size(); }
@@ -113,7 +142,7 @@ class GramIndex {
 
   /// Probes the sealed index (see GramIndexView::collect).
   void collect(std::span<const std::uint64_t> sorted_query_grams,
-               CandidateSet& out) const;
+               CandidateSet& out, std::uint32_t hit_bits) const;
 
   /// Borrowing view of the sealed CSR — valid while this index lives and
   /// is not re-built. Requires finalize().

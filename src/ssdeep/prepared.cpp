@@ -66,4 +66,53 @@ int compare_prepared(const PreparedDigestView& a, const PreparedDigestView& b,
   return score_parts(a.part2, b.part1, bs2, metric);
 }
 
+DigestMasks::DigestMasks(const PreparedDigestView& digest) {
+  if (digest.part1.text.size() <= kBitParallelMaxPattern) {
+    build_match_masks(digest.part1.text, part1);
+  }
+  if (digest.part2.text.size() <= kBitParallelMaxPattern) {
+    build_match_masks(digest.part2.text, part2);
+  }
+}
+
+int compare_prepared_pregated(const PreparedDigestView& own,
+                              const DigestMasks& own_masks,
+                              const PreparedDigestView& other,
+                              std::uint32_t hit_bits, EditMetric metric) {
+  const std::uint32_t bs1 = own.blocksize;
+  const std::uint32_t bs2 = other.blocksize;
+  const bool hit1 = (hit_bits & kHitPart1) != 0;
+  const bool hit2 = (hit_bits & kHitPart2) != 0;
+
+  if (bs1 == bs2) {
+    // compare_prepared's fast path. Identical part1 texts of 8-64 chars
+    // share every gram, so they always come with bit 0, and under bit 0
+    // the part is at most kSpamsumLength long.
+    if (hit1 && own.part1.text == other.part1.text &&
+        own.part1.text.size() > kRollingWindow) {
+      return 100;
+    }
+    const int s1 = hit1 ? score_strings_pregated(own_masks.part1, own.part1.text,
+                                                 other.part1.text, bs1, metric)
+                        : 0;
+    const int s2 = hit2 ? score_strings_pregated(own_masks.part2, own.part2.text,
+                                                 other.part2.text,
+                                                 part2_blocksize(bs1), metric)
+                        : 0;
+    return std::max(s1, s2);
+  }
+  if (bs1 == std::uint64_t{bs2} * 2) {
+    // own's part1 lives at the same blocksize as other's part2.
+    return hit1 ? score_strings_pregated(own_masks.part1, own.part1.text,
+                                         other.part2.text, bs1, metric)
+                : 0;
+  }
+  if (bs2 == std::uint64_t{bs1} * 2) {
+    return hit2 ? score_strings_pregated(own_masks.part2, own.part2.text,
+                                         other.part1.text, bs2, metric)
+                : 0;
+  }
+  return 0;
+}
+
 }  // namespace fhc::ssdeep

@@ -27,10 +27,18 @@
 // owning storage; view() borrows it.
 //
 // compare_prepared is score-identical to compare_digests by construction:
-// both run the same gate ordering and share score_strings_pregated, whose
-// bit-parallel edit-distance kernels build their match masks per call
-// from the part text, so no mask state lives here
-// (tests/ssdeep/test_prepared.cpp holds the property test).
+// both run the same gate ordering and share score_strings_pregated
+// (tests/ssdeep/test_prepared.cpp holds the property test). Its
+// bit-parallel kernels build the first operand's match masks per call.
+//
+// The query side of a row fill is one digest compared against every
+// candidate the GramIndex probe returned, and the probe has already
+// decided every gate (gram_index.hpp). DigestMasks holds the query's
+// match masks for both parts, built once (core::PreparedQuery keeps one
+// per channel), and compare_prepared_pregated scores a candidate from
+// the probe's hit bits: only the part pairs whose bit is set, with no
+// gate and no mask build. It equals compare_prepared on every pair the
+// probe returns (tests/core/test_feature_matrix.cpp).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +49,7 @@
 
 #include "ssdeep/compare.hpp"
 #include "ssdeep/digest.hpp"
+#include "ssdeep/edit_distance.hpp"
 
 namespace fhc::ssdeep {
 
@@ -96,6 +105,38 @@ inline int compare_prepared(const PreparedDigest& a, const PreparedDigest& b,
                             EditMetric metric = EditMetric::kDamerauOsa) {
   return compare_prepared(a.view(), b.view(), metric);
 }
+
+/// Hit bits of one (query, candidate) pair, named by the query part whose
+/// grams the probe used: bit 0 when the query's part1 shares a 7-gram
+/// with the candidate part it pairs with at their blocksizes (part1 at
+/// an equal blocksize, part2 when the query's blocksize is double the
+/// candidate's), bit 1 the same for the query's part2 (part2 at an equal
+/// blocksize, part1 when the query's blocksize is half).
+inline constexpr std::uint32_t kHitPart1 = 1;
+inline constexpr std::uint32_t kHitPart2 = 2;
+
+/// Match masks of both parts of a query digest, built once for all of
+/// its compares. A part longer than kBitParallelMaxPattern keeps zero
+/// masks: it packs no grams, so no probe bit ever selects it.
+struct DigestMasks {
+  MatchMasks part1{};
+  MatchMasks part2{};
+
+  DigestMasks() = default;
+  explicit DigestMasks(const PreparedDigestView& digest);
+};
+
+/// compare_prepared(own, other, metric) for a pair the GramIndex probe
+/// returned with `hit_bits`, where `own_masks` was built from `own`.
+/// Keeps the identical-part1 == 100 fast path, then scores only the
+/// part pairs whose bit is set. The bits stand in for every gate
+/// score_parts would run: a set bit proves both parts hold 7-64 chars
+/// and share a 7-gram, a clear bit that the pair scores 0.
+int compare_prepared_pregated(const PreparedDigestView& own,
+                              const DigestMasks& own_masks,
+                              const PreparedDigestView& other,
+                              std::uint32_t hit_bits,
+                              EditMetric metric = EditMetric::kDamerauOsa);
 
 /// Construction-path test hook: process-wide count of digest
 /// normalizations (PreparedDigest built from a FuzzyDigest). Lets tests

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "corpus/corpus.hpp"
 #include "ssdeep/digest.hpp"
+#include "ssdeep/prepared.hpp"
+#include "support/corpus_digests.hpp"
 
 namespace fhc::core {
 namespace {
@@ -255,14 +261,21 @@ TEST(GramIndexFill, MatchesAllPairsWithDisabledChannels) {
   }
 }
 
-TEST(GramIndexFill, AdversarialShortPartsAndMixedBlocksizes) {
-  // A hand-built corpus hitting the index's edge cases: parts shorter
-  // than the 7-char window (empty gram arrays on both the train and the
-  // query side), single-bucket single-sample classes, duplicate digests
-  // (score-100 early exit), blocksize-double/half pairings where the
-  // crosswise part probe is the only correct one, and an overlong part1
-  // (> kSpamsumLength, constructible only by hand — parse_digest caps
-  // lengths) that packs no grams and must score 0 even against itself.
+/// A hand-built corpus hitting the index's edge cases: parts shorter
+/// than the 7-char window (empty gram arrays on both the train and the
+/// query side), single-bucket single-sample classes, duplicate digests
+/// (score-100 early exit), blocksize-double/half pairings where the
+/// crosswise part probe is the only correct one, and an overlong part1
+/// (> kSpamsumLength, constructible only by hand — parse_digest caps
+/// lengths) that packs no grams and must score 0 even against itself.
+struct AdversarialSet {
+  std::vector<FeatureHashes> train;
+  std::vector<int> labels;
+  std::vector<std::string> names;
+  std::vector<FeatureHashes> queries;
+};
+
+AdversarialSet adversarial_set() {
   std::string overlong_part;
   for (std::size_t i = 0; i <= ssdeep::kSpamsumLength; ++i) {
     overlong_part.push_back(static_cast<char>('A' + (i * 11) % 26));
@@ -270,7 +283,8 @@ TEST(GramIndexFill, AdversarialShortPartsAndMixedBlocksizes) {
   FeatureHashes overlong;
   overlong.file = overlong.strings = overlong.symbols =
       ssdeep::FuzzyDigest{6, overlong_part, ""};
-  const std::vector<FeatureHashes> train = {
+  AdversarialSet set;
+  set.train = {
       uniform_hashes("3:abc:xy"),                              // short parts
       uniform_hashes("3:abc:xy"),                              // duplicate
       uniform_hashes("6:ABCDEFGHIJKLMNOP:QRSTUVWXYZabcdef"),   // normal, bs 6
@@ -278,10 +292,9 @@ TEST(GramIndexFill, AdversarialShortPartsAndMixedBlocksizes) {
       uniform_hashes("24:zzzzyyyyxxxxwwww:vvvvuuuuttttssss"),  // unpairable island
       overlong,
   };
-  const std::vector<int> labels = {0, 0, 1, 1, 2, 2};
-  TrainIndex index(train, labels, {"short", "normal", "far"});
-
-  const std::vector<FeatureHashes> queries = {
+  set.labels = {0, 0, 1, 1, 2, 2};
+  set.names = {"short", "normal", "far"};
+  set.queries = {
       uniform_hashes("3:abc:xy"),                             // short query
       uniform_hashes("3:ab:c"),                               // even shorter
       uniform_hashes("6:ABCDEFGHIJKLMNOP:QRSTUVWXYZabcdef"),  // exact dup of id 2
@@ -291,11 +304,147 @@ TEST(GramIndexFill, AdversarialShortPartsAndMixedBlocksizes) {
       uniform_hashes("96:GGGGHHHHIIIIJJJJ:KKKKLLLLMMMMNNNN"), // pairs with nothing
       overlong,                                               // self-match must stay 0
   };
-  for (std::size_t q = 0; q < queries.size(); ++q) {
+  return set;
+}
+
+TEST(GramIndexFill, AdversarialShortPartsAndMixedBlocksizes) {
+  const AdversarialSet set = adversarial_set();
+  TrainIndex index(set.train, set.labels, set.names);
+  for (std::size_t q = 0; q < set.queries.size(); ++q) {
     for (const int exclude : {-1, 0, 2, 3, 5}) {
-      expect_indexed_matches_all_pairs(index, queries[q], exclude);
+      expect_indexed_matches_all_pairs(index, set.queries[q], exclude);
     }
   }
+}
+
+// --- the probe is the gate: pregated scoring vs compare_prepared --------
+
+/// Which hit-bit shapes a set of candidate pairs covered, and how many
+/// of them scored > 0 (a clear bit that should have been set only shows
+/// on a pair whose score is not 0).
+struct PregatedCoverage {
+  std::size_t pairs = 0;
+  std::size_t scored_part1_only = 0;  // equal blocksize, bit 0 alone
+  std::size_t scored_part2_only = 0;  // equal blocksize, bit 1 alone
+  std::size_t scored_both = 0;
+  std::size_t scored_crosswise = 0;   // double/half blocksize
+};
+
+/// compare_prepared_pregated, fed each candidate's hit bits and the
+/// query's prebuilt masks, must equal compare_prepared on every
+/// (query, candidate) pair the probe returns, on every channel, for both
+/// metrics.
+void expect_pregated_matches_compare_prepared(const TrainIndex& index,
+                                              const FeatureHashes& sample,
+                                              PregatedCoverage& coverage) {
+  const PreparedQuery query(sample);
+  const QueryCandidates candidates(index, query);
+  for (std::size_t f = 0; f < index.n_channels(); ++f) {
+    const ssdeep::PreparedDigestView own = query.channel(f).view();
+    const TrainIndex::ChannelGramIndex& grams = index.gram_index(f);
+    for (const QueryCandidates::Candidate& hit : candidates.of(f)) {
+      ASSERT_NE(hit.hit_bits, 0u);
+      const TrainIndex::GramEntry& entry = grams.entries[hit.id];
+      const TrainIndex::PreparedBucket& bucket =
+          index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
+      const ssdeep::PreparedDigestView other =
+          index.view_of(bucket, static_cast<std::size_t>(entry.pos));
+      int best = 0;
+      for (const auto metric : {ssdeep::EditMetric::kDamerauOsa,
+                                ssdeep::EditMetric::kWeightedLevenshtein}) {
+        const int expected = ssdeep::compare_prepared(own, other, metric);
+        ASSERT_EQ(ssdeep::compare_prepared_pregated(own, query.masks(f), other,
+                                                    hit.hit_bits, metric),
+                  expected)
+            << "channel " << f << ", entry " << hit.id << ", bits "
+            << hit.hit_bits << ", metric " << static_cast<int>(metric)
+            << ", bs " << own.blocksize << " vs " << other.blocksize;
+        best = std::max(best, expected);
+      }
+      ++coverage.pairs;
+      if (best == 0) continue;
+      if (own.blocksize != other.blocksize) {
+        ++coverage.scored_crosswise;
+      } else if (hit.hit_bits == ssdeep::kHitPart1) {
+        ++coverage.scored_part1_only;
+      } else if (hit.hit_bits == ssdeep::kHitPart2) {
+        ++coverage.scored_part2_only;
+      } else {
+        ++coverage.scored_both;
+      }
+    }
+  }
+}
+
+TEST(GramIndexFill, PregatedMatchesComparePreparedOnRealCorpus) {
+  // The application corpus, then fuzzy hashes of random inputs with
+  // mutated twins and ~2x grown copies: the second set is where
+  // adjacent-blocksize (crosswise) pairs and part2-only matches occur.
+  PregatedCoverage coverage;
+  const auto& data = small_data();
+  const TrainIndex index(data.hashes, data.labels, data.names);
+  for (const FeatureHashes& sample : data.hashes) {
+    expect_pregated_matches_compare_prepared(index, sample, coverage);
+  }
+  std::vector<FeatureHashes> grown;
+  std::vector<int> labels;
+  for (const ssdeep::FuzzyDigest& digest : testsupport::make_corpus_digests()) {
+    grown.push_back(uniform_hashes(digest.to_string()));
+    labels.push_back(static_cast<int>(labels.size() % 3));
+  }
+  const TrainIndex grown_index(grown, labels, {"a", "b", "c"});
+  for (const FeatureHashes& sample : grown) {
+    expect_pregated_matches_compare_prepared(grown_index, sample, coverage);
+  }
+  // Real digests rarely lose part1 while keeping part2 at one blocksize;
+  // the adversarial set below covers that shape.
+  EXPECT_GT(coverage.scored_part1_only, 0u);
+  EXPECT_GT(coverage.scored_both, 0u);
+  EXPECT_GT(coverage.scored_crosswise, 0u);
+}
+
+TEST(GramIndexFill, PregatedMatchesComparePreparedOnAdversarialDigests) {
+  const AdversarialSet set = adversarial_set();
+  TrainIndex index(set.train, set.labels, set.names);
+  PregatedCoverage coverage;
+  for (const FeatureHashes& query : set.queries) {
+    expect_pregated_matches_compare_prepared(index, query, coverage);
+  }
+  for (const FeatureHashes& sample : set.train) {
+    expect_pregated_matches_compare_prepared(index, sample, coverage);
+  }
+  EXPECT_GT(coverage.scored_part2_only, 0u);
+  EXPECT_GT(coverage.scored_both, 0u);
+  EXPECT_GT(coverage.scored_crosswise, 0u);
+}
+
+TEST(GramIndexFill, PregatedFastPathAtTheWindowEdge) {
+  // Identical part1 of 7 chars shares its single gram but is not the
+  // == 100 fast path (that needs more than the window); at bs 3 the
+  // small-blocksize cap holds it to 7. At 8 chars the fast path answers
+  // 100, where the edit distance would be capped to 8.
+  TrainIndex index({uniform_hashes("3:ABCDEFG:xy"), uniform_hashes("3:ABCDEFGH:xy")},
+                   {0, 1}, {"seven", "eight"});
+  PregatedCoverage coverage;
+  for (const char* text : {"3:ABCDEFG:xy", "3:ABCDEFGH:xy"}) {
+    expect_pregated_matches_compare_prepared(index, uniform_hashes(text), coverage);
+    expect_indexed_matches_all_pairs(index, uniform_hashes(text), -1);
+  }
+  // The 7-char part1 is a prefix of the 8-char one: each query finds both.
+  EXPECT_EQ(coverage.pairs, 4u * kFeatureTypeCount);
+
+  const ssdeep::PreparedDigest seven(*ssdeep::parse_digest("3:ABCDEFG:xy"));
+  const ssdeep::PreparedDigest eight(*ssdeep::parse_digest("3:ABCDEFGH:xy"));
+  const ssdeep::DigestMasks seven_masks(seven.view());
+  const ssdeep::DigestMasks eight_masks(eight.view());
+  EXPECT_EQ(ssdeep::compare_prepared(seven, seven), 7);
+  EXPECT_EQ(ssdeep::compare_prepared_pregated(seven.view(), seven_masks, seven.view(),
+                                              ssdeep::kHitPart1),
+            7);
+  EXPECT_EQ(ssdeep::compare_prepared(eight, eight), 100);
+  EXPECT_EQ(ssdeep::compare_prepared_pregated(eight.view(), eight_masks, eight.view(),
+                                              ssdeep::kHitPart1),
+            100);
 }
 
 TEST(GramIndexFill, TrainIndexExposesChannelGramIndexes) {

@@ -15,6 +15,12 @@
 // lets the fuzzer search for pathological blocksize/length combinations
 // the curated set misses.
 //
+// Each candidate the probe returns is also scored both ways: the
+// pregated compare from its hit bits and the query's prebuilt masks must
+// equal compare_prepared, for both metrics. A hit bit on the wrong part,
+// a missing one, or a stale one from an earlier probe fails here on the
+// pair itself, before a row max could hide it.
+//
 // The same digests also check the scoring kernels: for every checked
 // sample and every sample it is paired with, each pair of normalized
 // parts of <= 64 chars must give the bit-parallel distance equal to the
@@ -35,6 +41,7 @@
 #include "ssdeep/compare.hpp"
 #include "ssdeep/digest.hpp"
 #include "ssdeep/edit_distance.hpp"
+#include "ssdeep/prepared.hpp"
 
 namespace {
 
@@ -63,6 +70,32 @@ void check_kernels(std::string_view a, std::string_view b) {
   if (fhc::ssdeep::weighted_levenshtein_bitparallel(a, b) !=
       fhc::ssdeep::weighted_levenshtein(a, b)) {
     std::abort();
+  }
+}
+
+void check_pregated(const fhc::core::TrainIndex& index,
+                    const fhc::core::FeatureHashes& sample) {
+  const fhc::core::PreparedQuery query(sample);
+  const fhc::core::QueryCandidates candidates(index, query);
+  for (std::size_t f = 0; f < index.n_channels(); ++f) {
+    const fhc::ssdeep::PreparedDigestView own = query.channel(f).view();
+    const auto& grams = index.gram_index(f);
+    for (const fhc::core::QueryCandidates::Candidate& hit : candidates.of(f)) {
+      const auto& entry = grams.entries[hit.id];
+      const auto& bucket =
+          index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
+      const fhc::ssdeep::PreparedDigestView other =
+          index.view_of(bucket, static_cast<std::size_t>(entry.pos));
+      for (const fhc::ssdeep::EditMetric metric :
+           {fhc::ssdeep::EditMetric::kDamerauOsa,
+            fhc::ssdeep::EditMetric::kWeightedLevenshtein}) {
+        if (fhc::ssdeep::compare_prepared_pregated(own, query.masks(f), other,
+                                                   hit.hit_bits, metric) !=
+            fhc::ssdeep::compare_prepared(own, other, metric)) {
+          std::abort();
+        }
+      }
+    }
   }
 }
 
@@ -116,6 +149,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (const std::string& other : parts) check_kernels(parts[i], other);
   }
   for (std::size_t i = 0; i < checked; ++i) {
+    check_pregated(index, samples[i]);
     for (const fhc::ssdeep::EditMetric metric : metrics) {
       for (const int exclude : {-1, static_cast<int>(i)}) {
         std::fill(indexed.begin(), indexed.end(), -1.0f);

@@ -267,6 +267,17 @@ void seed_row_differential() {
   std::swap(chained.part1[11], chained.part1[12]);
   transposed += chained.to_string() + "\n";
   write_seed(target, "transposed_parts", transposed);
+  // Crosswise blocksizes: a text hashed at its natural blocksize, then
+  // grown ~2x and ~4x so its blocksize doubles. Pairs one step apart
+  // score part1 against part2 (the query's part1 hit bit when its
+  // blocksize is the larger, its part2 bit when the smaller); pairs two
+  // steps apart never pair.
+  std::string crosswise;
+  const std::string grown = synth_text(29, 24576);
+  for (const std::size_t length : {6144u, 12288u, 24576u}) {
+    crosswise += ssdeep::fuzzy_hash(grown.substr(0, length)).to_string() + "\n";
+  }
+  write_seed(target, "crosswise_blocksizes", crosswise);
 }
 
 void seed_fuzzy_hash() {

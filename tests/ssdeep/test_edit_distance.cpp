@@ -291,6 +291,41 @@ TEST(BitParallelKernels, WordEdgeKnownValues) {
   EXPECT_EQ(weighted_levenshtein_bitparallel(long_pattern, full), 3u);
 }
 
+TEST(BitParallelKernels, PrebuiltMasksMatchStringKernelAndDp) {
+  // The masks core, fed one pattern's masks built once, against the
+  // string_view kernel and the DP on every text length: the shape of a
+  // row fill, where one query part is scored against many train parts.
+  fhc::util::Rng rng(44);
+  for (const std::size_t alphabet : {2u, 64u, 256u}) {
+    const auto random_text = [&](std::size_t len) {
+      if (alphabet <= 64) return random_over(rng, len, alphabet);
+      std::string out;
+      for (std::size_t i = 0; i < len; ++i) {
+        out.push_back(static_cast<char>(rng.next_below(256)));
+      }
+      return out;
+    };
+    for (std::size_t la = 0; la <= 64; ++la) {
+      const std::string a = random_text(la);
+      MatchMasks masks{};
+      build_match_masks(a, masks);
+      for (std::size_t lb = 0; lb <= 64; ++lb) {
+        const std::string b = random_text(lb);
+        const std::size_t osa = damerau_levenshtein_osa_bitparallel(masks, la, b);
+        const std::size_t weighted = weighted_levenshtein_bitparallel(masks, la, b);
+        ASSERT_EQ(osa, damerau_levenshtein_osa_bitparallel(a, b))
+            << "alphabet " << alphabet << ", " << la << " x " << lb;
+        ASSERT_EQ(osa, damerau_levenshtein_osa(a, b))
+            << "alphabet " << alphabet << ", " << la << " x " << lb;
+        ASSERT_EQ(weighted, weighted_levenshtein_bitparallel(a, b))
+            << "alphabet " << alphabet << ", " << la << " x " << lb;
+        ASSERT_EQ(weighted, weighted_levenshtein(a, b))
+            << "alphabet " << alphabet << ", " << la << " x " << lb;
+      }
+    }
+  }
+}
+
 TEST(BitParallelKernels, BackToBackCallsDoNotLeakMasks) {
   // Each call sets the masks of its own pattern and clears them on exit;
   // a leftover 'a' or 'b' bit would corrupt the calls that follow.

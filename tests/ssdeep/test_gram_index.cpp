@@ -35,38 +35,114 @@ std::vector<std::uint32_t> sorted_ids(const CandidateSet& set) {
 TEST(CandidateSet, DedupsAndResets) {
   CandidateSet set;
   set.reset(8);
-  set.insert(3);
-  set.insert(5);
-  set.insert(3);
+  set.insert(3, 1);
+  set.insert(5, 1);
+  set.insert(3, 1);
   EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{3, 5}));
 
   set.reset(8);
   EXPECT_TRUE(set.empty());
-  set.insert(3);  // a stale stamp from the previous epoch must not block this
+  set.insert(3, 1);  // a stale stamp from the previous epoch must not block this
   EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{3}));
 }
 
 TEST(CandidateSet, GrowsUniverseAcrossResets) {
   CandidateSet set;
   set.reset(2);
-  set.insert(1);
+  set.insert(1, 1);
   set.reset(64);
-  set.insert(63);
-  set.insert(1);
+  set.insert(63, 1);
+  set.insert(1, 1);
   EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{1, 63}));
 }
 
 TEST(CandidateSet, SortOrdersInsertionOrder) {
   CandidateSet set;
   set.reset(16);
-  set.insert(9);
-  set.insert(2);
-  set.insert(14);
+  set.insert(9, 1);
+  set.insert(2, 1);
+  set.insert(14, 1);
   set.sort();
   ASSERT_EQ(set.ids().size(), 3u);
   EXPECT_EQ(set.ids()[0], 2u);
   EXPECT_EQ(set.ids()[1], 9u);
   EXPECT_EQ(set.ids()[2], 14u);
+}
+
+// --- hit bits: which probe side hit each id -----------------------------
+
+TEST(CandidateSet, HitBitsOrAcrossProbes) {
+  GramIndex part1;
+  GramIndex part2;
+  const auto shared = packed_sorted_grams(random_digest_chars(4, 30));
+  const auto other = packed_sorted_grams(random_digest_chars(5, 30));
+  part1.add(0, shared);  // id 0: hit by both probes below
+  part2.add(0, other);
+  part1.add(1, shared);  // id 1: only by the part1 probe
+  part2.add(2, other);   // id 2: only by the part2 probe
+  part1.finalize();
+  part2.finalize();
+
+  CandidateSet set;
+  set.reset(3);
+  part1.collect(shared, set, 1);
+  part2.collect(other, set, 2);
+  EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(set.hit_bits(0), 3u);
+  EXPECT_EQ(set.hit_bits(1), 1u);
+  EXPECT_EQ(set.hit_bits(2), 2u);
+
+  set.insert(1, 1);  // re-inserting a bit it holds changes nothing
+  EXPECT_EQ(set.hit_bits(1), 1u);
+  EXPECT_EQ(set.ids().size(), 3u);
+}
+
+TEST(CandidateSet, ResetClearsHitBits) {
+  CandidateSet set;
+  set.reset(8);
+  set.insert(4, 1);
+  set.insert(4, 2);
+  ASSERT_EQ(set.hit_bits(4), 3u);
+  set.reset(8);
+  set.insert(4, 2);  // the previous epoch's bit 0 must not carry over
+  EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(set.hit_bits(4), 2u);
+}
+
+TEST(CandidateSet, EpochWrapClearsIdsAndHitBits) {
+  CandidateSet set;
+  set.reset(8);  // the first epoch: the one the wrap restarts at
+  set.insert(5, 2);
+  set.insert(6, 3);
+  set.wrap_epoch_on_next_reset();
+  set.reset(8);
+  EXPECT_TRUE(set.empty());
+  // Stale stamps of the first epoch would now match again: id 5 would be
+  // skipped as already collected, and carry bit 1 into this epoch.
+  set.insert(5, 1);
+  EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(set.hit_bits(5), 1u);
+  set.insert(6, 2);
+  EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{5, 6}));
+  EXPECT_EQ(set.hit_bits(6), 2u);
+  set.reset(8);  // and the epoch after the wrap starts clean too
+  EXPECT_TRUE(set.empty());
+}
+
+TEST(CandidateSet, SortKeepsHitBitsWithTheirIds) {
+  CandidateSet set;
+  set.reset(16);
+  set.insert(9, 1);
+  set.insert(2, 2);
+  set.insert(14, 3);
+  set.insert(7, 2);
+  set.insert(9, 2);
+  set.sort();
+  ASSERT_EQ(set.ids().size(), 4u);
+  const std::uint32_t expected_bits[] = {2, 2, 3, 3};  // ids 2, 7, 9, 14
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(set.hit_bits(set.ids()[i]), expected_bits[i]) << "id " << set.ids()[i];
+  }
 }
 
 TEST(GramIndex, CollectMatchesBruteForceIntersection) {
@@ -92,7 +168,7 @@ TEST(GramIndex, CollectMatchesBruteForceIntersection) {
     const auto probe_grams = packed_sorted_grams(probe);
     CandidateSet set;
     set.reset(parts.size());
-    index.collect(probe_grams, set);
+    index.collect(probe_grams, set, 1);
 
     std::set<std::uint32_t> expected;
     for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -113,7 +189,7 @@ TEST(GramIndex, EmptyQueryGramsYieldNoCandidates) {
   index.finalize();
   CandidateSet set;
   set.reset(1);
-  index.collect({}, set);  // a part shorter than the window packs no grams
+  index.collect({}, set, 1);  // a part shorter than the window packs no grams
   EXPECT_TRUE(set.empty());
   EXPECT_TRUE(packed_sorted_grams("abcdef").empty());  // 6 chars < window
 }
@@ -125,7 +201,7 @@ TEST(GramIndex, ShortPartsAreNeverIndexed) {
   index.finalize();
   CandidateSet set;
   set.reset(2);
-  index.collect(packed_sorted_grams("ABCDEFGH"), set);
+  index.collect(packed_sorted_grams("ABCDEFGH"), set, 1);
   EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{1}));
 }
 
@@ -142,7 +218,7 @@ TEST(GramIndex, DuplicateGramsProduceOnePosting) {
 
   CandidateSet set;
   set.reset(8);
-  index.collect(grams, set);  // duplicated query grams must not re-insert
+  index.collect(grams, set, 1);  // duplicated query grams must not re-insert
   EXPECT_EQ(sorted_ids(set), (std::vector<std::uint32_t>{7}));
 }
 
@@ -151,12 +227,12 @@ TEST(GramIndex, LifecycleIsEnforced) {
   const auto grams = packed_sorted_grams(random_digest_chars(2, 20));
   CandidateSet set;
   set.reset(1);
-  EXPECT_THROW(index.collect(grams, set), std::logic_error);
+  EXPECT_THROW(index.collect(grams, set, 1), std::logic_error);
   index.add(0, grams);
   index.finalize();
   EXPECT_THROW(index.add(1, grams), std::logic_error);
   index.finalize();  // idempotent
-  EXPECT_NO_THROW(index.collect(grams, set));
+  EXPECT_NO_THROW(index.collect(grams, set, 1));
 }
 
 TEST(GramIndex, EmptyIndexCollectsNothing) {
@@ -165,7 +241,7 @@ TEST(GramIndex, EmptyIndexCollectsNothing) {
   EXPECT_EQ(index.gram_count(), 0u);
   CandidateSet set;
   set.reset(0);
-  index.collect(packed_sorted_grams(random_digest_chars(3, 40)), set);
+  index.collect(packed_sorted_grams(random_digest_chars(3, 40)), set, 1);
   EXPECT_TRUE(set.empty());
 }
 

@@ -41,9 +41,13 @@ done
 # replaced, at two sizes, plus the rolling hash alone (its ceiling).
 # The strings-scan pair: the 64-byte bitmask scan (BM_StringsText)
 # against the byte-at-a-time reference loop it replaced, on corpus images.
+# The pregated pair: a probe candidate scored from its hit bits with
+# prebuilt masks (BM_ComparePregatedRelatedDigests) against the gated
+# compare_prepared on the same pair.
 for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
+    BM_ComparePregatedRelatedDigests \
     BM_PrepareDigest BM_FeatureRowPrepared BM_FeatureRowIndexed \
     BM_FeatureRowRawLoop BM_RuntimeTraceHash \
     BM_FeatureRowIndexedFourChannel \
