@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,58 +126,6 @@ void BM_ForestPredictBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictBlock)->Arg(1)->Arg(8)->Arg(64);
 
-/// Leaf-accumulate pair: the 73-double `+=` per (tree, row) that bounds
-/// the block walk once the descent overlaps its cache misses. The
-/// baseline is the pre-restructure scalar loop (no __restrict, no
-/// unroll); BM_LeafAccumulate runs the production primitive
-/// (FlatForest::accumulate_leaf). Both walk a leaf-pool-sized ring so
-/// the float rows stream from memory the way real leaf rows do.
-constexpr std::size_t kAccClasses = 73;
-constexpr std::size_t kAccLeafRows = 4096;
-
-const std::vector<float>& leaf_pool_fixture() {
-  static const std::vector<float> pool = [] {
-    fhc::util::Rng rng(99);
-    std::vector<float> p(kAccClasses * kAccLeafRows);
-    for (auto& v : p) v = static_cast<float>(rng.gaussian());
-    return p;
-  }();
-  return pool;
-}
-
-void BM_LeafAccumulateScalar(benchmark::State& state) {
-  const std::vector<float>& pool = leaf_pool_fixture();
-  std::vector<double> acc(kAccClasses, 0.0);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kAccLeafRows; ++r) {
-      const float* leaf = pool.data() + r * kAccClasses;
-      double* out = acc.data();
-      for (std::size_t c = 0; c < kAccClasses; ++c) out[c] += leaf[c];
-    }
-    benchmark::DoNotOptimize(acc.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kAccLeafRows));
-}
-BENCHMARK(BM_LeafAccumulateScalar);
-
-void BM_LeafAccumulate(benchmark::State& state) {
-  const std::vector<float>& pool = leaf_pool_fixture();
-  std::vector<double> acc(kAccClasses, 0.0);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kAccLeafRows; ++r) {
-      ml::FlatForest::accumulate_leaf(
-          acc, std::span<const float>(pool.data() + r * kAccClasses, kAccClasses));
-    }
-    benchmark::DoNotOptimize(acc.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kAccLeafRows));
-}
-BENCHMARK(BM_LeafAccumulate);
-
 /// Model (re)load pair: the text parser vs the binary SoA image — the
 /// RELOAD path cost a resident fhc_serve pays per model swap. The binary
 /// loader copies no node data (the plan attaches to the image) and
@@ -213,13 +160,11 @@ void BM_ModelLoadBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelLoadBinary)->Unit(benchmark::kMillisecond);
 
-/// Whole-model reload pair at the paper's class count (K = 73): the v1
-/// blob — which re-prepares every reference digest and rebuilds the
-/// per-channel CSR gram indexes on load — against the v2 sectioned
-/// container, which checksums the mapped bytes and attaches the pools in
-/// place. per_class (the Arg) scales the reference corpus; the v1 cost
-/// grows with it while attach stays O(bytes) — the flatness across
-/// /12 vs /48 is the point of the pair.
+/// Whole-model attach at the paper's class count (K = 73): the v2
+/// sectioned container checksums the mapped bytes and attaches the index
+/// pools and the forest in place, building no per-tree view. per_class
+/// (the Arg) scales the reference corpus; attach stays O(bytes), so /12
+/// vs /48 grows only with the file.
 const core::FuzzyHashClassifier& bench_classifier(int per_class) {
   static std::map<int, core::FuzzyHashClassifier> cache;
   auto it = cache.find(per_class);
@@ -237,7 +182,7 @@ const core::FuzzyHashClassifier& bench_classifier(int per_class) {
       names.push_back(std::move(name));
     }
     core::ClassifierConfig config;
-    config.forest.n_estimators = 8;  // the pair measures index load, not forest
+    config.forest.n_estimators = 8;  // measures index attach, not the forest
     core::FuzzyHashClassifier clf;
     clf.fit(data.train, data.labels, std::move(names), config);
     it = cache.emplace(per_class, std::move(clf)).first;
@@ -245,35 +190,18 @@ const core::FuzzyHashClassifier& bench_classifier(int per_class) {
   return it->second;
 }
 
-std::vector<std::byte> model_image(int per_class, bool v2) {
+std::vector<std::byte> model_image(int per_class) {
   std::ostringstream out(std::ios::binary);
-  if (v2) {
-    bench_classifier(per_class).save_binary(out);
-  } else {
-    bench_classifier(per_class).save_binary_v1(out);
-  }
+  bench_classifier(per_class).save_binary(out);
   const std::string image = out.str();
   std::vector<std::byte> bytes(image.size());
   std::memcpy(bytes.data(), image.data(), image.size());
   return bytes;
 }
 
-void BM_ModelLoadBinaryV1(benchmark::State& state) {
-  const std::vector<std::byte> image =
-      model_image(static_cast<int>(state.range(0)), /*v2=*/false);
-  for (auto _ : state) {
-    core::FuzzyHashClassifier loaded;
-    loaded.load_binary({image.data(), image.size()}, nullptr);
-    benchmark::DoNotOptimize(loaded.row_width());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(image.size()));
-}
-BENCHMARK(BM_ModelLoadBinaryV1)->Arg(12)->Arg(48)->Unit(benchmark::kMillisecond);
-
 void BM_ModelAttachV2(benchmark::State& state) {
   const std::vector<std::byte> image =
-      model_image(static_cast<int>(state.range(0)), /*v2=*/true);
+      model_image(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     core::FuzzyHashClassifier loaded;
     loaded.load_binary({image.data(), image.size()}, nullptr);

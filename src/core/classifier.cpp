@@ -351,14 +351,6 @@ struct PreambleHeader {
 constexpr int kMaxModelClasses = 1 << 20;
 constexpr std::size_t kMaxModelTrainRows = std::size_t{1} << 24;
 
-/// Everything a model file carries besides the forest — shared between
-/// the text and binary loaders (the binary formats embed the same bytes).
-struct Preamble {
-  PreambleHeader header;
-  std::vector<FeatureHashes> hashes;
-  std::vector<int> labels;
-};
-
 PreambleHeader load_preamble_header(std::istream& in) {
   PreambleHeader out;
   std::string tag;
@@ -472,14 +464,6 @@ std::pair<std::vector<FeatureHashes>, std::vector<int>> load_digest_rows(
   return {std::move(hashes), std::move(labels)};
 }
 
-Preamble load_preamble(std::istream& in) {
-  Preamble out;
-  out.header = load_preamble_header(in);
-  std::tie(out.hashes, out.labels) =
-      load_digest_rows(in, out.header.n_train, out.header.config.channel_set.size());
-  return out;
-}
-
 /// Splits the preamble text at the end of its header (the newline closing
 /// the "train N" line) without parsing the digest rows: the optional
 /// channelset block, 3 config lines, the optional calibration line, the
@@ -548,17 +532,17 @@ void FuzzyHashClassifier::load(std::istream& in) {
   if (!std::getline(in, magic) || magic != kModelMagic) {
     throw std::runtime_error("FuzzyHashClassifier::load: bad magic/version");
   }
-  Preamble preamble = load_preamble(in);
+  PreambleHeader header = load_preamble_header(in);
+  const std::size_t n_channels = header.config.channel_set.size();
+  const auto [hashes, labels] = load_digest_rows(in, header.n_train, n_channels);
   forest_.load(in);
-  check_forest_shape(forest_, preamble.header.k,
-                     preamble.header.config.channel_set.size());
+  check_forest_shape(forest_, header.k, n_channels);
   // Rebuilding the index re-prepares every reference digest (normalized
   // parts + gram arrays) from the raw text loaded above.
-  index_ = std::make_unique<TrainIndex>(preamble.hashes, preamble.labels,
-                                        std::move(preamble.header.names),
-                                        preamble.header.config.channel_set);
-  config_ = preamble.header.config;
-  calibration_ = preamble.header.calibration;
+  index_ = std::make_unique<TrainIndex>(hashes, labels, std::move(header.names),
+                                        header.config.channel_set);
+  config_ = header.config;
+  calibration_ = header.calibration;
 }
 
 void FuzzyHashClassifier::build_v2_sections(util::SectionedWriter& writer,
@@ -572,7 +556,7 @@ void FuzzyHashClassifier::build_v2_sections(util::SectionedWriter& writer,
   forest = forest_stream.str();
   writer.add("preamble", std::as_bytes(std::span<const char>(preamble)));
   index_->serialize(writer);
-  // The forest image carries its own 64-byte FHCFRST1 header, so inside a
+  // The forest image carries its own 64-byte FHCFRST2 header, so inside a
   // 64-byte-aligned section the SoA payload keeps its 8-byte alignment.
   writer.add("forest", std::as_bytes(std::span<const char>(forest)));
 }
@@ -587,26 +571,6 @@ void FuzzyHashClassifier::save_binary(std::ostream& out) const {
   if (!out) throw std::runtime_error("save_binary: write failed");
 }
 
-void FuzzyHashClassifier::save_binary_v1(std::ostream& out) const {
-  if (!fitted()) throw std::logic_error("save: not fitted");
-  std::ostringstream preamble_stream;
-  save_preamble(preamble_stream);
-  const std::string preamble = preamble_stream.str();
-  out.write(kBinaryModelMagicV1.data(),
-            static_cast<std::streamsize>(kBinaryModelMagicV1.size()));
-  const std::uint64_t preamble_size = preamble.size();
-  out.write(reinterpret_cast<const char*>(&preamble_size), sizeof preamble_size);
-  out.write(preamble.data(), static_cast<std::streamsize>(preamble.size()));
-  // Pad so the forest image lands 8-byte aligned in the file — that is
-  // what lets FlatForest attach directly to an mmap of it.
-  const std::size_t written = 16 + preamble.size();
-  static constexpr char kZeros[8] = {};
-  out.write(kZeros, static_cast<std::streamsize>(
-                ml::FlatForest::align8(written) - written));
-  forest_.save_binary(out);
-  if (!out) throw std::runtime_error("save_binary_v1: write failed");
-}
-
 bool FuzzyHashClassifier::is_binary_model(std::span<const std::byte> bytes) {
   return starts_with_magic(bytes, kBinaryModelMagicV1) ||
          starts_with_magic(bytes, kBinaryModelMagicV2);
@@ -614,49 +578,12 @@ bool FuzzyHashClassifier::is_binary_model(std::span<const std::byte> bytes) {
 
 void FuzzyHashClassifier::load_binary(std::span<const std::byte> bytes,
                                       std::shared_ptr<const void> keepalive) {
-  if (starts_with_magic(bytes, kBinaryModelMagicV2)) {
-    load_binary_v2(bytes, std::move(keepalive));
-  } else if (starts_with_magic(bytes, kBinaryModelMagicV1)) {
-    load_binary_v1(bytes, std::move(keepalive));
-  } else {
-    throw std::runtime_error("FuzzyHashClassifier::load_binary: bad magic");
+  if (starts_with_magic(bytes, kBinaryModelMagicV1)) {
+    throw std::runtime_error(
+        "FuzzyHashClassifier::load_binary: binary model v1 (FHCMDLB1) is no "
+        "longer supported; retrain with `fhc_train --binary`, or load the text "
+        "model");
   }
-}
-
-void FuzzyHashClassifier::load_binary_v1(std::span<const std::byte> bytes,
-                                         std::shared_ptr<const void> keepalive) {
-  std::uint64_t preamble_size = 0;
-  if (bytes.size() < 16) {
-    throw std::runtime_error("FuzzyHashClassifier::load_binary: truncated header");
-  }
-  std::memcpy(&preamble_size, bytes.data() + 8, sizeof preamble_size);
-  if (preamble_size > bytes.size() - 16) {
-    throw std::runtime_error("FuzzyHashClassifier::load_binary: truncated preamble");
-  }
-  std::istringstream preamble_stream(
-      std::string(reinterpret_cast<const char*>(bytes.data()) + 16,
-                  static_cast<std::size_t>(preamble_size)));
-  Preamble preamble = load_preamble(preamble_stream);
-
-  const std::size_t forest_offset =
-      ml::FlatForest::align8(16 + static_cast<std::size_t>(preamble_size));
-  if (forest_offset > bytes.size()) {
-    throw std::runtime_error("FuzzyHashClassifier::load_binary: truncated model");
-  }
-  forest_.load_binary(bytes.subspan(forest_offset), std::move(keepalive));
-  check_forest_shape(forest_, preamble.header.k,
-                     preamble.header.config.channel_set.size());
-  // v1 carries no prepared pools: rebuild the index (re-preparing every
-  // digest) from the preamble text, exactly like the text loader.
-  index_ = std::make_unique<TrainIndex>(preamble.hashes, preamble.labels,
-                                        std::move(preamble.header.names),
-                                        preamble.header.config.channel_set);
-  config_ = preamble.header.config;
-  calibration_ = preamble.header.calibration;
-}
-
-void FuzzyHashClassifier::load_binary_v2(std::span<const std::byte> bytes,
-                                         std::shared_ptr<const void> keepalive) {
   const util::SectionedView container =
       util::SectionedView::attach(bytes, kBinaryModelMagicV2);
   // One streaming pass over the payload bytes — the only O(model-size)

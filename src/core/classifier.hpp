@@ -47,9 +47,11 @@ namespace fhc::core {
 
 /// First 8 bytes of a binary model file; distinct from any text model
 /// (those start with the text magic line) so load_file can sniff the
-/// format. v1 is the legacy monolithic blob (preamble + forest image;
-/// loading rebuilds the TrainIndex), v2 the sectioned container
-/// (util::SectionedView) whose TrainIndex pools attach zero-copy.
+/// format. v2 is the sectioned container (util::SectionedView) whose
+/// TrainIndex pools and forest attach zero-copy. v1, the retired
+/// monolithic blob, is still recognized so loading it fails with the fix
+/// (retrain with fhc_train --binary, or load the text model) instead of a
+/// text-parser error.
 inline constexpr std::string_view kBinaryModelMagicV1 = "FHCMDLB1";
 inline constexpr std::string_view kBinaryModelMagicV2 = "FHCMDLB2";
 
@@ -187,10 +189,11 @@ class FuzzyHashClassifier {
   /// container holding the text preamble (config, class names, reference
   /// digests — identical bytes to the text format's midsection), the
   /// TrainIndex's prepared-digest pools and CSR gram indexes
-  /// (TrainIndex::serialize), and the forest's binary SoA image — every
-  /// section 64-byte aligned and checksummed. save_binary -> load_binary
-  /// -> save_binary round-trips byte-identically, and loading prepares no
-  /// digest and builds no index: everything attaches in place.
+  /// (TrainIndex::serialize), and the forest's binary SoA image
+  /// ("FHCFRST2", sparse leaves) — every section 64-byte aligned and
+  /// checksummed. save_binary -> load_binary -> save_binary round-trips
+  /// byte-identically, and loading prepares no digest, builds no index
+  /// and builds no per-tree view: everything attaches in place.
   void save_binary(std::ostream& out) const;
 
   /// save_binary to `path` with the crash discipline a daemon mmap'ing
@@ -198,26 +201,23 @@ class FuzzyHashClassifier {
   /// (util::SectionedWriter::write_file).
   void save_binary_file(const std::string& path) const;
 
-  /// The legacy v1 writer ("FHCMDLB1": magic, length-prefixed preamble,
-  /// forest image) — kept so the version-sniffing loader and the
-  /// attach-vs-rebuild bench have a v1 producer.
-  void save_binary_v1(std::ostream& out) const;
-
-  /// Loads either binary format from `bytes` without copying the forest
-  /// sections — the compiled plan references them in place; a v2
-  /// container additionally attaches the TrainIndex pools zero-copy
-  /// (v1 rebuilds the index from the preamble digests). `keepalive`
-  /// (e.g. the util::ModelMap the bytes come from) is retained for the
-  /// model's lifetime; pass nullptr only when `bytes` outlives the model.
+  /// Loads a v2 container from `bytes` without copying the forest or
+  /// TrainIndex sections — the compiled plan and the index pools reference
+  /// them in place. `keepalive` (e.g. the util::ModelMap the bytes come
+  /// from) is retained for the model's lifetime; pass nullptr only when
+  /// `bytes` outlives the model. Throws std::runtime_error on a damaged
+  /// container, and on a v1 blob or a v2 container carrying a retired
+  /// FHCFRST1 forest, naming the fix.
   void load_binary(std::span<const std::byte> bytes,
                    std::shared_ptr<const void> keepalive);
 
-  /// True when `bytes` starts with either binary model magic.
+  /// True when `bytes` starts with a binary model magic (v2, or the
+  /// retired v1 that load_binary rejects).
   static bool is_binary_model(std::span<const std::byte> bytes);
 
   /// Loads either format: sniffs the magic, mmaps binary models
-  /// (util::ModelMap) for a zero-copy forest load, falls back to the text
-  /// parser otherwise.
+  /// (util::ModelMap) for a zero-copy load, falls back to the text parser
+  /// otherwise.
   static FuzzyHashClassifier load_file(const std::string& path);
 
  private:
@@ -234,10 +234,6 @@ class FuzzyHashClassifier {
   /// outlive the final write).
   void build_v2_sections(util::SectionedWriter& writer, std::string& preamble,
                          std::string& forest) const;
-  void load_binary_v1(std::span<const std::byte> bytes,
-                      std::shared_ptr<const void> keepalive);
-  void load_binary_v2(std::span<const std::byte> bytes,
-                      std::shared_ptr<const void> keepalive);
   Prediction prediction_from_proba(std::vector<double> proba) const;
 
   std::unique_ptr<TrainIndex> index_;

@@ -1,7 +1,6 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +11,8 @@ namespace fhc::ml {
 namespace {
 
 constexpr std::size_t kMaxCount = std::size_t{1} << 24;  // matches the text loaders
+
+constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 /// Byte offset of every SoA section inside the payload. Section order is
 /// part of the binary format; every section start is 4-byte aligned by
@@ -24,13 +25,23 @@ struct Layout {
   std::size_t feature;
   std::size_t threshold;
   std::size_t child;
-  std::size_t leaf_offset;
-  std::size_t leaf_pool;
+  std::size_t leaf_index;
+  std::size_t leaf_start;
+  std::size_t leaf_class;
+  std::size_t leaf_value;
   std::size_t importances;
   std::size_t total;
 };
 
+/// Rejects counts a real forest never has before any section math runs
+/// (the products below would overflow on crafted 32-bit-max values).
 Layout layout_for(const FlatForest::Shape& s) {
+  if (s.n_classes == 0 || s.n_classes > kMaxCount || s.n_features > kMaxCount ||
+      s.tree_count == 0 || s.tree_count > kMaxCount ||
+      s.total_nodes > (kMaxCount << 2) || s.leaf_count > s.total_nodes ||
+      s.leaf_entries > (kMaxCount << 4)) {
+    throw std::runtime_error("FlatForest: unreasonable shape");
+  }
   Layout l{};
   std::size_t o = 0;
   l.node_base = o;
@@ -45,11 +56,15 @@ Layout layout_for(const FlatForest::Shape& s) {
   o += 4 * s.total_nodes;
   l.child = o;
   o += 8 * s.total_nodes;
-  l.leaf_offset = o;
+  l.leaf_index = o;
   o += 4 * s.total_nodes;
-  l.leaf_pool = o;
-  o += 4 * s.leaf_pool;
-  o = FlatForest::align8(o);
+  l.leaf_start = o;
+  o += 4 * (s.leaf_count + 1);
+  l.leaf_class = o;
+  o += 4 * s.leaf_entries;
+  l.leaf_value = o;
+  o += 4 * s.leaf_entries;
+  o = align8(o);
   l.importances = o;
   o += 8 * s.tree_count * s.n_features;
   l.total = o;
@@ -67,25 +82,6 @@ std::span<const T> section(const std::byte* base, std::size_t offset,
   return {reinterpret_cast<const T*>(base + offset), count};
 }
 
-/// Leaf-row accumulate: the 73-double `+=` per (tree, row) that bounds
-/// the block walk once the descent overlaps its misses. `__restrict`
-/// licenses the compiler to keep partial sums in registers and the
-/// 4-wide unroll hands it a straight-line cvtps2pd/addpd body; each
-/// acc[c] still receives exactly one `double += float` per call, in
-/// ascending class order, so tree-major callers keep the nested walk's
-/// operation sequence bit for bit.
-inline void add_leaf_row(double* __restrict acc, const float* __restrict leaf,
-                         std::size_t k) {
-  std::size_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    acc[c + 0] += static_cast<double>(leaf[c + 0]);
-    acc[c + 1] += static_cast<double>(leaf[c + 1]);
-    acc[c + 2] += static_cast<double>(leaf[c + 2]);
-    acc[c + 3] += static_cast<double>(leaf[c + 3]);
-  }
-  for (; c < k; ++c) acc[c] += static_cast<double>(leaf[c]);
-}
-
 }  // namespace
 
 std::size_t FlatForest::payload_size(const Shape& shape) {
@@ -97,13 +93,21 @@ FlatForest FlatForest::build(std::span<const DecisionTree> trees, int n_classes,
   if (trees.empty() || n_classes <= 0) {
     throw std::logic_error("FlatForest::build: empty forest");
   }
+  const auto k = static_cast<std::size_t>(n_classes);
   Shape shape;
-  shape.n_classes = static_cast<std::size_t>(n_classes);
+  shape.n_classes = k;
   shape.n_features = n_features;
   shape.tree_count = trees.size();
   for (const DecisionTree& tree : trees) {
     shape.total_nodes += tree.nodes().size();
-    shape.leaf_pool += tree.proba_pool().size();
+    const auto pool = tree.proba_pool();
+    for (const DecisionTree::Node& node : tree.nodes()) {
+      if (node.proba_offset < 0) continue;
+      ++shape.leaf_count;
+      const float* const leaf = pool.data() + node.proba_offset;
+      shape.leaf_entries += static_cast<std::size_t>(
+          std::count_if(leaf, leaf + k, [](float v) { return v != 0.0f; }));
+    }
   }
 
   const Layout layout = layout_for(shape);
@@ -119,13 +123,16 @@ FlatForest FlatForest::build(std::span<const DecisionTree> trees, int n_classes,
   auto feature = section<std::int32_t>(base, layout.feature, shape.total_nodes);
   auto threshold = section<float>(base, layout.threshold, shape.total_nodes);
   auto child = section<std::int32_t>(base, layout.child, 2 * shape.total_nodes);
-  auto leaf_offset = section<std::int32_t>(base, layout.leaf_offset, shape.total_nodes);
-  auto leaf_pool = section<float>(base, layout.leaf_pool, shape.leaf_pool);
+  auto leaf_index = section<std::int32_t>(base, layout.leaf_index, shape.total_nodes);
+  auto leaf_start = section<std::uint32_t>(base, layout.leaf_start, shape.leaf_count + 1);
+  auto leaf_class = section<std::uint32_t>(base, layout.leaf_class, shape.leaf_entries);
+  auto leaf_value = section<float>(base, layout.leaf_value, shape.leaf_entries);
   auto importances = section<double>(base, layout.importances,
                                      shape.tree_count * shape.n_features);
 
   std::uint32_t node_cursor = 0;
   std::uint32_t leaf_cursor = 0;
+  std::uint32_t entry_cursor = 0;
   for (std::size_t t = 0; t < trees.size(); ++t) {
     const DecisionTree& tree = trees[t];
     node_base[t] = node_cursor;
@@ -138,23 +145,28 @@ FlatForest FlatForest::build(std::span<const DecisionTree> trees, int n_classes,
       if (node.proba_offset >= 0) {
         // Canonical leaf encoding regardless of what the source node
         // carried in its unused fields — keeps the payload a pure function
-        // of the predictor.
+        // of the predictor. Leaves are numbered in node order.
         feature[g] = -1;
         threshold[g] = 0.0f;
         child[2 * g] = -1;
         child[2 * g + 1] = -1;
-        leaf_offset[g] = static_cast<std::int32_t>(
-            leaf_cursor + static_cast<std::uint32_t>(node.proba_offset));
+        leaf_index[g] = static_cast<std::int32_t>(leaf_cursor);
+        leaf_start[leaf_cursor++] = entry_cursor;
+        const float* const leaf = tree.proba_pool().data() + node.proba_offset;
+        for (std::size_t c = 0; c < k; ++c) {
+          if (leaf[c] == 0.0f) continue;  // +0.0f and -0.0f add nothing
+          leaf_class[entry_cursor] = static_cast<std::uint32_t>(c);
+          leaf_value[entry_cursor] = leaf[c];
+          ++entry_cursor;
+        }
       } else {
         feature[g] = node.feature;
         threshold[g] = node.threshold;
         child[2 * g] = static_cast<std::int32_t>(node_cursor) + node.left;
         child[2 * g + 1] = static_cast<std::int32_t>(node_cursor) + node.right;
-        leaf_offset[g] = -1;
+        leaf_index[g] = -1;
       }
     }
-    const auto pool = tree.proba_pool();
-    std::copy(pool.begin(), pool.end(), leaf_pool.begin() + leaf_cursor);
     // Trees always carry exactly n_features importances (fit constructs
     // them that way and the text loader enforces it).
     const auto& imp = tree.feature_importances();
@@ -162,22 +174,16 @@ FlatForest FlatForest::build(std::span<const DecisionTree> trees, int n_classes,
               importances.begin() +
                   static_cast<std::ptrdiff_t>(t * shape.n_features));
     node_cursor += static_cast<std::uint32_t>(nodes.size());
-    leaf_cursor += static_cast<std::uint32_t>(pool.size());
   }
   node_base[shape.tree_count] = node_cursor;
   leaf_base[shape.tree_count] = leaf_cursor;
+  leaf_start[shape.leaf_count] = entry_cursor;
 
   return attach({storage->data(), storage->size()}, shape, storage);
 }
 
 FlatForest FlatForest::attach(std::span<const std::byte> payload, const Shape& shape,
                               std::shared_ptr<const void> keepalive) {
-  if (shape.n_classes == 0 || shape.n_classes > kMaxCount ||
-      shape.n_features > kMaxCount || shape.tree_count == 0 ||
-      shape.tree_count > kMaxCount || shape.total_nodes > (kMaxCount << 2) ||
-      shape.leaf_pool > (kMaxCount << 4)) {
-    throw std::runtime_error("FlatForest::attach: unreasonable shape");
-  }
   const Layout layout = layout_for(shape);
   if (payload.size() != layout.total) {
     throw std::runtime_error("FlatForest::attach: payload size mismatch");
@@ -200,36 +206,57 @@ FlatForest FlatForest::attach(std::span<const std::byte> payload, const Shape& s
   plan.threshold_ = section<const float>(base, layout.threshold, shape.total_nodes);
   plan.child_ = section<const std::int32_t>(base, layout.child,
                                             2 * shape.total_nodes);
-  plan.leaf_offset_ = section<const std::int32_t>(base, layout.leaf_offset,
-                                                  shape.total_nodes);
-  plan.leaf_pool_ = section<const float>(base, layout.leaf_pool, shape.leaf_pool);
+  plan.leaf_index_ = section<const std::int32_t>(base, layout.leaf_index,
+                                                 shape.total_nodes);
+  plan.leaf_start_ = section<const std::uint32_t>(base, layout.leaf_start,
+                                                  shape.leaf_count + 1);
+  plan.leaf_class_ = section<const std::uint32_t>(base, layout.leaf_class,
+                                                  shape.leaf_entries);
+  plan.leaf_value_ = section<const float>(base, layout.leaf_value, shape.leaf_entries);
   plan.importances_ = section<const double>(base, layout.importances,
                                             shape.tree_count * shape.n_features);
 
   // Full structural validation before any walk can happen: prefix sums
-  // must be consistent, every leaf offset must fit a distribution inside
-  // its tree's pool slice, and every interior node must reference a valid
+  // must be consistent, every leaf index must fall inside its tree's leaf
+  // range, every leaf's entries must name distinct in-range classes in
+  // ascending order, and every interior node must reference a valid
   // feature and forward in-tree children (forward links make every walk
   // provably terminate).
   if (plan.node_base_[0] != 0 ||
       plan.node_base_[shape.tree_count] != shape.total_nodes ||
-      plan.leaf_base_[0] != 0 || plan.leaf_base_[shape.tree_count] != shape.leaf_pool) {
+      plan.leaf_base_[0] != 0 || plan.leaf_base_[shape.tree_count] != shape.leaf_count) {
     throw std::runtime_error("FlatForest::attach: bad section prefix sums");
+  }
+  if (plan.leaf_start_[0] != 0 || plan.leaf_start_[shape.leaf_count] != shape.leaf_entries) {
+    throw std::runtime_error("FlatForest::attach: bad leaf entry prefix sums");
+  }
+  for (std::size_t leaf = 0; leaf < shape.leaf_count; ++leaf) {
+    const std::uint32_t begin = plan.leaf_start_[leaf];
+    const std::uint32_t end = plan.leaf_start_[leaf + 1];
+    if (end < begin || end > shape.leaf_entries) {
+      throw std::runtime_error("FlatForest::attach: leaf entry prefix sums decrease");
+    }
+    for (std::uint32_t e = begin; e < end; ++e) {
+      if (plan.leaf_class_[e] >= shape.n_classes ||
+          (e > begin && plan.leaf_class_[e] <= plan.leaf_class_[e - 1])) {
+        throw std::runtime_error("FlatForest::attach: bad leaf class id");
+      }
+    }
   }
   for (std::size_t t = 0; t < shape.tree_count; ++t) {
     const std::uint32_t nb = plan.node_base_[t];
     const std::uint32_t ne = plan.node_base_[t + 1];
     const std::uint32_t lb = plan.leaf_base_[t];
     const std::uint32_t le = plan.leaf_base_[t + 1];
-    if (ne <= nb || le < lb) {
+    if (ne <= nb || ne > shape.total_nodes || le < lb || le > shape.leaf_count) {
       throw std::runtime_error("FlatForest::attach: empty or reversed tree");
     }
     for (std::uint32_t i = nb; i < ne; ++i) {
-      const std::int32_t off = plan.leaf_offset_[i];
-      if (off >= 0) {
-        if (static_cast<std::uint32_t>(off) < lb ||
-            static_cast<std::uint32_t>(off) + shape.n_classes > le) {
-          throw std::runtime_error("FlatForest::attach: leaf offset out of range");
+      const std::int32_t leaf = plan.leaf_index_[i];
+      if (leaf >= 0) {
+        if (static_cast<std::uint32_t>(leaf) < lb ||
+            static_cast<std::uint32_t>(leaf) >= le) {
+          throw std::runtime_error("FlatForest::attach: leaf index out of range");
         }
       } else {
         const std::int32_t f = plan.feature_[i];
@@ -250,6 +277,13 @@ FlatForest FlatForest::attach(std::span<const std::byte> payload, const Shape& s
   return plan;
 }
 
+void FlatForest::add_leaf(double* acc, std::uint32_t leaf) const noexcept {
+  const std::uint32_t end = leaf_start_[leaf + 1];
+  for (std::uint32_t e = leaf_start_[leaf]; e < end; ++e) {
+    acc[leaf_class_[e]] += static_cast<double>(leaf_value_[e]);
+  }
+}
+
 void FlatForest::accumulate_block(const Matrix& rows, std::size_t begin,
                                   std::size_t end, std::span<double> acc) const {
   if (!compiled()) throw std::logic_error("FlatForest: not compiled");
@@ -259,18 +293,17 @@ void FlatForest::accumulate_block(const Matrix& rows, std::size_t begin,
   }
   std::fill(acc.begin(), acc.end(), 0.0);
   const std::size_t k = shape_.n_classes;
-  const std::int32_t* const leaf_offset = leaf_offset_.data();
+  const std::int32_t* const leaf_index = leaf_index_.data();
   const std::int32_t* const feature = feature_.data();
   const float* const threshold = threshold_.data();
   const std::int32_t* const child = child_.data();
-  const float* const pool = leaf_pool_.data();
   // A single row's walk is a serial chain of dependent (usually cold)
   // loads — the memory latency, not bandwidth, bounds it. Walking a group
   // of rows through the tree in lockstep gives the out-of-order core
-  // kGroup independent miss chains to overlap, then the leaf
-  // distributions are accumulated in a separate streaming phase. The
-  // phase split changes nothing about the result: per (row, class) the
-  // adds still happen once per tree, trees in ascending order.
+  // kGroup independent miss chains to overlap, then the leaves are
+  // accumulated in a separate phase. The phase split changes nothing
+  // about the result: per (row, class) the adds still happen once per
+  // tree, trees in ascending order.
   constexpr std::size_t kGroup = 8;
   std::uint32_t node[kGroup];
   const float* row_ptr[kGroup];
@@ -288,7 +321,7 @@ void FlatForest::accumulate_block(const Matrix& rows, std::size_t begin,
         std::size_t active = 0;
         for (std::size_t g = 0; g < lanes; ++g) {
           const std::uint32_t n = node[g];
-          if (leaf_offset[n] < 0) {
+          if (leaf_index[n] < 0) {
             node[g] = static_cast<std::uint32_t>(
                 child[2 * n + (row_ptr[g][static_cast<std::uint32_t>(feature[n])] <=
                                        threshold[n]
@@ -299,26 +332,10 @@ void FlatForest::accumulate_block(const Matrix& rows, std::size_t begin,
         }
         if (active == 0) break;
       }
-      // The walk left every lane's leaf address known; fetch them all
-      // before touching any — the distributions live anywhere in a pool
-      // far bigger than L2, and hardware prefetch cannot predict them.
-#if defined(__GNUC__) || defined(__clang__)
+      // Phase 2: add each lane's few stored leaf entries, rows in order.
       for (std::size_t g = 0; g < lanes; ++g) {
-        const float* const leaf =
-            pool + static_cast<std::uint32_t>(leaf_offset[node[g]]);
-        for (std::size_t c = 0; c < k; c += 16) {
-          __builtin_prefetch(leaf + c, 0, 1);
-        }
-      }
-#endif
-      // Phase 2: streaming accumulation, rows in order. The leaf rows are
-      // contiguous k-float runs of the pool; the prefetch above started
-      // their loads, add_leaf_row turns each into a vectorizable
-      // convert-and-add over the row accumulator.
-      for (std::size_t g = 0; g < lanes; ++g) {
-        const float* const leaf =
-            pool + static_cast<std::uint32_t>(leaf_offset[node[g]]);
-        add_leaf_row(acc.data() + (r0 + g - begin) * k, leaf, k);
+        add_leaf(acc.data() + (r0 + g - begin) * k,
+                 static_cast<std::uint32_t>(leaf_index[node[g]]));
       }
     }
   }
@@ -331,33 +348,20 @@ void FlatForest::predict_proba(std::span<const float> row,
     throw std::invalid_argument("FlatForest::predict_proba: bad output size");
   }
   std::fill(out.begin(), out.end(), 0.0);
-  const std::size_t k = shape_.n_classes;
-  const std::int32_t* const leaf_offset = leaf_offset_.data();
-  const std::int32_t* const feature = feature_.data();
-  const float* const threshold = threshold_.data();
-  const std::int32_t* const child = child_.data();
-  const float* const pool = leaf_pool_.data();
   for (std::size_t t = 0; t < shape_.tree_count; ++t) {
     std::uint32_t node = node_base_[t];
-    std::int32_t off;
-    while ((off = leaf_offset[node]) < 0) {
+    std::int32_t leaf;
+    while ((leaf = leaf_index_[node]) < 0) {
       node = static_cast<std::uint32_t>(
-          child[2 * node +
-                (row[static_cast<std::uint32_t>(feature[node])] <= threshold[node]
-                     ? 0
-                     : 1)]);
+          child_[2 * node + (row[static_cast<std::uint32_t>(feature_[node])] <=
+                                     threshold_[node]
+                                 ? 0
+                                 : 1)]);
     }
-    add_leaf_row(out.data(), pool + off, k);
+    add_leaf(out.data(), static_cast<std::uint32_t>(leaf));
   }
   const double inv = 1.0 / static_cast<double>(shape_.tree_count);
   for (double& p : out) p *= inv;
-}
-
-void FlatForest::accumulate_leaf(std::span<double> acc, std::span<const float> leaf) {
-  if (acc.size() != leaf.size()) {
-    throw std::invalid_argument("FlatForest::accumulate_leaf: size mismatch");
-  }
-  add_leaf_row(acc.data(), leaf.data(), acc.size());
 }
 
 void FlatForest::predict_proba_block(const Matrix& rows, std::size_t begin,

@@ -11,12 +11,17 @@
 // Trees train in parallel on the shared pool; each tree derives its own
 // RNG stream from (forest seed, tree index) so results are independent of
 // thread scheduling.
+//
+// Inference runs on the compiled FlatForest plan. The per-tree
+// DecisionTree view serves only text save, tree() and the nested
+// reference walk; after a binary load it is built lazily, on first use.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -38,6 +43,10 @@ struct ForestParams {
 
   ForestParams() { tree.max_features = -1; }
 };
+
+/// Test hook: process-wide count of per-tree views built from a plan (a
+/// binary-loaded forest's lazy view) — proves a path never builds one.
+std::uint64_t tree_view_materializations() noexcept;
 
 class RandomForest {
  public:
@@ -73,13 +82,14 @@ class RandomForest {
   /// loaded).
   const FlatForest& plan() const noexcept { return plan_; }
 
-  /// Mean normalized impurity importances, re-normalized to sum 1.
+  /// Mean normalized impurity importances, re-normalized to sum 1 — read
+  /// from the plan's importances section, trees in index order.
   std::vector<double> feature_importances() const;
 
   int n_classes() const noexcept { return n_classes_; }
   std::size_t n_features() const noexcept { return n_features_; }
-  std::size_t tree_count() const noexcept { return trees_.size(); }
-  const DecisionTree& tree(std::size_t i) const { return trees_.at(i); }
+  std::size_t tree_count() const noexcept { return plan_.shape().tree_count; }
+  const DecisionTree& tree(std::size_t i) const { return trees().at(i); }
 
   /// Text serialization of the fitted ensemble (train once, classify in a
   /// Slurm prolog — the paper's deployment model). Throws
@@ -87,11 +97,13 @@ class RandomForest {
   void save(std::ostream& out) const;
   void load(std::istream& in);
 
-  /// Binary model format: a 64-byte little-endian header followed by the
-  /// FlatForest SoA payload written verbatim, so save -> load_binary ->
-  /// save round-trips byte-identically and a loaded file needs no float
-  /// parsing. Throws std::runtime_error on malformed input (and on
-  /// big-endian hosts, which the format does not support).
+  /// Binary forest image ("FHCFRST2"): a 64-byte little-endian header
+  /// followed by the FlatForest SoA payload (sparse CSR leaves) written
+  /// verbatim, so save -> load_binary -> save round-trips byte-identically
+  /// and a loaded image needs no float parsing. Throws std::runtime_error
+  /// on malformed input, on the retired dense-leaf "FHCFRST1" image (with
+  /// the fix: retrain with fhc_train --binary, or load the text model) and
+  /// on big-endian hosts, which the format does not support.
   void save_binary(std::ostream& out) const;
   void load_binary(std::istream& in);
 
@@ -102,13 +114,25 @@ class RandomForest {
   void load_binary(std::span<const std::byte> bytes,
                    std::shared_ptr<const void> keepalive);
 
- private:
-  /// Installs a validated plan: reconstructs the per-tree view (text save,
-  /// importances, tree() introspection) from the plan's sections.
-  void adopt_plan(FlatForest plan);
+  /// The shape in a binary forest image's header, validated as
+  /// load_binary validates it (tools report it without attaching).
+  static FlatForest::Shape binary_shape(std::span<const std::byte> bytes);
 
-  std::vector<DecisionTree> trees_;
+ private:
+  /// The per-tree view behind text save, tree() and the nested walk. Fit
+  /// and text load fill it; after a binary load trees() builds it from the
+  /// plan once, on first use. Copies share it (immutable once built).
+  struct TreeView {
+    std::once_flag once;
+    std::vector<DecisionTree> trees;
+  };
+
+  const std::vector<DecisionTree>& trees() const;
+  /// Installs `trees` as the view and compiles the plan from them.
+  void adopt_trees(std::vector<DecisionTree> trees);
+
   FlatForest plan_;
+  std::shared_ptr<TreeView> view_;
   int n_classes_ = 0;
   std::size_t n_features_ = 0;
 };

@@ -218,25 +218,19 @@ TEST(OpenSetCalibration, CalibrationSurvivesTextRoundTrip) {
 }
 
 TEST(OpenSetCalibration, CalibrationSurvivesBinaryRoundTrips) {
-  for (const bool v2 : {false, true}) {
-    std::ostringstream saved;
-    if (v2) {
-      calibrated_model().save_binary(saved);
-    } else {
-      calibrated_model().save_binary_v1(saved);
-    }
-    const std::string bytes = saved.str();
-    FuzzyHashClassifier loaded;
-    loaded.load_binary(
-        std::span<const std::byte>(reinterpret_cast<const std::byte*>(bytes.data()),
-                                   bytes.size()),
-        nullptr);
-    EXPECT_TRUE(loaded.calibration().enabled) << (v2 ? "v2" : "v1");
-    EXPECT_DOUBLE_EQ(loaded.calibration().threshold,
-                     calibrated_model().calibration().threshold);
-    EXPECT_EQ(loaded.calibration().holdout_count,
-              calibrated_model().calibration().holdout_count);
-  }
+  std::ostringstream saved;
+  calibrated_model().save_binary(saved);
+  const std::string bytes = saved.str();
+  FuzzyHashClassifier loaded;
+  loaded.load_binary(
+      std::span<const std::byte>(reinterpret_cast<const std::byte*>(bytes.data()),
+                                 bytes.size()),
+      nullptr);
+  EXPECT_TRUE(loaded.calibration().enabled);
+  EXPECT_DOUBLE_EQ(loaded.calibration().threshold,
+                   calibrated_model().calibration().threshold);
+  EXPECT_EQ(loaded.calibration().holdout_count,
+            calibrated_model().calibration().holdout_count);
 }
 
 TEST(OpenSetCalibration, UncalibratedModelsKeepLegacyByteLayout) {

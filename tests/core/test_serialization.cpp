@@ -7,12 +7,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
 
 #include "core/classifier.hpp"
 #include "corpus/corpus.hpp"
+#include "ml/random_forest.hpp"
 #include "ssdeep/gram_index.hpp"
 #include "ssdeep/prepared.hpp"
 #include "util/sectioned.hpp"
@@ -166,36 +169,39 @@ TEST(SerializationBinary, LoadFileSniffsAllThreeFormats) {
   const auto v2_path =
       dir / ("fhc_model_v2_" + std::to_string(::getpid()) + ".fhcb");
   model().clf.save_file(text_path.string());
-  {
-    std::ofstream out(v1_path, std::ios::trunc | std::ios::binary);
-    model().clf.save_binary_v1(out);
-  }
   model().clf.save_binary_file(v2_path.string());  // v2 is the default
+  {
+    // The retired v1 blob: its magic is all load_file needs to see.
+    std::ofstream out(v1_path, std::ios::trunc | std::ios::binary);
+    out << kBinaryModelMagicV1 << std::string(56, '\0');
+  }
 
-  // The v2 file mmaps and attaches forest AND index zero-copy; v1 mmaps
-  // the forest but rebuilds the index; the text file goes through the
-  // parser — all three must agree exactly.
+  // The v2 file mmaps and attaches forest AND index zero-copy; the text
+  // file goes through the parser — both must agree exactly. A v1 file is
+  // recognized as binary and refused with the fix, not fed to the text
+  // parser.
   const FuzzyHashClassifier from_text =
       FuzzyHashClassifier::load_file(text_path.string());
-  const FuzzyHashClassifier from_v1 =
-      FuzzyHashClassifier::load_file(v1_path.string());
   const FuzzyHashClassifier from_v2 =
       FuzzyHashClassifier::load_file(v2_path.string());
-  EXPECT_FALSE(from_v1.index().attached());
+  EXPECT_FALSE(from_text.index().attached());
   EXPECT_TRUE(from_v2.index().attached());
   EXPECT_EQ(from_text.class_names(), from_v2.class_names());
-  EXPECT_EQ(from_v1.class_names(), from_v2.class_names());
   for (const FeatureHashes& probe : model().probes) {
     const Prediction a = from_text.predict(probe);
     const Prediction b = from_v2.predict(probe);
-    const Prediction c = from_v1.predict(probe);
     EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(c.label, b.label);
     ASSERT_EQ(a.proba.size(), b.proba.size());
     for (std::size_t k = 0; k < a.proba.size(); ++k) {
       EXPECT_EQ(a.proba[k], b.proba[k]);
-      EXPECT_EQ(c.proba[k], b.proba[k]);
     }
+  }
+  try {
+    (void)FuzzyHashClassifier::load_file(v1_path.string());
+    ADD_FAILURE() << "a v1 model must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fhc_train --binary"), std::string::npos)
+        << e.what();
   }
   std::filesystem::remove(text_path);
   std::filesystem::remove(v1_path);
@@ -253,18 +259,21 @@ std::string binary_image_v2(const FuzzyHashClassifier& clf) {
   return stream.str();
 }
 
-std::string binary_image_v1(const FuzzyHashClassifier& clf) {
-  std::ostringstream stream(std::ios::binary);
-  clf.save_binary_v1(stream);
-  return stream.str();
+/// The rebuild side of attach == rebuild: a text load re-prepares every
+/// digest and rebuilds the gram indexes from the digest text.
+FuzzyHashClassifier rebuilt_from_text(const FuzzyHashClassifier& clf) {
+  std::stringstream text;
+  clf.save(text);
+  FuzzyHashClassifier rebuilt;
+  rebuilt.load(text);
+  return rebuilt;
 }
 
 TEST(SerializationBinary, V2AttachPreparesNoDigestAndBuildsNoIndex) {
   // The acceptance property of the v2 format: loading must not touch the
   // digest-preparation or gram-index construction paths at all — the
-  // pools attach in place. The v1 blob, by contrast, rebuilds everything.
+  // pools attach in place. A text load, by contrast, rebuilds everything.
   const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
-  const std::vector<std::byte> v1 = aligned_image(binary_image_v1(model().clf));
 
   FuzzyHashClassifier from_v2;
   const std::uint64_t prepared_before = ssdeep::prepared_digest_count();
@@ -274,23 +283,53 @@ TEST(SerializationBinary, V2AttachPreparesNoDigestAndBuildsNoIndex) {
   EXPECT_EQ(ssdeep::gram_index_build_count(), built_before);
   EXPECT_TRUE(from_v2.index().attached());
 
-  FuzzyHashClassifier from_v1;
-  from_v1.load_binary({v1.data(), v1.size()}, nullptr);
+  const FuzzyHashClassifier rebuilt = rebuilt_from_text(model().clf);
   EXPECT_GT(ssdeep::prepared_digest_count(), prepared_before);
   EXPECT_GT(ssdeep::gram_index_build_count(), built_before);
-  EXPECT_FALSE(from_v1.index().attached());
+  EXPECT_FALSE(rebuilt.index().attached());
+}
+
+TEST(SerializationBinary, ClassifyPathBuildsNoTreeView) {
+  // The forest's per-tree view serves only text save, tree() and the
+  // nested oracle: a v2 load plus every classify-path call must leave it
+  // unbuilt, and a text save builds it exactly once.
+  const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
+  const std::uint64_t before = ml::tree_view_materializations();
+  FuzzyHashClassifier restored;
+  restored.load_binary({v2.data(), v2.size()}, nullptr);
+  ml::Matrix rows(model().probes.size(), restored.row_width());
+  for (std::size_t i = 0; i < model().probes.size(); ++i) {
+    (void)restored.predict(model().probes[i]);
+    fill_feature_row(restored.index(), model().probes[i], restored.config().metric,
+                     -1, rows.row(i));
+  }
+  std::vector<Prediction> predicted(rows.rows());
+  restored.predict_rows(rows, predicted);
+  (void)restored.predict_batch(model().probes);
+  const std::vector<double> importances = restored.column_importances();
+  (void)restored.channel_importance();
+  EXPECT_EQ(ml::tree_view_materializations(), before);
+
+  const std::vector<double> fitted = model().clf.column_importances();
+  ASSERT_EQ(importances.size(), fitted.size());
+  EXPECT_EQ(0, std::memcmp(importances.data(), fitted.data(),
+                           fitted.size() * sizeof(double)));
+
+  std::stringstream restored_text;
+  restored.save(restored_text);
+  restored.save(restored_text);
+  EXPECT_EQ(ml::tree_view_materializations(), before + 1);
 }
 
 TEST(SerializationBinary, AttachEqualsRebuildRowsAndGateStats) {
-  // Attach (v2) and rebuild (v1) must be indistinguishable to the row
-  // fill: identical similarity rows AND identical gate counters — the
+  // Attach (v2) and rebuild (text load) must be indistinguishable to the
+  // row fill: identical similarity rows AND identical gate counters — the
   // attached CSR index prunes exactly what the rebuilt one prunes.
   const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
-  const std::vector<std::byte> v1 = aligned_image(binary_image_v1(model().clf));
   FuzzyHashClassifier from_v2;
   from_v2.load_binary({v2.data(), v2.size()}, nullptr);
-  FuzzyHashClassifier from_v1;
-  from_v1.load_binary({v1.data(), v1.size()}, nullptr);
+  const FuzzyHashClassifier rebuilt = rebuilt_from_text(model().clf);
+  ASSERT_FALSE(rebuilt.index().attached());
 
   const auto metric = model().clf.config().metric;
   const auto width = model().clf.row_width();
@@ -301,7 +340,7 @@ TEST(SerializationBinary, AttachEqualsRebuildRowsAndGateStats) {
     RowFillStats rebuilt_stats;
     fill_feature_row(from_v2.index(), probe, metric, -1, attached_row,
                      kAllChannels, &attached_stats);
-    fill_feature_row(from_v1.index(), probe, metric, -1, rebuilt_row,
+    fill_feature_row(rebuilt.index(), probe, metric, -1, rebuilt_row,
                      kAllChannels, &rebuilt_stats);
     EXPECT_EQ(attached_row, rebuilt_row);
     EXPECT_EQ(attached_stats.candidates_scored, rebuilt_stats.candidates_scored);
@@ -309,21 +348,54 @@ TEST(SerializationBinary, AttachEqualsRebuildRowsAndGateStats) {
   }
 }
 
-TEST(SerializationBinary, V1CompatLoadPredictsIdentically) {
-  const std::vector<std::byte> v1 = aligned_image(binary_image_v1(model().clf));
+void expect_refused_with_the_fix(const std::vector<std::byte>& image,
+                                 std::string_view retired_magic) {
   FuzzyHashClassifier restored;
-  restored.load_binary({v1.data(), v1.size()}, nullptr);
-  ASSERT_TRUE(restored.fitted());
-  EXPECT_EQ(restored.class_names(), model().clf.class_names());
-  for (const FeatureHashes& probe : model().probes) {
-    const Prediction a = model().clf.predict(probe);
-    const Prediction b = restored.predict(probe);
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.confidence, b.confidence);
-    for (std::size_t c = 0; c < a.proba.size(); ++c) {
-      EXPECT_EQ(a.proba[c], b.proba[c]);
+  try {
+    restored.load_binary({image.data(), image.size()}, nullptr);
+    ADD_FAILURE() << retired_magic << " must not load";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(retired_magic), std::string::npos) << what;
+    EXPECT_NE(what.find("fhc_train --binary"), std::string::npos) << what;
+    EXPECT_NE(what.find("text model"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(restored.fitted());
+}
+
+TEST(SerializationBinary, RejectsRetiredV1ModelWithTheFix) {
+  // The v1 blob was magic, u64 preamble length, preamble, forest image;
+  // only the magic matters now.
+  std::string v1(kBinaryModelMagicV1);
+  v1 += std::string(8, '\0');
+  std::ostringstream preamble;
+  model().clf.save(preamble);
+  v1 += preamble.str();
+  expect_refused_with_the_fix(aligned_image(v1), "FHCMDLB1");
+}
+
+TEST(SerializationBinary, RejectsV2ContainerWithRetiredForestImage) {
+  // A v2 container whose forest section carries the retired dense-leaf
+  // image magic. The container is rebuilt (fresh checksums), so the
+  // forest loader — not the checksum pass — must be what refuses it.
+  const std::vector<std::byte> good = aligned_image(binary_image_v2(model().clf));
+  const auto view = util::SectionedView::attach(good, kBinaryModelMagicV2);
+  std::vector<std::byte> forest;
+  util::SectionedWriter writer(kBinaryModelMagicV2);
+  for (const util::SectionEntry& entry : view.entries()) {
+    const auto bytes = view.section(entry.tag_view());
+    if (entry.tag_view() == "forest") {
+      forest.assign(bytes.begin(), bytes.end());
+      ASSERT_EQ(std::memcmp(forest.data(), "FHCFRST2", 8), 0);
+      forest[7] = std::byte{'1'};
+      writer.add(entry.tag_view(), forest);
+    } else {
+      writer.add(entry.tag_view(), bytes);
     }
   }
+  std::ostringstream out(std::ios::binary);
+  writer.write_to(out);
+  expect_refused_with_the_fix(aligned_image(out.str()), "FHCFRST1");
 }
 
 TEST(SerializationBinary, AttachedModelSavesIdenticalText) {

@@ -1,7 +1,8 @@
-// Fuzz target: model loading on arbitrary bytes — the three formats a
-// daemon will mmap or stream from disk (text "FHCMODEL", binary v1
-// "FHCMDLB1", binary v2 "FHCMDLB2") plus the raw SectionedView
-// container walk underneath v2.
+// Fuzz target: model loading on arbitrary bytes — the formats a daemon
+// will mmap or stream from disk (text, binary v2 "FHCMDLB2" with its
+// sparse "FHCFRST2" forest image) plus the raw SectionedView container
+// walk underneath v2, and the retired v1 blob / "FHCFRST1" forest, which
+// must be refused cleanly.
 //
 // Contract under test: every loader either succeeds or throws a
 // std::exception subclass — no crashes, no OOM from attacker-chosen
@@ -35,7 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const std::exception&) {
   }
 
-  // Binary loaders (v1/v2 sniffed by magic). keepalive nullptr is fine:
+  // Binary loader (v2; a v1 magic is refused). keepalive nullptr is fine:
   // `bytes` outlives the model inside this call.
   if (fhc::core::FuzzyHashClassifier::is_binary_model(bytes)) {
     try {

@@ -4,7 +4,7 @@
 //   make_seed_corpus OUTDIR
 //
 // The seeds are produced by the *real* producers — ssdeep::fuzzy_hash,
-// elf::write_elf, FuzzyHashClassifier::save/save_binary/save_binary_v1,
+// elf::write_elf, FuzzyHashClassifier::save/save_binary,
 // the net encode_* helpers — so every seed starts deep inside the
 // parsers' accept states and mutation explores the interesting
 // boundaries instead of bouncing off the magic check. Deterministic:
@@ -12,6 +12,7 @@
 // checked in; this tool exists to regenerate them when formats evolve).
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "runtime/fingerprint.hpp"
 #include "ssdeep/fuzzy_hash.hpp"
 #include "util/rng.hpp"
+#include "util/sectioned.hpp"
 
 using namespace fhc;
 
@@ -101,6 +103,30 @@ core::FuzzyHashClassifier make_model(bool calibrated) {
   return model;
 }
 
+/// The v2 container `image` re-sealed with its forest image's magic set
+/// to the retired dense-leaf "FHCFRST1": the loader must refuse it by
+/// magic, after the checksums pass.
+std::string with_retired_forest_magic(const std::string& image) {
+  std::vector<std::byte> bytes(image.size());
+  std::memcpy(bytes.data(), image.data(), image.size());
+  const auto view = util::SectionedView::attach(bytes, core::kBinaryModelMagicV2);
+  std::vector<std::byte> forest;
+  util::SectionedWriter writer(core::kBinaryModelMagicV2);
+  for (const util::SectionEntry& entry : view.entries()) {
+    const auto section = view.section(entry.tag_view());
+    if (entry.tag_view() == "forest") {
+      forest.assign(section.begin(), section.end());
+      forest[7] = std::byte{'1'};  // "FHCFRST2" -> "FHCFRST1"
+      writer.add(entry.tag_view(), forest);
+    } else {
+      writer.add(entry.tag_view(), section);
+    }
+  }
+  std::ostringstream out(std::ios::binary);
+  writer.write_to(out);
+  return out.str();
+}
+
 void seed_parse_digest() {
   const std::string target = "fuzz_parse_digest";
   int n = 0;
@@ -149,12 +175,10 @@ void seed_model_load() {
   std::ostringstream text_cal;
   calibrated.save(text_cal);
   write_seed(target, "text_model_calibrated", text_cal.str());
-  std::ostringstream v1;
-  plain.save_binary_v1(v1);
-  write_seed(target, "binary_v1", v1.str());
   std::ostringstream v2;
   plain.save_binary(v2);
   write_seed(target, "binary_v2", v2.str());
+  write_seed(target, "binary_v2_forest_v1", with_retired_forest_magic(v2.str()));
   std::ostringstream v2_cal;
   calibrated.save_binary(v2_cal);
   write_seed(target, "binary_v2_calibrated", v2_cal.str());

@@ -1,11 +1,15 @@
 // FlatForest: the compiled SoA inference plan must be bit-identical to
-// the nested per-tree walk on fitted AND text-loaded forests (including
-// leaf-only and deep trees), and the binary model format must round-trip
-// byte-identically.
+// the nested per-tree walk on fitted, text-loaded and hand-built forests
+// (leaf-only and deep trees, signed-zero and cancelling leaf values), the
+// sparse leaf pool must reject every malformed CSR image, the binary
+// forest image must round-trip byte-identically, and a binary load must
+// build the per-tree view only when something needs it.
 #include "ml/flat_forest.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -296,6 +300,299 @@ TEST(FlatForestBinary, RejectsUnfittedSave) {
   RandomForest forest;
   std::ostringstream out;
   EXPECT_THROW(forest.save_binary(out), std::logic_error);
+}
+
+// --- hand-built forests: signed zeros, cancellation, CSR validation ------
+
+/// A depth-1 tree over 2 features and 3 classes: root splits feature
+/// `feature` at `threshold`, leaves hold exactly the given floats.
+DecisionTree stump(int feature, float threshold, std::vector<float> left,
+                   std::vector<float> right) {
+  std::vector<DecisionTree::Node> nodes(3);
+  nodes[0].feature = feature;
+  nodes[0].threshold = threshold;
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[1].proba_offset = 0;
+  nodes[2].proba_offset = 3;
+  std::vector<float> pool = std::move(left);
+  pool.insert(pool.end(), right.begin(), right.end());
+  DecisionTree tree;
+  tree.restore(std::move(nodes), std::move(pool), {0.25, 0.75}, 3, 1);
+  return tree;
+}
+
+/// Two stumps whose leaves hold +0.0f, -0.0f, and values that cancel to
+/// zero across trees (0.25 - 0.25, 0.5 - 0.5, -0.5 + 0.5). Installed
+/// through the text loader, which keeps every float bit (-0.0f prints as
+/// "-0").
+RandomForest signed_zero_forest() {
+  std::ostringstream text;
+  text << "forest 3 2 2\n";
+  stump(0, 0.5f, {-0.0f, 0.25f, +0.0f}, {0.5f, -0.0f, -0.5f}).save(text);
+  stump(1, 0.0f, {-0.5f, -0.25f, 0.5f}, {+0.0f, -0.0f, -0.0f}).save(text);
+  std::istringstream in(text.str());
+  RandomForest forest;
+  forest.load(in);
+  return forest;
+}
+
+Matrix signed_zero_probes() {
+  Matrix probes(4, 2);
+  const float rows[4][2] = {{0.0f, -1.0f}, {1.0f, -1.0f}, {0.0f, 1.0f}, {1.0f, 1.0f}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    probes.at(i, 0) = rows[i][0];
+    probes.at(i, 1) = rows[i][1];
+  }
+  return probes;
+}
+
+TEST(FlatForestSparse, SignedZerosAndCancellationStayBitIdentical) {
+  const RandomForest forest = signed_zero_forest();
+  // Only the entries that compare unequal to 0.0f are stored: 1 + 2 + 3 + 0.
+  EXPECT_EQ(forest.plan().shape().leaf_count, 4u);
+  EXPECT_EQ(forest.plan().shape().leaf_entries, 6u);
+  const Matrix probes = signed_zero_probes();
+  const Matrix matrix_proba = forest.predict_proba_matrix(probes);
+  int zero_outputs = 0;
+  for (std::size_t i = 0; i < probes.rows(); ++i) {
+    const std::vector<double> plan = forest.predict_proba(probes.row(i));
+    const std::vector<double> nested = forest.predict_proba_nested(probes.row(i));
+    for (std::size_t c = 0; c < plan.size(); ++c) {
+      // Bitwise, so +0.0 vs -0.0 counts as a difference.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plan[c]),
+                std::bit_cast<std::uint64_t>(nested[c]))
+          << "row " << i << " class " << c;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(matrix_proba.at(i, c)),
+                std::bit_cast<std::uint32_t>(static_cast<float>(nested[c])))
+          << "row " << i << " class " << c;
+      if (nested[c] == 0.0) {
+        ++zero_outputs;
+        // The premise of dropping zero entries: the nested accumulator
+        // starts at +0.0 and never becomes -0.0.
+        EXPECT_FALSE(std::signbit(nested[c])) << "row " << i << " class " << c;
+      }
+    }
+  }
+  EXPECT_GE(zero_outputs, 6);  // the fixture really exercises zero sums
+}
+
+TEST(FlatForestSparse, BinaryLoadRebuildsDroppedZerosAsPositiveZero) {
+  // The CSR image carries no zero entries, so the rebuilt dense view holds
+  // +0.0f where the source held -0.0f — and still predicts bit-identically.
+  const RandomForest forest = signed_zero_forest();
+  std::ostringstream image(std::ios::binary);
+  forest.save_binary(image);
+  std::istringstream in(image.str(), std::ios::binary);
+  RandomForest loaded;
+  loaded.load_binary(in);
+  const std::span<const float> pool = loaded.tree(0).proba_pool();
+  ASSERT_EQ(pool.size(), 6u);
+  EXPECT_FALSE(std::signbit(pool[0]));
+  EXPECT_EQ(pool[1], 0.25f);
+  const Matrix probes = signed_zero_probes();
+  for (std::size_t i = 0; i < probes.rows(); ++i) {
+    const std::vector<double> original = forest.predict_proba_nested(probes.row(i));
+    const std::vector<double> restored = loaded.predict_proba_nested(probes.row(i));
+    EXPECT_EQ(0, std::memcmp(original.data(), restored.data(),
+                             original.size() * sizeof(double)));
+  }
+}
+
+/// A writable copy of a plan's payload; `at` maps one of the plan's
+/// section views to the same elements in the copy.
+struct PayloadCopy {
+  explicit PayloadCopy(const FlatForest& source)
+      : plan(source), bytes(source.payload().begin(), source.payload().end()) {}
+
+  template <typename T>
+  T* at(std::span<const T> section) {
+    const auto offset =
+        reinterpret_cast<const std::byte*>(section.data()) - plan.payload().data();
+    return reinterpret_cast<T*>(bytes.data() + offset);
+  }
+
+  FlatForest attach(const FlatForest::Shape& shape) const {
+    return FlatForest::attach({bytes.data(), bytes.size()}, shape, nullptr);
+  }
+  FlatForest attach() const { return attach(plan.shape()); }
+
+  const FlatForest& plan;
+  std::vector<std::byte> bytes;
+};
+
+TEST(FlatForestSparse, AttachAcceptsTheUnmodifiedCopy) {
+  const RandomForest forest = signed_zero_forest();
+  const PayloadCopy copy(forest.plan());
+  EXPECT_NO_THROW(copy.attach());
+}
+
+TEST(FlatForestSparse, AttachRejectsClassIdBeyondClassCount) {
+  const RandomForest forest = signed_zero_forest();
+  PayloadCopy copy(forest.plan());
+  copy.at(forest.plan().leaf_classes())[0] = 3;  // n_classes == 3
+  EXPECT_THROW(copy.attach(), std::runtime_error);
+}
+
+TEST(FlatForestSparse, AttachRejectsNonAscendingClassIds) {
+  const RandomForest forest = signed_zero_forest();
+  // Leaf 2 (tree 1's left leaf) stores classes 0, 1, 2 at entries 3..5.
+  ASSERT_EQ(forest.plan().leaf_starts()[2], 3u);
+  ASSERT_EQ(forest.plan().leaf_starts()[3], 6u);
+  {
+    PayloadCopy copy(forest.plan());
+    std::uint32_t* classes = copy.at(forest.plan().leaf_classes());
+    std::swap(classes[3], classes[4]);  // 1, 0, 2
+    EXPECT_THROW(copy.attach(), std::runtime_error);
+  }
+  {
+    PayloadCopy copy(forest.plan());
+    copy.at(forest.plan().leaf_classes())[4] = 0;  // 0, 0, 2: a duplicate
+    EXPECT_THROW(copy.attach(), std::runtime_error);
+  }
+}
+
+TEST(FlatForestSparse, AttachRejectsDecreasingLeafStart) {
+  const RandomForest forest = signed_zero_forest();
+  PayloadCopy copy(forest.plan());
+  // leaf_start is 0, 1, 3, 6, 6; make leaf 1's range run backwards.
+  copy.at(forest.plan().leaf_starts())[2] = 0;
+  EXPECT_THROW(copy.attach(), std::runtime_error);
+}
+
+TEST(FlatForestSparse, AttachRejectsLeafIndexOutsideItsTree) {
+  const RandomForest forest = signed_zero_forest();
+  PayloadCopy copy(forest.plan());
+  // Node 1 is tree 0's left leaf (leaf 0); leaf 2 exists but belongs to
+  // tree 1.
+  ASSERT_EQ(forest.plan().leaf_indices()[1], 0);
+  copy.at(forest.plan().leaf_indices())[1] = 2;
+  EXPECT_THROW(copy.attach(), std::runtime_error);
+  copy.at(forest.plan().leaf_indices())[1] = 4;  // past every leaf
+  EXPECT_THROW(copy.attach(), std::runtime_error);
+}
+
+TEST(FlatForestSparse, AttachRejectsWrongLeafEntries) {
+  const RandomForest forest = signed_zero_forest();
+  {
+    // The shape (the image header) disagrees with the payload size.
+    const PayloadCopy copy(forest.plan());
+    FlatForest::Shape shape = forest.plan().shape();
+    shape.leaf_entries -= 1;
+    EXPECT_THROW(copy.attach(shape), std::runtime_error);
+  }
+  {
+    // The prefix sums end short of the declared entry count.
+    PayloadCopy copy(forest.plan());
+    copy.at(forest.plan().leaf_starts())[4] = 5;
+    EXPECT_THROW(copy.attach(), std::runtime_error);
+  }
+  {
+    // Through the image header: leaf_entries sits at header offset 32.
+    std::ostringstream out(std::ios::binary);
+    forest.save_binary(out);
+    std::string image = out.str();
+    std::uint32_t entries = 0;
+    std::memcpy(&entries, image.data() + 32, sizeof entries);
+    ASSERT_EQ(entries, 6u);
+    entries += 1;
+    std::memcpy(image.data() + 32, &entries, sizeof entries);
+    RandomForest loaded;
+    EXPECT_THROW(load_from_string(loaded, image), std::runtime_error);
+  }
+}
+
+// --- the lazy per-tree view -----------------------------------------------
+
+RandomForest binary_loaded(const RandomForest& forest) {
+  RandomForest loaded;
+  load_from_string(loaded, binary_image(forest));
+  return loaded;
+}
+
+TEST(LazyTreeView, InferenceAfterBinaryLoadBuildsNoView) {
+  fhc::util::Rng rng(18);
+  const Dataset data = make_dataset(90, 5, 4, rng);
+  ForestParams params;
+  params.n_estimators = 9;
+  RandomForest forest;
+  forest.fit(data.x, data.y, 4, {}, params);
+
+  const std::uint64_t before = tree_view_materializations();
+  const RandomForest loaded = binary_loaded(forest);
+  for (std::size_t i = 0; i < data.x.rows(); ++i) {
+    (void)loaded.predict_proba(data.x.row(i));
+    (void)loaded.predict(data.x.row(i));
+  }
+  (void)loaded.predict_proba_matrix(data.x);
+  EXPECT_EQ(loaded.tree_count(), forest.tree_count());
+  const std::vector<double> original = forest.feature_importances();
+  const std::vector<double> restored = loaded.feature_importances();
+  ASSERT_EQ(original.size(), restored.size());
+  EXPECT_EQ(0, std::memcmp(original.data(), restored.data(),
+                           original.size() * sizeof(double)));
+  std::ostringstream image(std::ios::binary);
+  loaded.save_binary(image);
+  EXPECT_EQ(tree_view_materializations(), before);
+}
+
+TEST(LazyTreeView, EachViewUserBuildsItExactlyOnce) {
+  const RandomForest forest = small_fitted_forest();
+  fhc::util::Rng rng(19);
+  const Dataset data = make_dataset(4, 5, 4, rng);
+  std::ostringstream fitted_text;
+  forest.save(fitted_text);
+
+  {
+    const RandomForest loaded = binary_loaded(forest);
+    const std::uint64_t before = tree_view_materializations();
+    EXPECT_EQ(loaded.tree(0).node_count(), forest.tree(0).node_count());
+    EXPECT_EQ(loaded.tree(3).depth(), forest.tree(3).depth());
+    EXPECT_EQ(tree_view_materializations(), before + 1);
+  }
+  {
+    const RandomForest loaded = binary_loaded(forest);
+    const std::uint64_t before = tree_view_materializations();
+    for (std::size_t i = 0; i < data.x.rows(); ++i) {
+      const std::vector<double> plan = loaded.predict_proba(data.x.row(i));
+      const std::vector<double> nested = loaded.predict_proba_nested(data.x.row(i));
+      EXPECT_EQ(0, std::memcmp(plan.data(), nested.data(), plan.size() * sizeof(double)));
+    }
+    EXPECT_EQ(tree_view_materializations(), before + 1);
+  }
+  {
+    const RandomForest loaded = binary_loaded(forest);
+    const std::uint64_t before = tree_view_materializations();
+    std::ostringstream first;
+    std::ostringstream second;
+    loaded.save(first);
+    loaded.save(second);
+    EXPECT_EQ(tree_view_materializations(), before + 1);
+    EXPECT_EQ(first.str(), fitted_text.str());
+    EXPECT_EQ(second.str(), fitted_text.str());
+  }
+}
+
+TEST(LazyTreeView, CopiesShareOneView) {
+  const RandomForest forest = small_fitted_forest();
+  const RandomForest loaded = binary_loaded(forest);
+  const RandomForest copy = loaded;
+  const std::uint64_t before = tree_view_materializations();
+  (void)copy.tree(0);
+  (void)loaded.tree(0);
+  EXPECT_EQ(tree_view_materializations(), before + 1);
+}
+
+TEST(LazyTreeView, FittedAndTextLoadedForestsNeverMaterialize) {
+  const std::uint64_t before = tree_view_materializations();
+  const RandomForest forest = small_fitted_forest();
+  std::stringstream text;
+  forest.save(text);
+  RandomForest loaded;
+  loaded.load(text);
+  (void)loaded.tree(0);
+  (void)forest.tree(0);
+  EXPECT_EQ(tree_view_materializations(), before);
 }
 
 }  // namespace

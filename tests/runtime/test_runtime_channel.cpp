@@ -332,31 +332,6 @@ TEST(LegacyModels, StaticTripleTextHasNoChannelsetBlockAndReloads) {
   }
 }
 
-TEST(LegacyModels, V1BlobLoadsIntoTheStaticTriple) {
-  testsupport::SyntheticHashesParams params;
-  params.classes = 2;
-  params.per_class = 6;
-  params.queries = 2;
-  const testsupport::SyntheticHashes data =
-      testsupport::make_synthetic_hashes(params);
-  core::ClassifierConfig config;
-  config.forest.n_estimators = 10;
-  FuzzyHashClassifier clf;
-  clf.fit(data.train, data.labels, {"a", "b"}, config);
-
-  std::ostringstream v1(std::ios::binary);
-  clf.save_binary_v1(v1);
-  const std::string bytes = v1.str();
-  std::vector<std::byte> aligned(bytes.size());
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  FuzzyHashClassifier restored;
-  restored.load_binary(std::span<const std::byte>(aligned), nullptr);
-  EXPECT_TRUE(restored.index().channels().is_static_triple());
-  for (const FeatureHashes& query : data.queries) {
-    EXPECT_EQ(restored.predict(query).label, clf.predict(query).label);
-  }
-}
-
 TEST(ParseMeta, RejectsMalformedHeaders) {
   EXPECT_THROW(TrainIndex::parse_meta({}), std::runtime_error);
   std::vector<std::byte> garbage(48);

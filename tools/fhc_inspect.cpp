@@ -7,11 +7,13 @@
 // TrainIndex counts header with a per-channel breakdown labelled by
 // channel *name* (from the "channels" roster section; a version-1 counts
 // header implies the legacy static triple) and the class/digest counts
-// from the model preamble. v1 blobs ("FHCMDLB1") and text models get a
-// shorter summary. Exit status is non-zero when the file is damaged (bad
-// table, checksum mismatch) or internally inconsistent (counts header vs
-// channel roster vs gram-index section sizes), which makes the tool
-// usable as a model fsck in deploy scripts.
+// from the model preamble, and the forest image's shape (trees, nodes,
+// leaves, stored leaf entries, section bytes). Text models get a shorter
+// summary. Exit status is non-zero when the file is damaged (bad table,
+// checksum mismatch), internally inconsistent (counts header vs channel
+// roster vs gram-index section sizes), or in a retired format (a v1 blob
+// "FHCMDLB1", or a v2 container whose forest is the dense "FHCFRST1"
+// image), which makes the tool usable as a model fsck in deploy scripts.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,7 @@
 
 #include "core/classifier.hpp"
 #include "core/feature_matrix.hpp"
+#include "ml/random_forest.hpp"
 #include "util/model_map.hpp"
 #include "util/sectioned.hpp"
 
@@ -95,6 +98,27 @@ int check_calibration(std::string_view text) {
     pos = nl + 1;
   }
   std::printf("  calibration: none (never reject beyond the threshold)\n");
+  return 0;
+}
+
+/// The forest image's header, validated the way the loader validates it
+/// (a retired FHCFRST1 image fails here, naming the fix).
+int print_forest_shape(const util::SectionedView& view) {
+  std::span<const std::byte> forest;
+  if (!view.find("forest", forest)) {
+    std::fprintf(stderr, "fhc_inspect: no forest section\n");
+    return 1;
+  }
+  try {
+    const ml::FlatForest::Shape shape = ml::RandomForest::binary_shape(forest);
+    std::printf("forest: %zu trees, %zu nodes, %zu leaves, %zu leaf entries, "
+                "%zu section bytes\n",
+                shape.tree_count, shape.total_nodes, shape.leaf_count,
+                shape.leaf_entries, forest.size());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fhc_inspect: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }
 
@@ -212,31 +236,8 @@ int inspect_v2(const util::ModelMap& map) {
       reinterpret_cast<const char*>(preamble.data()), preamble.size());
   print_preamble_counts(preamble_text);
   if (check_calibration(preamble_text) != 0) status = 1;
+  if (print_forest_shape(view) != 0) status = 1;
   return status;
-}
-
-int inspect_v1(const util::ModelMap& map) {
-  const auto bytes = map.bytes();
-  std::printf("format: v1 monolithic blob (%.*s), %zu bytes\n", 8,
-              reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  if (bytes.size() < 16) {
-    std::fprintf(stderr, "fhc_inspect: truncated v1 header\n");
-    return 1;
-  }
-  std::uint64_t preamble_size = 0;
-  std::memcpy(&preamble_size, bytes.data() + 8, sizeof preamble_size);
-  if (preamble_size > bytes.size() - 16) {
-    std::fprintf(stderr, "fhc_inspect: truncated v1 preamble\n");
-    return 1;
-  }
-  std::printf("preamble: %" PRIu64 " bytes; forest image: %zu bytes\n",
-              preamble_size,
-              bytes.size() - 16 - static_cast<std::size_t>(preamble_size));
-  const std::string_view preamble_text(
-      reinterpret_cast<const char*>(bytes.data()) + 16,
-      static_cast<std::size_t>(preamble_size));
-  print_preamble_counts(preamble_text);
-  return check_calibration(preamble_text);
 }
 
 }  // namespace
@@ -252,7 +253,11 @@ int main(int argc, char** argv) {
       return inspect_v2(map);
     }
     if (starts_with(map.bytes(), core::kBinaryModelMagicV1)) {
-      return inspect_v1(map);
+      std::fprintf(stderr,
+                   "fhc_inspect: binary model v1 (FHCMDLB1) is no longer "
+                   "supported; retrain with `fhc_train --binary`, or load the "
+                   "text model\n");
+      return 1;
     }
     std::printf("format: text model, %zu bytes\n", map.bytes().size());
     const std::string_view text(reinterpret_cast<const char*>(map.bytes().data()),

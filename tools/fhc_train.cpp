@@ -26,9 +26,10 @@
 // --binary writes the v2 sectioned container ("FHCMDLB2"): prepared
 // digests, per-channel gram indexes, and the forest plan laid out for
 // zero-copy mmap attach, making `fhc_serve` RELOAD O(mmap) at any corpus
-// size. v1 blobs and text models stay readable; every consumer
-// (`fhc_classify`, `fhc_serve`, `fhc_inspect`) sniffs the format
-// automatically.
+// size. Text models stay readable; every consumer (`fhc_classify`,
+// `fhc_serve`, `fhc_inspect`) sniffs the format automatically. Binary
+// models written before the sparse forest image (v1 blobs, or v2 with an
+// FHCFRST1 forest) are refused; re-run this tool with --binary.
 //
 // Demo without real data: materialize the synthetic corpus first —
 //   FHC_SCALE=0.05 ./build/bench/table3_unknown_classes   (or use the

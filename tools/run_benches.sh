@@ -87,20 +87,13 @@ for required in \
     exit 1
   fi
 done
-# PR 4 on: the FlatForest block-inference sweep against the per-row
-# baseline and the text-vs-binary model load pair must stay in the
-# baselines (batched forest inference + zero-copy reload trajectory).
-# PR 5 on: the leaf-accumulate pair (scalar baseline vs the restructured
-# primitive) tracks the block walk's accumulation bound.
-# PR 6 on: the whole-model reload pair — v1 rebuild vs v2 zero-copy
-# attach at both corpus scales (the /48 points show v1 growing with the
-# corpus while attach stays flat).
+# The FlatForest block-inference sweep (sparse leaf walk) against the
+# per-row baseline, the text-vs-binary forest load pair, and the
+# whole-model v2 attach at both corpus scales must stay in the baselines.
 for required in \
     BM_ForestFit/1024 BM_ForestFitSerial/1024 \
     BM_ForestPredictProba BM_ForestPredictBlock/1 BM_ForestPredictBlock/8 \
     BM_ForestPredictBlock/64 BM_ModelLoadText BM_ModelLoadBinary \
-    BM_LeafAccumulateScalar BM_LeafAccumulate \
-    BM_ModelLoadBinaryV1/12 BM_ModelLoadBinaryV1/48 \
     BM_ModelAttachV2/12 BM_ModelAttachV2/48; do
   if ! grep -q "\"$required\"" BENCH_perf_forest.json; then
     echo "error: BENCH_perf_forest.json is missing $required" >&2
