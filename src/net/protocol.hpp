@@ -1,10 +1,11 @@
-// fhc::net wire protocol — length-prefixed binary frames for the socket
-// front-end of the classification daemon.
+// fhc::net wire protocol — length-prefixed binary frames, the one
+// protocol of the classification daemon.
 //
-// The stdio line protocol serves one client per process; the socket
-// protocol serves a rack. It is framed so clients can pipeline (many
-// requests in flight on one connection; the daemon answers strictly in
-// request order) and binary so digest payloads need no escaping.
+// It is framed so clients can pipeline (many requests in flight on one
+// connection; the daemon answers strictly in request order) and binary
+// so digest payloads need no escaping. A prolog client (fhc_classify
+// SOCKET FILE) sends one CLASSIFY_PATH at a time; fhc_loadgen and rack
+// collectors pipeline.
 //
 // Byte layout (all integers little-endian, no alignment padding):
 //
@@ -31,10 +32,11 @@
 //        encoders emit a bare count <= 8, so old frames decode
 //        unchanged.
 //   0x02 CLASSIFY_PATH     string path | [u32 deadline_ms]
-//        Server-side extraction of "exe" or "exe@trace" (the stdio
-//        CLASSIFY semantics; the daemon reads the file). A trailing u32,
-//        when present, is the deadline as above (any other trailing
-//        length stays kMalformed).
+//        Server-side extraction of "exe" or "exe@trace" (split by
+//        runtime::split_path_spec; the daemon reads the file, so a
+//        relative path resolves from its working directory). A trailing
+//        u32, when present, is the deadline as above (any other
+//        trailing length stays kMalformed).
 //   0x03 STATS             (empty)
 //   0x04 RELOAD            string model_path
 //   0x05 PING              (empty)

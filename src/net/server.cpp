@@ -785,9 +785,9 @@ struct SocketServer::Impl {
       if (pred == nullptr) std::rethrow_exception(std::move(error));
       const auto micros =
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - decoded);
-      // Name the label against the current model snapshot, exactly like
-      // the stdio front-end (a prediction can outlive a RELOAD;
-      // out-of-range labels stay numeric via the empty name).
+      // Name the label against the current model snapshot (a prediction
+      // can outlive a RELOAD; out-of-range labels stay numeric via the
+      // empty name).
       const std::shared_ptr<const core::FuzzyHashClassifier> model =
           handler.service().model();
       const std::vector<std::string>& names = model->class_names();

@@ -1,11 +1,8 @@
 #include "service/command_handler.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
-#include <ostream>
 #include <sstream>
-#include <vector>
 
 #include "core/features.hpp"
 #include "runtime/fingerprint.hpp"
@@ -72,30 +69,6 @@ std::uint64_t CommandHandler::extract_cache_hits() const {
   return extract_cache_hits_;
 }
 
-CommandHandler::Submission CommandHandler::submit_path(const std::string& path_spec) {
-  Submission out;
-  core::FeatureHashes sample;
-  out.error = extract_path(path_spec, sample);
-  if (out.error.empty()) out.future = svc_.submit(std::move(sample));
-  return out;
-}
-
-std::string CommandHandler::format_prediction(
-    const core::FuzzyHashClassifier& model, const core::Prediction& pred) {
-  char confidence[64];
-  std::snprintf(confidence, sizeof confidence, "%.4f", pred.confidence);
-  const std::vector<std::string>& names = model.class_names();
-  std::string line;
-  if (pred.label >= 0 && static_cast<std::size_t>(pred.label) < names.size()) {
-    line = names[static_cast<std::size_t>(pred.label)];
-  } else {
-    line = std::to_string(pred.label);  // kUnknownLabel prints -1
-  }
-  line += '\t';
-  line += confidence;
-  return line;
-}
-
 std::string CommandHandler::stats_line() const {
   const ServiceStats s = svc_.stats();
   std::ostringstream out;
@@ -131,55 +104,6 @@ CommandHandler::ReloadResult CommandHandler::reload(const std::string& model_pat
     result.message = e.what();
   }
   return result;
-}
-
-bool CommandHandler::handle_line(const std::string& line, std::ostream& out) {
-  std::istringstream parts(line);
-  std::string command;
-  parts >> command;
-  if (command.empty()) return true;
-
-  if (command == "CLASSIFY") {
-    // Submit every path first so they score in parallel, then collect
-    // replies in order.
-    std::vector<Submission> submissions;
-    std::string path;
-    while (parts >> path) submissions.push_back(submit_path(path));
-    if (submissions.empty()) {
-      out << "ERR CLASSIFY needs at least one path\n";
-      return true;
-    }
-    // One model snapshot for the whole reply set; format_prediction
-    // range-checks labels against it (a prediction can outlive a RELOAD).
-    const std::shared_ptr<const core::FuzzyHashClassifier> model = svc_.model();
-    for (Submission& submission : submissions) {
-      if (!submission.error.empty()) {
-        out << "ERR " << submission.error << '\n';
-        continue;
-      }
-      try {
-        out << format_prediction(*model, submission.future.get()) << '\n';
-      } catch (const std::exception& e) {
-        out << "ERR " << e.what() << '\n';
-      }
-    }
-  } else if (command == "STATS") {
-    out << stats_line() << '\n';
-  } else if (command == "RELOAD") {
-    std::string model_path;
-    if (!(parts >> model_path)) {
-      out << "ERR RELOAD needs a model path\n";
-    } else {
-      const ReloadResult result = reload(model_path);
-      out << (result.ok ? "OK " : "ERR ") << result.message << '\n';
-    }
-  } else if (command == "QUIT") {
-    out << "OK bye\n";
-    return false;
-  } else {
-    out << "ERR unknown command: " << command << '\n';
-  }
-  return true;
 }
 
 }  // namespace fhc::service

@@ -1,22 +1,13 @@
-// service::CommandHandler — the front-end-neutral command core of the
-// classification daemon.
+// service::CommandHandler — the command core of the classification
+// daemon, kept apart from the socket server (fhc::net::SocketServer) so
+// tests, the chaos harness and the benches can drive it without a
+// socket:
 //
-// fhc_serve grew a second front-end (the fhc::net socket server) next to
-// the original stdin/stdout line protocol. Both speak the same four
-// commands — CLASSIFY, STATS, RELOAD, QUIT — and both must keep the
-// service invariants (one model snapshot per reply set, bit-identical
-// predictions, admission accounting). This class is the single
-// implementation both wrap, so the wire surfaces cannot drift:
-//
-//   * extract_path(): feature extraction for one path item (reads the
-//     file, an `exe@trace` spec attaches the perf-stat trace), in front
-//     of it the extraction cache described below;
-//   * submit_path(): one stdio CLASSIFY item — extraction and submission;
-//   * format_prediction(): the canonical "<label>\t<confidence>" text;
+//   * extract_path(): feature extraction for one CLASSIFY_PATH item
+//     (reads the file, an `exe@trace` spec attaches the perf-stat trace),
+//     in front of it the extraction cache described below;
 //   * stats_line(): the canonical key=value STATS reply;
-//   * reload(): model load + service reload with error capture;
-//   * handle_line(): the whole stdio line protocol (fhc_serve --stdio
-//     and the FIFO recipe), built from the pieces above.
+//   * reload(): model load + service reload with error capture.
 //
 // The extraction cache. A Slurm prolog sees the same binary job after
 // job (array jobs), and re-reading and re-hashing it is most of a repeat
@@ -52,8 +43,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
-#include <iosfwd>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -82,13 +71,6 @@ class CommandHandler {
   CommandHandler(const CommandHandler&) = delete;
   CommandHandler& operator=(const CommandHandler&) = delete;
 
-  /// One CLASSIFY item in flight: `error` non-empty (extraction/read
-  /// failed, future invalid) or `future` valid.
-  struct Submission {
-    std::future<core::Prediction> future;
-    std::string error;
-  };
-
   /// Reads `path_spec` (or "exe@trace", split by
   /// runtime::split_path_spec: the trace is fingerprinted into the
   /// runtime channel) and extracts its feature hashes into `out`, or
@@ -100,16 +82,6 @@ class CommandHandler {
 
   /// Extractions answered from the extraction cache.
   std::uint64_t extract_cache_hits() const;
-
-  /// extract_path() then an unbounded submit — the stdio CLASSIFY item.
-  /// Failures land in Submission::error.
-  Submission submit_path(const std::string& path_spec);
-
-  /// "<name>\t<confidence>" with the label range-checked against
-  /// `model`'s class list (predictions can outlive a RELOAD); out-of-
-  /// range and unknown labels print numerically (kUnknownLabel = -1).
-  static std::string format_prediction(const core::FuzzyHashClassifier& model,
-                                       const core::Prediction& pred);
 
   /// The canonical one-line key=value STATS reply (no trailing newline):
   /// the service counters plus extract_cache_hits.
@@ -132,10 +104,6 @@ class CommandHandler {
   void set_unknown_threshold_override(double threshold) {
     unknown_override_ = threshold;
   }
-
-  /// Runs one line of the stdio protocol, writing replies (newline-
-  /// terminated, unflushed) to `out`. Returns false on QUIT.
-  bool handle_line(const std::string& line, std::ostream& out);
 
   ClassificationService& service() noexcept { return svc_; }
   const ClassificationService& service() const noexcept { return svc_; }

@@ -117,9 +117,9 @@ struct ServiceStats {
   std::uint64_t candidates_scored = 0;
   std::uint64_t index_skipped = 0;
 
-  // Admission control and front-end connection accounting (the socket
-  // server in fhc::net drives these; the stdio front-end leaves the
-  // connection counters at zero).
+  // Admission control and connection accounting (the socket server in
+  // fhc::net drives these; in-process callers leave the connection
+  // counters at zero).
   std::uint64_t connections_opened = 0;    // accepted since start
   std::uint64_t connections_active = 0;    // currently open
   std::uint64_t connections_rejected = 0;  // refused at the accept gate

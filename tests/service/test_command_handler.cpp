@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/fingerprint.hpp"
@@ -137,16 +138,14 @@ class ExtractionCache : public ::testing::Test {
     return copy;
   }
 
-  /// One CLASSIFY of `spec` through `handler`: its features must equal
-  /// `expected` and its prediction serial predict on them.
+  /// One CLASSIFY_PATH of `spec` through `handler`: its features must
+  /// equal `expected` and their prediction serial predict on them.
   static void expect_current(CommandHandler& handler, const std::string& spec,
                              const core::FeatureHashes& expected) {
     core::FeatureHashes got;
     ASSERT_EQ(handler.extract_path(spec, got), "") << spec;
     EXPECT_EQ(digests_of(got), digests_of(expected)) << spec;
-    CommandHandler::Submission submission = handler.submit_path(spec);
-    ASSERT_EQ(submission.error, "") << spec;
-    const core::Prediction reply = submission.future.get();
+    const core::Prediction reply = handler.service().submit(std::move(got)).get();
     const core::Prediction serial = model_->predict(expected);
     EXPECT_EQ(reply.label, serial.label);
     EXPECT_EQ(reply.is_unknown, serial.is_unknown);
@@ -190,8 +189,8 @@ TEST_F(ExtractionCache, ThirdExtractionOfAnOldFileHits) {
   EXPECT_EQ(digests_of(sample), digests_of(testsupport::features_of(old_paths_[0])));
   EXPECT_NE(daemon.handler.stats_line().find(" extract_cache_hits=1 "), std::string::npos)
       << daemon.handler.stats_line();
-  expect_current(daemon.handler, old_paths_[0]);  // extracts twice, both hits
-  EXPECT_EQ(daemon.handler.extract_cache_hits(), 3u);
+  expect_current(daemon.handler, old_paths_[0]);  // one more extraction, a hit
+  EXPECT_EQ(daemon.handler.extract_cache_hits(), 2u);
 }
 
 TEST_F(ExtractionCache, FreshFileIsNeverCached) {
@@ -206,8 +205,7 @@ TEST_F(ExtractionCache, SameSizeRewriteWithMtimeRestoredReExtracts) {
   Daemon daemon;
   const std::string& path = old_paths_[2];
   const core::FeatureHashes before = testsupport::features_of(path);
-  expect_current(daemon.handler, path);
-  expect_current(daemon.handler, path);
+  for (int i = 0; i < 3; ++i) expect_current(daemon.handler, path);
   ASSERT_GT(daemon.handler.extract_cache_hits(), 0u) << "the file never got cached";
   const std::uint64_t hits = daemon.handler.extract_cache_hits();
 
@@ -223,8 +221,7 @@ TEST_F(ExtractionCache, RenameReplaceReExtracts) {
   Daemon daemon;
   const std::string& path = old_paths_[3];
   const core::FeatureHashes before = testsupport::features_of(path);
-  expect_current(daemon.handler, path);
-  expect_current(daemon.handler, path);
+  for (int i = 0; i < 3; ++i) expect_current(daemon.handler, path);
   ASSERT_GT(daemon.handler.extract_cache_hits(), 0u) << "the file never got cached";
   const std::uint64_t hits = daemon.handler.extract_cache_hits();
 
@@ -260,9 +257,9 @@ TEST_F(ExtractionCache, SurvivesReload) {
   core::FeatureHashes sample;
   ASSERT_EQ(daemon.handler.extract_path(old_paths_[6], sample), "");
   ASSERT_EQ(daemon.handler.extract_path(old_paths_[6], sample), "");
-  std::ostringstream out;
-  EXPECT_TRUE(daemon.handler.handle_line("RELOAD " + model_path_, out));
-  ASSERT_EQ(out.str(), "OK " + model_path_ + "\n");
+  const CommandHandler::ReloadResult reloaded = daemon.handler.reload(model_path_);
+  ASSERT_TRUE(reloaded.ok) << reloaded.message;
+  ASSERT_EQ(reloaded.message, model_path_);
   ASSERT_EQ(daemon.svc.stats().reloads, 1u);
   ASSERT_EQ(daemon.handler.extract_path(old_paths_[6], sample), "");
   EXPECT_EQ(daemon.handler.extract_cache_hits(), 1u);
@@ -305,9 +302,6 @@ TEST_F(ExtractionCache, PathWithAtSignIsTheExecutable) {
   Daemon daemon;
   // The whole spec names a file: no trace split at its '@'.
   expect_current(daemon.handler, at_path_);
-  std::ostringstream out;
-  EXPECT_TRUE(daemon.handler.handle_line("CLASSIFY " + at_path_, out));
-  EXPECT_EQ(out.str().rfind("ERR", 0), std::string::npos) << out.str();
 
   // Followed by "@trace" it is still split at the last '@'.
   core::FeatureHashes traced = testsupport::features_of(at_path_);

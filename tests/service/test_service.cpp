@@ -661,42 +661,6 @@ TEST(CommandHandler, StatsLineCarriesAdmissionCounters) {
   EXPECT_NE(line.find("p99_ms="), std::string::npos);
 }
 
-TEST(CommandHandler, HandleLineSpeaksTheStdioProtocol) {
-  const Fixture& fx = fixture();
-  ClassificationService svc(clone(fx.model));
-  CommandHandler handler(svc);
-
-  std::ostringstream out;
-  EXPECT_TRUE(handler.handle_line("STATS", out));
-  EXPECT_NE(out.str().find("requests=0"), std::string::npos);
-
-  out.str("");
-  EXPECT_TRUE(handler.handle_line("CLASSIFY /nonexistent/binary", out));
-  EXPECT_EQ(out.str().rfind("ERR ", 0), 0u);
-
-  out.str("");
-  EXPECT_TRUE(handler.handle_line("CLASSIFY", out));
-  EXPECT_NE(out.str().find("ERR CLASSIFY needs at least one path"),
-            std::string::npos);
-
-  out.str("");
-  EXPECT_TRUE(handler.handle_line("RELOAD /nonexistent/model", out));
-  EXPECT_EQ(out.str().rfind("ERR ", 0), 0u);
-  EXPECT_EQ(svc.stats().reloads, 0u);
-
-  out.str("");
-  EXPECT_TRUE(handler.handle_line("BOGUS", out));
-  EXPECT_NE(out.str().find("ERR unknown command: BOGUS"), std::string::npos);
-
-  out.str("");
-  EXPECT_TRUE(handler.handle_line("", out));  // blank lines are skipped
-  EXPECT_TRUE(out.str().empty());
-
-  out.str("");
-  EXPECT_FALSE(handler.handle_line("QUIT", out));  // false = exit
-  EXPECT_NE(out.str().find("OK bye"), std::string::npos);
-}
-
 TEST(CommandHandler, ReloadWithDamagedModelKeepsOldModelServing) {
   // Verify-before-swap: a RELOAD pointing at a bit-flipped model file
   // must fail the checksum pass, leave the old snapshot live, and count
@@ -727,6 +691,11 @@ TEST(CommandHandler, ReloadWithDamagedModelKeepsOldModelServing) {
   const CommandHandler::ReloadResult result = handler.reload(path.string());
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.message.empty());
+  EXPECT_EQ(svc.stats().reloads, 0u);
+  // A model path that does not exist fails the same way.
+  const CommandHandler::ReloadResult missing = handler.reload("/nonexistent/model");
+  EXPECT_FALSE(missing.ok);
+  EXPECT_FALSE(missing.message.empty());
   EXPECT_EQ(svc.stats().reloads, 0u);
   // The old model still answers, bit-identically to its serial path —
   // NOT the strict model's all-unknown behaviour.

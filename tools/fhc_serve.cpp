@@ -1,33 +1,17 @@
 // fhc-serve: resident classification daemon.
 //
-//   fhc_serve MODEL [--stdio] [--unix PATH] [--tcp [HOST:]PORT] [options]
+//   fhc_serve MODEL (--unix PATH | --tcp [HOST:]PORT)... [options]
 //
-// Loads the model once and serves it through one or both front-ends.
-// Each new sample is scored as soon as it arrives, as one task on the
-// service's worker pool; repeats are answered from the prediction cache
-// or share the scoring already in flight for them.
-//
-// stdio (default when no socket is configured, or explicit --stdio): the
-// line protocol a Slurm prolog drives through a pipe or FIFO —
-//
-//   CLASSIFY <path>...   one reply line per path, in order:
-//                          "<label>\t<confidence>"  (label -1 = unknown)
-//                        or "ERR <message>" for that path.
-//                        <path> may be "exe@trace": the perf-stat counter
-//                        trace is fingerprinted into the model's
-//                        ssdeep-runtime channel (fhc_train --runtime).
-//   STATS                one line of key=value service counters
-//   RELOAD <model>       swap the model without dropping in-flight work:
-//                          "OK <model>" or "ERR <message>"
-//   QUIT                 "OK bye", exit 0
-//
-// sockets (--unix and/or --tcp): the framed binary protocol in
+// Loads the model once and serves it over the framed binary protocol in
 // src/net/protocol.hpp — pipelined CLASSIFY_DIGESTS / CLASSIFY_PATH /
 // STATS / RELOAD / PING / QUIT over an epoll event loop, with admission
-// control (BUSY frames instead of unbounded queues). One daemon serves
-// thousands of connections; SIGINT/SIGTERM and the QUIT frame drain
-// gracefully. Both front-ends share the same command core, so replies
-// are bit-identical to the stdio protocol's.
+// control (BUSY frames instead of unbounded queues). Each new sample is
+// scored as soon as it arrives, as one task on the service's worker
+// pool; repeats are answered from the prediction cache or share the
+// scoring already in flight for them. One daemon serves thousands of
+// connections; SIGINT/SIGTERM and the QUIT frame drain gracefully. At
+// least one of --unix and --tcp is required; a Slurm prolog asks the
+// node's daemon with `fhc_classify SOCKET FILE`.
 //
 // MODEL may be the text format or the binary format (`fhc_train
 // --binary`); the loader sniffs the magic. Binary models are mmap'd and
@@ -39,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <string>
 
@@ -80,9 +63,8 @@ bool parse_tcp_spec(const std::string& spec, std::string& host, int& port) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: fhc_serve MODEL [front-ends] [options]\n"
-      "front-ends (default --stdio; sockets may combine, stdio may not):\n"
-      "  --stdio               line protocol on stdin/stdout (FIFO-friendly)\n"
+      "usage: fhc_serve MODEL (--unix PATH | --tcp [HOST:]PORT)... [options]\n"
+      "listeners (at least one; both may combine):\n"
       "  --unix PATH           framed binary protocol on a Unix socket\n"
       "  --tcp [HOST:]PORT     framed binary protocol on TCP (default host\n"
       "                        127.0.0.1; port 0 = ephemeral, printed on stderr)\n"
@@ -104,11 +86,6 @@ int usage() {
       "fault injection: set FHC_FAULT (e.g. \"read:nth=3;accept:p=0.01\") and\n"
       "FHC_FAULT_SEED to schedule deterministic syscall faults in this daemon\n"
       "(the chaos harness drives the shipped binary this way).\n"
-      "stdio protocol (one reply line per request):\n"
-      "  CLASSIFY <path[@trace]>...  ->  <label>\\t<confidence> | ERR <msg>\n"
-      "  STATS               ->  key=value counters\n"
-      "  RELOAD <model>      ->  OK <model> | ERR <msg>\n"
-      "  QUIT                ->  OK bye\n"
       "socket wire format: see README \"Socket server\" (u32le-framed binary).\n");
   return 2;
 }
@@ -128,8 +105,6 @@ int main(int argc, char** argv) {
   service::ServiceConfig service_config;
   service_config.max_queue = 1024;
   net::ServerConfig server_config;
-  bool want_stdio = false;
-  bool want_socket = false;
   bool have_unknown_threshold = false;
   double unknown_threshold = 0.0;
 
@@ -138,13 +113,10 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return ++i < argc ? argv[i] : nullptr;
     };
-    if (arg == "--stdio") {
-      want_stdio = true;
-    } else if (arg == "--unix") {
+    if (arg == "--unix") {
       const char* path = value();
       if (path == nullptr) return usage();
       server_config.unix_path = path;
-      want_socket = true;
     } else if (arg == "--tcp") {
       const char* spec = value();
       if (spec == nullptr ||
@@ -152,7 +124,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "fhc_serve: bad --tcp spec\n");
         return usage();
       }
-      want_socket = true;
     } else if (arg == "--cache") {
       const char* text = value();
       if (text == nullptr || !parse_size(text, service_config.cache_capacity)) {
@@ -168,7 +139,7 @@ int main(int argc, char** argv) {
       char* end = nullptr;
       unknown_threshold = text != nullptr ? std::strtod(text, &end) : 0.0;
       if (text == nullptr || end == text || *end != '\0' ||
-          unknown_threshold < 0.0 || unknown_threshold > 1.0) {
+          !(unknown_threshold >= 0.0 && unknown_threshold <= 1.0)) {
         std::fprintf(stderr,
                      "fhc_serve: --unknown-threshold must be in [0,1]\n");
         return usage();
@@ -209,16 +180,14 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (!want_stdio && !want_socket) want_stdio = true;
-  if (want_stdio && want_socket) {
-    std::fprintf(stderr,
-                 "fhc_serve: --stdio cannot combine with socket front-ends\n");
+  if (server_config.unix_path.empty() && server_config.tcp_port < 0) {
+    std::fprintf(stderr, "fhc_serve: needs --unix or --tcp\n");
     return usage();
   }
 
 #ifdef SIGPIPE
-  // Replies often go to a FIFO or a vanished client; neither must kill
-  // the node's resident daemon.
+  // A client that vanishes before its reply must not kill the node's
+  // resident daemon.
   std::signal(SIGPIPE, SIG_IGN);
 #endif
 
@@ -250,18 +219,6 @@ int main(int argc, char** argv) {
   // RELOAD must re-apply the deployment knob to the fresh model.
   if (have_unknown_threshold) {
     handler.set_unknown_threshold_override(unknown_threshold);
-  }
-
-  if (want_stdio) {
-    std::fprintf(stderr, "fhc_serve: model %s loaded, ready (stdio)\n",
-                 model_path.c_str());
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      const bool keep_going = handler.handle_line(line, std::cout);
-      std::cout.flush();
-      if (!keep_going) return 0;
-    }
-    return 0;  // EOF on stdin exits cleanly
   }
 
   std::unique_ptr<net::SocketServer> server;
