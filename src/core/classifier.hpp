@@ -109,8 +109,9 @@ class FuzzyHashClassifier {
 
   /// Forest pass over a prebuilt similarity row of row_width() floats —
   /// predict(s) == predict_from_row(fill_feature_row(index(), s, ...)).
-  /// Lets callers that build rows themselves (the sharded classification
-  /// service) reuse the exact threshold/argmax semantics of predict().
+  /// Lets callers that build rows themselves (the classification
+  /// service's scoring task) reuse the exact threshold/argmax semantics
+  /// of predict().
   Prediction predict_from_row(std::span<const float> row) const;
 
   /// Block forest pass over many prebuilt rows: one tree-major

@@ -1,30 +1,19 @@
-// LRU maps: LruMap, the one unsynchronized least-recently-used map, and
-// ShardedLruCache, the service's result cache built from it.
+// LruMap: an unsynchronized least-recently-used map.
 //
-// ShardedLruCache caches Predictions keyed by the sample's digest text.
+// It backs two exact-match caches. The service's result cache maps a
+// sample's digest text to its Prediction: a Slurm prolog classifies the
+// same few executables over and over, so repeats skip scoring entirely.
+// The command handler's extraction cache maps a file identity to its
+// extracted features. Each owner guards its map with its own lock.
 //
-// The service's repeat-binary fast path: a Slurm prolog classifies the
-// same few executables over and over, so a small cache keyed by the exact
-// fuzzy-hash text skips scoring entirely for repeats. Sharding by key hash
-// keeps submit()-side lookups from serializing behind one mutex under
-// concurrent clients; each shard is an independent LRU with its own lock.
-//
-// A capacity of 0 disables the cache (get always misses, put is a no-op),
-// which the benches use to isolate the batching/sharding win from the
-// caching win.
+// A capacity of 0 stores nothing (get always misses, put is a no-op).
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <list>
-#include <mutex>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
-
-#include "core/classifier.hpp"
 
 namespace fhc::service {
 
@@ -81,41 +70,6 @@ class LruMap {
                      Hash, std::equal_to<Key>>
       index_;
   std::size_t capacity_ = 0;
-};
-
-class ShardedLruCache {
- public:
-  /// `capacity` entries total, spread over `shards` independent LRUs
-  /// (each gets at least one slot; shard count is clamped to capacity).
-  explicit ShardedLruCache(std::size_t capacity, std::size_t shards = 8);
-
-  ShardedLruCache(const ShardedLruCache&) = delete;
-  ShardedLruCache& operator=(const ShardedLruCache&) = delete;
-
-  /// Returns the cached prediction and refreshes its recency, or nullopt.
-  std::optional<core::Prediction> get(const std::string& key);
-
-  /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry when the shard is full.
-  void put(const std::string& key, const core::Prediction& value);
-
-  /// Drops every entry (model reload: cached results are stale).
-  void clear();
-
-  std::size_t size() const;
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool enabled() const noexcept { return capacity_ > 0; }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    LruMap<std::string, core::Prediction> lru;
-  };
-
-  Shard& shard_of(const std::string& key);
-
-  std::size_t capacity_ = 0;
-  std::vector<Shard> shards_;
 };
 
 }  // namespace fhc::service

@@ -33,7 +33,7 @@ ClassificationService::ClassificationService(core::FuzzyHashClassifier model,
     : config_(config),
       pool_(pool != nullptr ? pool : &util::ThreadPool::shared()),
       model_(std::make_shared<const core::FuzzyHashClassifier>(std::move(model))),
-      cache_(config.cache_capacity, config.cache_shards),
+      cache_(config.cache_capacity),
       latency_ring_(std::max<std::size_t>(config.latency_window, 1), 0.0) {
   if (!model_->fitted()) {
     throw std::invalid_argument("ClassificationService: model not fitted");
@@ -43,7 +43,7 @@ ClassificationService::ClassificationService(core::FuzzyHashClassifier model,
 ClassificationService::~ClassificationService() {
   // Posted tasks capture `this`: wait until the last one has answered
   // its waiters.
-  std::unique_lock lock(queue_mutex_);
+  std::unique_lock lock(mutex_);
   stopping_ = true;
   idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
@@ -95,66 +95,56 @@ bool ClassificationService::enqueue(core::FeatureHashes sample, OnDone done, boo
     waiter.deadline = std::chrono::steady_clock::now() + *deadline;
   }
 
-  // Probe the cache before taking any lock, so the hot path (a hit) pays
-  // one stats_mutex_ acquisition.
-  if (std::optional<core::Prediction> hit = cache_.get(key)) {
-    answer_hit(waiter, *hit);
-    return true;
-  }
-
   std::optional<core::Prediction> hit;
   bool stopped = false;
   {
-    // Lock order: queue_mutex_ before model_mutex_, a cache shard, the
-    // pool's queue and stats_mutex_.
-    std::lock_guard lock(queue_mutex_);
-    // Once stopping, the destructor may already have seen the last task
-    // finish: nothing would ever score this request, so it fails below.
-    stopped = stopping_;
-    if (!stopped) {
-      if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
-        // Single flight: the key's task answers this request too. Posts
-        // nothing, so it is admitted past a full queue like a cache hit.
-        flight->second->waiters.push_back(std::move(waiter));
-      } else if ((hit = cache_.get(key))) {
-        // The key's task cached its result and left in_flight_ between
-        // the probe above and this lock (it puts before it erases):
-        // answer from the cache instead of scoring the key twice.
-      } else if (bounded && config_.max_queue > 0 && queued_ >= config_.max_queue) {
-        // Admission refusal: the caller owes the client a BUSY reply. The
-        // request is never counted as submitted, so the completed ==
-        // requests accounting stays intact.
-        std::lock_guard stats_lock(stats_mutex_);
-        ++counters_.requests_rejected;
-        return false;
-      } else {
-        // Chaos allocation hook: the entry and its task are the service's
-        // per-request allocations; an injected bad_alloc here must
-        // surface as a per-request failure, not a crash.
-        util::fi::alloc_guard();
-        auto flight = std::make_shared<Flight>();
-        flight->key = std::move(key);
-        flight->sample = std::move(sample);
-        flight->waiters.push_back(std::move(waiter));
-        const auto node = in_flight_.emplace(flight->key, flight).first;
-        try {
-          pool_->submit([this, flight] { run_flight(*flight); });
-        } catch (...) {
-          in_flight_.erase(node);  // `done` goes with the entry, never run
-          throw;
-        }
-        ++queued_;
-        ++outstanding_;
+    std::lock_guard lock(mutex_);
+    if (const core::Prediction* cached = cache_.get(key)) {
+      // Counted before the callback, as on every path: a caller that
+      // observes the reply finds its request already counted.
+      hit = *cached;
+      ++counters_.cache_hits;
+      ++counters_.completed;
+      if (hit->is_unknown) ++counters_.unknown_flagged;
+      record_latency_locked(waiter.watch.milliseconds());
+    } else if (stopping_) {
+      // The destructor may already have seen the last task finish:
+      // nothing would ever score this request, so it fails below.
+      stopped = true;
+      ++counters_.completed;
+    } else if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
+      // Single flight: the key's task answers this request too. Posts
+      // nothing, so it is admitted past a full queue like a cache hit.
+      flight->second->waiters.push_back(std::move(waiter));
+    } else if (bounded && config_.max_queue > 0 && queued_ >= config_.max_queue) {
+      // Admission refusal: the caller owes the client a BUSY reply. The
+      // request is never counted as submitted, so the completed ==
+      // requests accounting stays intact.
+      ++counters_.requests_rejected;
+      return false;
+    } else {
+      // Chaos allocation hook: the entry and its task are the service's
+      // per-request allocations; an injected bad_alloc here must
+      // surface as a per-request failure, not a crash.
+      util::fi::alloc_guard();
+      auto flight = std::make_shared<Flight>();
+      flight->key = std::move(key);
+      flight->sample = std::move(sample);
+      flight->waiters.push_back(std::move(waiter));
+      const auto node = in_flight_.emplace(flight->key, flight).first;
+      try {
+        pool_->submit([this, flight] { run_flight(*flight); });
+      } catch (...) {
+        in_flight_.erase(node);  // `done` goes with the entry, never run
+        throw;
       }
+      ++queued_;
+      ++outstanding_;
     }
-    if (!hit) {
-      std::lock_guard stats_lock(stats_mutex_);
-      ++counters_.requests;
-      if (stopped) ++counters_.completed;
-    }
+    ++counters_.requests;
   }
   if (hit) {
-    answer_hit(waiter, *hit);
+    resolve(waiter.done, &*hit, nullptr);
   } else if (stopped) {
     resolve(waiter.done, nullptr,
             std::make_exception_ptr(
@@ -163,38 +153,24 @@ bool ClassificationService::enqueue(core::FeatureHashes sample, OnDone done, boo
   return true;
 }
 
-void ClassificationService::answer_hit(const Waiter& waiter, const core::Prediction& hit) {
-  // Counters before the callback, as on every path: a caller that
-  // observes the reply finds its request already counted.
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++counters_.requests;
-    ++counters_.cache_hits;
-    ++counters_.completed;
-    if (hit.is_unknown) ++counters_.unknown_flagged;
-    record_latency_locked(waiter.watch.milliseconds());
-  }
-  resolve(waiter.done, &hit, nullptr);
-}
-
 void ClassificationService::record_connection_opened() {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   ++counters_.connections_opened;
   ++counters_.connections_active;
 }
 
 void ClassificationService::record_connection_closed() {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   if (counters_.connections_active > 0) --counters_.connections_active;
 }
 
 void ClassificationService::record_connection_rejected() {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   ++counters_.connections_rejected;
 }
 
 void ClassificationService::record_connection_timed_out() {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   ++counters_.connections_timed_out;
 }
 
@@ -213,54 +189,51 @@ void ClassificationService::reload(core::FuzzyHashClassifier model) {
   if (!model.fitted()) {
     throw std::invalid_argument("ClassificationService::reload: model not fitted");
   }
-  auto fresh = std::make_shared<const core::FuzzyHashClassifier>(std::move(model));
+  auto next_model = std::make_shared<const core::FuzzyHashClassifier>(std::move(model));
+  LruMap<std::string, core::Prediction> next_cache(config_.cache_capacity);
   {
-    std::lock_guard lock(model_mutex_);
-    model_ = std::move(fresh);
-    // Invalidate before clearing: a task still scoring on the old model
-    // re-checks this generation under model_mutex_ and skips its cache
-    // put, so it cannot repopulate the cache with a stale prediction
-    // after the clear below.
+    std::lock_guard lock(mutex_);
+    std::swap(model_, next_model);
+    // A task still scoring on the previous model finds the generation
+    // changed when it finishes and skips its cache put, so no stale
+    // prediction reaches the new cache.
     ++model_generation_;
-  }
-  {
     // Keys already scoring on the previous model stop taking joiners: a
     // request submitted from here on scores on the new model.
-    std::lock_guard lock(queue_mutex_);
     std::erase_if(in_flight_, [](const auto& entry) { return entry.second->started; });
+    std::swap(cache_, next_cache);
+    ++counters_.reloads;
   }
-  // Cached predictions came from the previous model.
-  cache_.clear();
-  std::lock_guard lock(stats_mutex_);
-  ++counters_.reloads;
+  // next_model and next_cache now hold the previous model and its
+  // cached predictions: they are freed here, with the lock released.
 }
 
 std::shared_ptr<const core::FuzzyHashClassifier> ClassificationService::model() const {
-  std::lock_guard lock(model_mutex_);
+  std::lock_guard lock(mutex_);
   return model_;
 }
 
 ServiceStats ClassificationService::stats() const {
-  // queue_mutex_ -> stats_mutex_ is the established order (enqueue);
-  // read the depth first rather than nesting the other way.
-  std::uint64_t depth = 0;
+  ServiceStats out;
+  std::vector<double> window;
+  window.reserve(latency_ring_.size());  // fixed at construction
+  double max_ms = 0.0;
   {
-    std::lock_guard lock(queue_mutex_);
-    depth = queued_;
+    std::lock_guard lock(mutex_);
+    out = counters_;
+    out.queue_depth = queued_;
+    const std::size_t n = std::min(latency_count_, latency_ring_.size());
+    window.assign(latency_ring_.begin(), latency_ring_.begin() + static_cast<std::ptrdiff_t>(n));
+    max_ms = latency_max_;
   }
-  std::lock_guard lock(stats_mutex_);
-  ServiceStats out = counters_;
-  out.queue_depth = depth;
-  const std::size_t n = std::min(latency_count_, latency_ring_.size());
-  if (n > 0) {
-    std::vector<double> window(latency_ring_.begin(),
-                               latency_ring_.begin() + static_cast<std::ptrdiff_t>(n));
+  if (!window.empty()) {
     std::sort(window.begin(), window.end());
     // Nearest-rank percentiles: index ceil(p * n) - 1, so a full
     // 100-sample window reports window[98] as p99, not the max.
+    const std::size_t n = window.size();
     out.p50_ms = window[(n + 1) / 2 - 1];
     out.p99_ms = window[(n * 99 + 99) / 100 - 1];
-    out.max_ms = latency_max_;
+    out.max_ms = max_ms;
   }
   return out;
 }
@@ -277,42 +250,23 @@ void ClassificationService::unlink_locked(const Flight& flight) {
   if (it != in_flight_.end() && it->second.get() == &flight) in_flight_.erase(it);
 }
 
-void ClassificationService::answer_expired(std::span<const Waiter> expired) {
-  if (expired.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
-  // Counters before callbacks, as everywhere: a caller that observes
-  // DeadlineExceeded must find deadline_expired already bumped. These
-  // requests contribute nothing to scored/candidates_scored — shedding
-  // happens before any scoring stage runs.
-  {
-    std::lock_guard lock(stats_mutex_);
-    counters_.deadline_expired += expired.size();
-    counters_.completed += expired.size();
-    for (const Waiter& waiter : expired) record_latency_locked(waiter.watch.milliseconds());
-  }
-  for (const Waiter& waiter : expired) {
-    const char* what = waiter.has_deadline && now >= waiter.deadline
-                           ? "deadline exceeded before scoring"
-                           : "queue delay bound exceeded before scoring";
-    resolve(waiter.done, nullptr, std::make_exception_ptr(DeadlineExceeded(what)));
-  }
-}
-
 void ClassificationService::run_flight(Flight& flight) {
-  // Step 1: take the waiters so far and shed the expired ones, so the
-  // capacity goes to requests whose clients are still waiting. With no
-  // live waiter left the key is unlinked in the same critical section:
-  // a later identical miss posts a fresh task instead of joining a dead
-  // one.
+  // Start: take the waiters so far, shed the expired ones so the capacity
+  // goes to requests whose clients are still waiting, and count them.
+  // With no live waiter left the key is unlinked here: a later identical
+  // miss posts a fresh task instead of joining a dead one. Otherwise the
+  // model is snapshotted here: reload() unlinks every started key, so no
+  // one joins this task once the model it scores on is stale.
   std::vector<Waiter> waiters;
   std::size_t live = 0;
   std::shared_ptr<const core::FuzzyHashClassifier> model;
   std::uint64_t generation = 0;
+  std::chrono::steady_clock::time_point now;
   {
-    std::lock_guard lock(queue_mutex_);
+    std::lock_guard lock(mutex_);
     --queued_;
     waiters = std::exchange(flight.waiters, {});
-    const auto now = std::chrono::steady_clock::now();
+    now = std::chrono::steady_clock::now();
     const double max_age_ms = static_cast<double>(config_.max_queue_delay.count());
     const auto is_live = [&](const Waiter& waiter) {
       return !(waiter.has_deadline && now >= waiter.deadline) &&
@@ -320,56 +274,65 @@ void ClassificationService::run_flight(Flight& flight) {
     };
     live = static_cast<std::size_t>(
         std::partition(waiters.begin(), waiters.end(), is_live) - waiters.begin());
+    // Shed requests cost no scoring work: they never reach scored or
+    // candidates_scored.
+    counters_.deadline_expired += waiters.size() - live;
+    counters_.completed += waiters.size() - live;
+    for (std::size_t i = live; i < waiters.size(); ++i) {
+      record_latency_locked(waiters[i].watch.milliseconds());
+    }
     if (live == 0) {
       unlink_locked(flight);
     } else {
-      // Snapshot the model inside this section: reload() unlinks every
-      // started key, so no one joins this task once the model it scores
-      // on is stale.
-      std::lock_guard model_lock(model_mutex_);
       model = model_;
       generation = model_generation_;
       flight.started = true;
     }
   }
-  answer_expired(std::span<const Waiter>(waiters).subspan(live));
+  // Shed waiters are answered before anything is scored.
+  for (std::size_t i = live; i < waiters.size(); ++i) {
+    const char* what = waiters[i].has_deadline && now >= waiters[i].deadline
+                           ? "deadline exceeded before scoring"
+                           : "queue delay bound exceeded before scoring";
+    resolve(waiters[i].done, nullptr, std::make_exception_ptr(DeadlineExceeded(what)));
+  }
   waiters.resize(live);
 
-  std::optional<core::Prediction> prediction;
-  std::exception_ptr error;
-  core::RowFillStats fill;
-  std::vector<Waiter> joined;
   if (live > 0) {
-    // Step 2: the serial predict() computation — full-row fill, then the
-    // forest pass on that row — with the candidate-index gate counted.
+    // The serial predict() computation — full-row fill, then the forest
+    // pass on that row — with the candidate-index gate counted.
+    std::optional<core::Prediction> prediction;
+    std::exception_ptr error;
+    core::RowFillStats fill;
     try {
       const core::ClassifierConfig& cfg = model->config();
       std::vector<float> row(model->row_width());
       core::fill_feature_row(model->index(), flight.sample, cfg.metric, /*exclude_id=*/-1,
                              row, cfg.channels, &fill);
       prediction = model->predict_from_row(row);
-      // Step 3: cache before unlinking, so a miss that arrives after the
-      // unlink finds the result instead of scoring the key again. Under
-      // model_mutex_ after re-checking the generation: if reload()
-      // swapped models meanwhile this result is stale and must not
-      // outlive the reload's cache clear.
-      std::lock_guard lock(model_mutex_);
-      if (generation == model_generation_) cache_.put(flight.key, *prediction);
     } catch (...) {
-      prediction.reset();
       error = std::current_exception();
     }
-    // Step 4: unlink, and take everyone who joined while this scored.
+    // End: cache, unlink and take everyone who joined while this scored,
+    // then count — counters before callbacks, so a client that just
+    // observed its reply sees them already reflecting its request. The
+    // put and the unlink share this section, so a later miss finds the
+    // key either in flight or cached. The put is skipped if reload()
+    // swapped models since the snapshot: the result is stale.
+    std::vector<Waiter> joined;
     {
-      std::lock_guard lock(queue_mutex_);
+      std::lock_guard lock(mutex_);
+      if (prediction && generation == model_generation_) {
+        try {
+          cache_.put(flight.key, *prediction);
+        } catch (...) {
+          prediction.reset();
+          error = std::current_exception();
+        }
+      }
       unlink_locked(flight);
       joined = std::exchange(flight.waiters, {});
-    }
-    // Step 5: counters before callbacks — a client that just observed its
-    // reply must see the counters already reflecting its request.
-    const std::size_t answered = waiters.size() + joined.size();
-    {
-      std::lock_guard lock(stats_mutex_);
+      const std::size_t answered = waiters.size() + joined.size();
       ++counters_.batches;
       counters_.completed += answered;
       if (prediction) {
@@ -390,7 +353,7 @@ void ClassificationService::run_flight(Flight& flight) {
   }
 
   // Last: the destructor may run the moment this reaches zero.
-  std::lock_guard lock(queue_mutex_);
+  std::lock_guard lock(mutex_);
   if (--outstanding_ == 0 && stopping_) idle_cv_.notify_all();
 }
 

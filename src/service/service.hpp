@@ -7,8 +7,8 @@
 // per invocation. ClassificationService keeps one FuzzyHashClassifier
 // resident behind three layers, outermost first:
 //
-//   1. a sharded LRU result cache keyed by the sample's digest text —
-//      repeat binaries (the common prolog case) skip scoring entirely;
+//   1. an LRU result cache keyed by the sample's digest text — repeat
+//      binaries (the common prolog case) skip scoring entirely;
 //   2. single flight: a miss whose key is already being scored joins
 //      that key's in-flight entry instead of scoring it again;
 //   3. one pool task per in-flight key, posted the moment the first miss
@@ -35,6 +35,12 @@
 // tasks use the new one, and the cache is cleared because its entries
 // are stale. The destructor waits for every posted task — every
 // accepted request's callback runs.
+//
+// One mutex guards all shared state: the cache, the in-flight keys, the
+// queue counts, the model snapshot and the counters. A request takes it
+// once to be admitted; a scoring task takes it when it starts, when it
+// finishes, and once more to retire. Nothing slow runs under it: no
+// scoring, no callback, no model or cache teardown.
 #pragma once
 
 #include <chrono>
@@ -47,7 +53,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -62,8 +67,7 @@
 namespace fhc::service {
 
 struct ServiceConfig {
-  std::size_t cache_capacity = 4096;           // total entries; 0 disables the cache
-  std::size_t cache_shards = 8;
+  std::size_t cache_capacity = 4096;           // entries; 0 disables the cache
   std::size_t latency_window = 4096;           // ring of recent latencies (percentiles)
   // Admission bound enforced by try_submit(): a sample that would post
   // a scoring task while this many posted tasks have not started yet is
@@ -250,10 +254,6 @@ class ClassificationService {
   void run_flight(Flight& flight);
   /// Removes `flight` from in_flight_ if it is still linked there.
   void unlink_locked(const Flight& flight);
-  /// Counts the expired waiters (DeadlineExceeded), then answers them.
-  void answer_expired(std::span<const Waiter> expired);
-  /// Counts a cache hit, then runs its callback.
-  void answer_hit(const Waiter& waiter, const core::Prediction& hit);
   void record_latency_locked(double ms);
   /// Shared body of submit()/try_submit(); false = refused (bounded only).
   bool enqueue(core::FeatureHashes sample, OnDone done, bool bounded,
@@ -262,20 +262,20 @@ class ClassificationService {
   ServiceConfig config_;
   util::ThreadPool* pool_;  // never null after construction
 
-  mutable std::mutex model_mutex_;
+  mutable std::mutex mutex_;         // guards every member below but idle_cv_
+  std::condition_variable idle_cv_;  // the destructor waits for outstanding_ == 0
+
   std::shared_ptr<const core::FuzzyHashClassifier> model_;
   std::uint64_t model_generation_ = 0;  // bumped by reload(); guards cache puts
 
-  ShardedLruCache cache_;
-
-  mutable std::mutex queue_mutex_;   // guards the members below but idle_cv_
-  std::condition_variable idle_cv_;  // the destructor waits for outstanding_ == 0
+  // Kept apart from in_flight_: an in-flight key never takes (or loses
+  // to eviction) a cache slot.
+  LruMap<std::string, core::Prediction> cache_;
   std::unordered_map<std::string_view, std::shared_ptr<Flight>> in_flight_;
   std::size_t queued_ = 0;       // tasks posted, not yet started (queue_depth)
   std::size_t outstanding_ = 0;  // tasks posted, not yet finished
   bool stopping_ = false;
 
-  mutable std::mutex stats_mutex_;
   ServiceStats counters_;               // percentile fields unused here
   std::vector<double> latency_ring_;    // most recent latency_window samples
   std::size_t latency_next_ = 0;

@@ -323,8 +323,12 @@ TEST(ChaosServer, ConnectionOwedRepliesIsNeverEvicted) {
   ASSERT_EQ(client.connect(daemon.endpoint(), /*retries=*/100), "");
   ASSERT_TRUE(client.send_bytes(classify_frame(fx.queries[0])));
 
-  // Well past several idle timeouts with the request still pending.
+  // Well past several idle timeouts with the request still pending. The
+  // eviction count is read here, while the reply is still owed: once the
+  // reply has been read the idle timer may, correctly, evict the
+  // connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(daemon.svc.stats().connections_timed_out, 0u);
   gate.release();
 
   Response response;
@@ -334,7 +338,6 @@ TEST(ChaosServer, ConnectionOwedRepliesIsNeverEvicted) {
   const core::Prediction expected = fixture().model.predict(fx.queries[0]);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(response.confidence),
             std::bit_cast<std::uint64_t>(expected.confidence));
-  EXPECT_EQ(daemon.svc.stats().connections_timed_out, 0u);
 }
 
 TEST(ChaosServer, ReloadWithMmapFaultKeepsOldSnapshotServing) {

@@ -585,6 +585,47 @@ TEST(ClassificationService, RequestAfterReloadNeverJoinsAStaleFlight) {
   }
 }
 
+TEST(ClassificationService, ResultScoredOnAReplacedModelIsNeverCached) {
+  // A reload() that lands while a task scores on the previous model
+  // bumps the generation; the task still answers its waiters with the
+  // previous model's prediction but must not cache it, or a request after
+  // the reload would be answered with a stale hit. The reload runs from
+  // the shed waiter's callback: after the task's model snapshot, before
+  // its scoring.
+  const Fixture& fx = fixture();
+  const core::FeatureHashes& query = fx.queries[3];
+  testsupport::GatedPool gate;
+  ClassificationService svc(clone(fx.model), {}, gate.get());
+
+  std::promise<std::exception_ptr> shed;
+  ASSERT_TRUE(svc.try_submit(
+      query,
+      [&](const core::Prediction*, std::exception_ptr error) {
+        svc.reload(clone(fx.strict_model));
+        shed.set_value(std::move(error));
+      },
+      std::chrono::milliseconds(1)));
+  std::promise<core::Prediction> joined;
+  ASSERT_TRUE(svc.try_submit(query, [&](const core::Prediction* prediction,
+                                        std::exception_ptr) {
+    joined.set_value(prediction != nullptr ? *prediction : core::Prediction{});
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // A expires
+  gate.release();
+
+  EXPECT_THROW(std::rethrow_exception(shed.get_future().get()), DeadlineExceeded);
+  // B scored on the snapshot taken before the reload: the old model.
+  expect_identical(joined.get_future().get(), fx.model.predict(query));
+  const core::Prediction fresh = svc.submit(query).get();
+  EXPECT_EQ(fresh.label, ml::kUnknownLabel);
+  expect_identical(fresh, fx.strict_model.predict(query));
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.reloads, 1u);
+  EXPECT_EQ(stats.scored, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.deadline_expired, 1u);
+}
+
 TEST(ClassificationService, ConnectionCountersTrackTheSocketFrontEnd) {
   const Fixture& fx = fixture();
   ClassificationService svc(clone(fx.model));
@@ -712,45 +753,47 @@ TEST(CommandHandler, ReloadWithDamagedModelKeepsOldModelServing) {
   std::filesystem::remove(path);
 }
 
-TEST(ShardedLruCache, EvictsLeastRecentlyUsedPerShard) {
+using PredictionLru = LruMap<std::string, core::Prediction>;
+
+TEST(LruMap, EvictsLeastRecentlyUsed) {
   core::Prediction value;
   value.label = 1;
   value.confidence = 0.75;
-  ShardedLruCache cache(/*capacity=*/2, /*shards=*/1);
+  PredictionLru cache(/*capacity=*/2);
   cache.put("a", value);
   cache.put("b", value);
-  ASSERT_TRUE(cache.get("a").has_value());  // refresh "a"; "b" is now LRU
-  cache.put("c", value);                    // evicts "b"
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
+  ASSERT_NE(cache.get("a"), nullptr);  // refresh "a"; "b" is now LRU
+  cache.put("c", value);               // evicts "b"
+  EXPECT_NE(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_NE(cache.get("c"), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(cache.get("a"), nullptr);
 }
 
-TEST(ShardedLruCache, RefreshUpdatesValueInPlace) {
+TEST(LruMap, RefreshUpdatesValueInPlace) {
   core::Prediction first;
   first.label = 1;
   core::Prediction second;
   second.label = 2;
-  ShardedLruCache cache(/*capacity=*/4, /*shards=*/1);
+  PredictionLru cache(/*capacity=*/4);
   cache.put("a", first);
   cache.put("b", first);
   cache.put("a", second);
   EXPECT_EQ(cache.size(), 2u);
-  const auto hit = cache.get("a");
-  ASSERT_TRUE(hit.has_value());
+  const core::Prediction* hit = cache.get("a");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->label, 2);
 }
 
-TEST(ShardedLruCache, KeysOutliveTheCallersString) {
-  // The map's keys view the cache's own copy of each key, never the
+TEST(LruMap, KeysOutliveTheCallersString) {
+  // The map's keys view the map's own copy of each key, never the
   // caller's buffer: destroying or rewriting it must not lose the entry.
   core::Prediction value;
   value.label = 3;
-  ShardedLruCache cache(/*capacity=*/4, /*shards=*/1);
+  PredictionLru cache(/*capacity=*/4);
   {
     std::string temporary(300, 'k');  // digest-sized, past any SSO buffer
     cache.put(temporary, value);
@@ -758,50 +801,49 @@ TEST(ShardedLruCache, KeysOutliveTheCallersString) {
   std::string reused(300, 'm');
   cache.put(reused, value);
   reused.assign(300, 'z');
-  EXPECT_TRUE(cache.get(std::string(300, 'k')).has_value());
-  EXPECT_TRUE(cache.get(std::string(300, 'm')).has_value());
-  EXPECT_FALSE(cache.get(reused).has_value());
+  EXPECT_NE(cache.get(std::string(300, 'k')), nullptr);
+  EXPECT_NE(cache.get(std::string(300, 'm')), nullptr);
+  EXPECT_EQ(cache.get(reused), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(ShardedLruCache, EvictionAfterRefreshRemovesTheOtherKey) {
+TEST(LruMap, EvictionAfterRefreshRemovesTheOtherKey) {
   core::Prediction value;
-  ShardedLruCache cache(/*capacity=*/2, /*shards=*/1);
+  PredictionLru cache(/*capacity=*/2);
   cache.put("a", value);
   cache.put("b", value);
   cache.put("a", value);  // refresh by put: "b" is now LRU
   cache.put("c", value);  // evicts "b"
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
+  EXPECT_NE(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_NE(cache.get("c"), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(ShardedLruCache, PutAfterClearWorks) {
+TEST(LruMap, PutAfterClearWorks) {
   core::Prediction value;
   value.label = 4;
-  ShardedLruCache cache(/*capacity=*/2, /*shards=*/1);
+  PredictionLru cache(/*capacity=*/2);
   cache.put("a", value);
   cache.put("b", value);
   cache.clear();
   cache.put("a", value);
   cache.put("c", value);
-  cache.put("d", value);  // evicts "a": the cleared shard counts afresh
+  cache.put("d", value);  // evicts "a": the cleared map counts afresh
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  const auto hit = cache.get("c");
-  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  const core::Prediction* hit = cache.get("c");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->label, 4);
-  EXPECT_TRUE(cache.get("d").has_value());
+  EXPECT_NE(cache.get("d"), nullptr);
 }
 
-TEST(ShardedLruCache, ZeroCapacityDisables) {
+TEST(LruMap, ZeroCapacityDisables) {
   core::Prediction value;
-  ShardedLruCache cache(0);
-  EXPECT_FALSE(cache.enabled());
+  PredictionLru cache(0);
   cache.put("a", value);
-  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(cache.get("a"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 

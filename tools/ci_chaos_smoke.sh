@@ -37,7 +37,16 @@ cp "$TOOLS/fhc_train" "$WORK/corpus/ToolTrain/1.0/b"
 # Hard ceiling on the whole smoke: a hung daemon or client must fail the
 # job inside CI's patience, not eat the runner. SIGKILL the process
 # group; `wait` below then reports the failure.
-( sleep 120; echo "error: chaos smoke watchdog fired" >&2; kill -9 0 ) &
+# cleanup's TERM ends the sleep too: an orphaned sleep would hold the
+# script's stdout open, and a pipe reading it, for the full 120 s.
+(
+  sleep 120 &
+  SLEEP_PID=$!
+  trap 'kill "$SLEEP_PID" 2>/dev/null; exit 0' TERM
+  wait "$SLEEP_PID"
+  echo "error: chaos smoke watchdog fired" >&2
+  kill -9 0
+) &
 WATCHDOG_PID=$!
 
 # One daemon run per fault spec. Each spec targets a different wrapped

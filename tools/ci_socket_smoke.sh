@@ -37,7 +37,16 @@ expect_exit() {
 # Hard ceiling: a daemon that never answers QUIT (or a loadgen stuck on
 # a dead socket) must fail the step, not hang the runner. SIGKILL the
 # process group; the stuck `wait` below then surfaces the failure.
-( sleep 120; echo "error: socket smoke watchdog fired" >&2; kill -9 0 ) &
+# cleanup's TERM ends the sleep too: an orphaned sleep would hold the
+# script's stdout open, and a pipe reading it, for the full 120 s.
+(
+  sleep 120 &
+  SLEEP_PID=$!
+  trap 'kill "$SLEEP_PID" 2>/dev/null; exit 0' TERM
+  wait "$SLEEP_PID"
+  echo "error: socket smoke watchdog fired" >&2
+  kill -9 0
+) &
 WATCHDOG_PID=$!
 
 for tool in fhc_train fhc_serve fhc_loadgen fhc_hash fhc_classify fhc_inspect; do
