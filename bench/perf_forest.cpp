@@ -160,7 +160,7 @@ void BM_ModelLoadBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelLoadBinary)->Unit(benchmark::kMillisecond);
 
-/// Whole-model attach at the paper's class count (K = 73): the v2
+/// Whole-model attach at the paper's class count (K = 73): the binary
 /// sectioned container checksums the mapped bytes and attaches the index
 /// pools and the forest in place, building no per-tree view. per_class
 /// (the Arg) scales the reference corpus; attach stays O(bytes), so /12

@@ -176,7 +176,7 @@ void BM_ComparePregatedRelatedDigests(benchmark::State& state) {
   for (std::size_t i = 30000; i < 40000; ++i) b[i] ^= 0x5a;
   const ssdeep::PreparedDigest da(ssdeep::fuzzy_hash(std::span<const std::uint8_t>(a)));
   const ssdeep::PreparedDigest db(ssdeep::fuzzy_hash(std::span<const std::uint8_t>(b)));
-  const ssdeep::DigestMasks masks(da.view());
+  const ssdeep::DigestMasks masks(da.text_view());
   std::uint32_t hit_bits = 0;
   if (ssdeep::sorted_grams_intersect(da.part1().grams, db.part1().grams)) {
     hit_bits |= ssdeep::kHitPart1;
@@ -190,7 +190,8 @@ void BM_ComparePregatedRelatedDigests(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ssdeep::compare_prepared_pregated(da.view(), masks, db.view(), hit_bits));
+        ssdeep::compare_prepared_pregated(da.text_view(), masks, db.text_view(),
+                                          hit_bits));
   }
 }
 BENCHMARK(BM_ComparePregatedRelatedDigests);
@@ -291,7 +292,8 @@ struct FeatureBenchData {
 // share 7-grams and genuinely run the edit distance, while
 // cross-class pairs share nothing — the mix fill_feature_row sees in
 // the real pipeline. At this width the all-pairs scan spends almost all
-// its time merge-scanning cross-class digests that provably score 0;
+// its time normalizing and gating cross-class digests that provably
+// score 0;
 // the GramIndex probe never visits them, so the indexed fill's cost is
 // the probe plus the same-class edit distances both paths must pay.
 const FeatureBenchData& feature_bench_data() {
@@ -338,11 +340,10 @@ const FeatureBenchData& feature_bench_data() {
   return data;
 }
 
-void BM_FeatureRowPrepared(benchmark::State& state) {
-  // One feature row via the prepared all-pairs scan (the PR 2 baseline):
-  // query normalized once per channel, train side prepared at index
-  // build, whole buckets skipped on blocksize — but every digest in a
-  // pairable bucket still pays its merge-scan gate.
+void BM_FeatureRowAllPairs(benchmark::State& state) {
+  // One feature row via the library's all-pairs oracle: compare_digests
+  // against every raw train digest, re-normalizing both sides per pair —
+  // the pre-PreparedDigest behaviour every later fill is measured against.
   const FeatureBenchData& data = feature_bench_data();
   std::vector<float> row(static_cast<std::size_t>(3 * data.index().n_classes()));
   for (auto _ : state) {
@@ -353,7 +354,7 @@ void BM_FeatureRowPrepared(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.train.size()) * 3);
 }
-BENCHMARK(BM_FeatureRowPrepared);
+BENCHMARK(BM_FeatureRowAllPairs);
 
 void BM_FeatureRowIndexed(benchmark::State& state) {
   // The same row via the GramIndex candidate probe: cross-class digests
@@ -378,35 +379,6 @@ void BM_FeatureRowIndexed(benchmark::State& state) {
       visited > 0.0 ? static_cast<double>(stats.index_skipped) / visited : 0.0;
 }
 BENCHMARK(BM_FeatureRowIndexed);
-
-void BM_FeatureRowRawLoop(benchmark::State& state) {
-  // The pre-PreparedDigest behaviour: compare_digests against every raw
-  // train digest, re-normalizing both sides per pair.
-  const FeatureBenchData& data = feature_bench_data();
-  const int k = data.index().n_classes();
-  std::vector<float> row(static_cast<std::size_t>(3 * k));
-  for (auto _ : state) {
-    for (int f = 0; f < 3; ++f) {
-      const auto type = static_cast<core::FeatureType>(f);
-      const ssdeep::FuzzyDigest& own = data.query.of(type);
-      for (int c = 0; c < k; ++c) {
-        int best = 0;
-        for (const ssdeep::FuzzyDigest& candidate : data.index().digests(type, c)) {
-          const int score = ssdeep::compare_digests(own, candidate);
-          if (score > best) {
-            best = score;
-            if (best == 100) break;
-          }
-        }
-        row[static_cast<std::size_t>(f * k + c)] = static_cast<float>(best);
-      }
-    }
-    benchmark::DoNotOptimize(row.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.train.size()) * 3);
-}
-BENCHMARK(BM_FeatureRowRawLoop);
 
 void BM_RuntimeTraceHash(benchmark::State& state) {
   // The runtime channel's per-sample cost: normalize a counter trace

@@ -333,7 +333,7 @@ void FuzzyHashClassifier::save_preamble(std::ostream& out) const {
 
 namespace {
 
-/// The preamble's header: everything before the digest rows. The v2
+/// The preamble's header: everything before the digest rows. The binary
 /// loader parses only this eagerly — the rows stay as mapped text until
 /// something actually needs raw digests (save, inspection).
 struct PreambleHeader {
@@ -545,9 +545,9 @@ void FuzzyHashClassifier::load(std::istream& in) {
   calibration_ = header.calibration;
 }
 
-void FuzzyHashClassifier::build_v2_sections(util::SectionedWriter& writer,
-                                            std::string& preamble,
-                                            std::string& forest) const {
+void FuzzyHashClassifier::build_sections(util::SectionedWriter& writer,
+                                         std::string& preamble,
+                                         std::string& forest) const {
   std::ostringstream preamble_stream;
   save_preamble(preamble_stream);
   preamble = preamble_stream.str();
@@ -563,29 +563,37 @@ void FuzzyHashClassifier::build_v2_sections(util::SectionedWriter& writer,
 
 void FuzzyHashClassifier::save_binary(std::ostream& out) const {
   if (!fitted()) throw std::logic_error("save: not fitted");
-  util::SectionedWriter writer(kBinaryModelMagicV2);
+  util::SectionedWriter writer(kBinaryModelMagic);
   std::string preamble;
   std::string forest;
-  build_v2_sections(writer, preamble, forest);
+  build_sections(writer, preamble, forest);
   writer.write_to(out);
   if (!out) throw std::runtime_error("save_binary: write failed");
 }
 
+std::string retired_binary_model_message(std::span<const std::byte> bytes) {
+  std::string magic;
+  for (std::size_t i = 0; i < kBinaryModelMagic.size() && i < bytes.size(); ++i) {
+    const auto c = static_cast<char>(bytes[i]);
+    magic.push_back(c >= ' ' && c <= '~' ? c : '?');
+  }
+  return "binary model " + magic +
+         " is no longer supported; retrain with `fhc_train`, or load the text "
+         "model";
+}
+
 bool FuzzyHashClassifier::is_binary_model(std::span<const std::byte> bytes) {
-  return starts_with_magic(bytes, kBinaryModelMagicV1) ||
-         starts_with_magic(bytes, kBinaryModelMagicV2);
+  return starts_with_magic(bytes, kBinaryModelMagicFamily);
 }
 
 void FuzzyHashClassifier::load_binary(std::span<const std::byte> bytes,
                                       std::shared_ptr<const void> keepalive) {
-  if (starts_with_magic(bytes, kBinaryModelMagicV1)) {
-    throw std::runtime_error(
-        "FuzzyHashClassifier::load_binary: binary model v1 (FHCMDLB1) is no "
-        "longer supported; retrain with `fhc_train --binary`, or load the text "
-        "model");
+  if (is_binary_model(bytes) && !starts_with_magic(bytes, kBinaryModelMagic)) {
+    throw std::runtime_error("FuzzyHashClassifier::load_binary: " +
+                             retired_binary_model_message(bytes));
   }
   const util::SectionedView container =
-      util::SectionedView::attach(bytes, kBinaryModelMagicV2);
+      util::SectionedView::attach(bytes, kBinaryModelMagic);
   // One streaming pass over the payload bytes — the only O(model-size)
   // work on this path, and still orders of magnitude cheaper than
   // re-preparing digests or rebuilding CSR indexes.
@@ -633,10 +641,10 @@ void FuzzyHashClassifier::save_binary_file(const std::string& path) const {
   // mid-rewrite must never leave a torn model at `path`. write_file
   // handles both: sibling temp file, fsync, rename, directory fsync.
   if (!fitted()) throw std::logic_error("save: not fitted");
-  util::SectionedWriter writer(kBinaryModelMagicV2);
+  util::SectionedWriter writer(kBinaryModelMagic);
   std::string preamble;
   std::string forest;
-  build_v2_sections(writer, preamble, forest);
+  build_sections(writer, preamble, forest);
   writer.write_file(path);
 }
 

@@ -1,8 +1,8 @@
 // The Fuzzy Hash Classifier — the paper's contribution.
 //
 // fit():      train hashes + labels -> reference TrainIndex (training
-//             digests prepared once: run-normalized parts + presorted
-//             7-gram arrays, bucketed by blocksize), leave-self-out
+//             digests prepared once: run-normalized parts bucketed by
+//             blocksize, 7-grams inverted per channel), leave-self-out
 //             similarity feature matrix, balanced class weights, Random
 //             Forest.
 // predict():  hashes -> similarity features vs the index -> forest
@@ -47,13 +47,18 @@ namespace fhc::core {
 
 /// First 8 bytes of a binary model file; distinct from any text model
 /// (those start with the text magic line) so load_file can sniff the
-/// format. v2 is the sectioned container (util::SectionedView) whose
-/// TrainIndex pools and forest attach zero-copy. v1, the retired
-/// monolithic blob, is still recognized so loading it fails with the fix
-/// (retrain with fhc_train --binary, or load the text model) instead of a
+/// format. v3 is the sectioned container (util::SectionedView) whose
+/// TrainIndex pools and forest attach zero-copy. Every other magic of
+/// the family — the v1 blob, v2 containers with their training gram
+/// pool — is still recognized as binary, so loading it fails with the
+/// fix (retrain with fhc_train, or load the text model) instead of a
 /// text-parser error.
-inline constexpr std::string_view kBinaryModelMagicV1 = "FHCMDLB1";
-inline constexpr std::string_view kBinaryModelMagicV2 = "FHCMDLB2";
+inline constexpr std::string_view kBinaryModelMagic = "FHCMDLB3";
+inline constexpr std::string_view kBinaryModelMagicFamily = "FHCMDLB";
+
+/// The refusal of a binary model in a retired format: names its magic
+/// (the file's first bytes, non-printable ones shown as '?') and the fix.
+std::string retired_binary_model_message(std::span<const std::byte> bytes);
 
 struct ClassifierConfig {
   ml::ForestParams forest;
@@ -186,10 +191,10 @@ class FuzzyHashClassifier {
   void load(std::istream& in);
   void save_file(const std::string& path) const;
 
-  /// Binary model format v2 ("FHCMDLB2"): a util::SectionedWriter
+  /// Binary model format v3 ("FHCMDLB3"): a util::SectionedWriter
   /// container holding the text preamble (config, class names, reference
   /// digests — identical bytes to the text format's midsection), the
-  /// TrainIndex's prepared-digest pools and CSR gram indexes
+  /// TrainIndex's normalized digest text and CSR gram indexes
   /// (TrainIndex::serialize), and the forest's binary SoA image
   /// ("FHCFRST2", sparse leaves) — every section 64-byte aligned and
   /// checksummed. save_binary -> load_binary -> save_binary round-trips
@@ -202,18 +207,18 @@ class FuzzyHashClassifier {
   /// (util::SectionedWriter::write_file).
   void save_binary_file(const std::string& path) const;
 
-  /// Loads a v2 container from `bytes` without copying the forest or
+  /// Loads a v3 container from `bytes` without copying the forest or
   /// TrainIndex sections — the compiled plan and the index pools reference
   /// them in place. `keepalive` (e.g. the util::ModelMap the bytes come
   /// from) is retained for the model's lifetime; pass nullptr only when
   /// `bytes` outlives the model. Throws std::runtime_error on a damaged
-  /// container, and on a v1 blob or a v2 container carrying a retired
-  /// FHCFRST1 forest, naming the fix.
+  /// container, and on any other binary model magic or a retired
+  /// FHCFRST1 forest image, naming the fix.
   void load_binary(std::span<const std::byte> bytes,
                    std::shared_ptr<const void> keepalive);
 
-  /// True when `bytes` starts with a binary model magic (v2, or the
-  /// retired v1 that load_binary rejects).
+  /// True when `bytes` starts with a binary model magic (v3, or a
+  /// retired version that load_binary rejects).
   static bool is_binary_model(std::span<const std::byte> bytes);
 
   /// Loads either format: sniffs the magic, mmaps binary models
@@ -230,11 +235,11 @@ class FuzzyHashClassifier {
       const std::vector<std::string>& class_names,
       const ClassifierConfig& config);
   void save_preamble(std::ostream& out) const;
-  /// Fills `preamble`/`forest` and adds every v2 section to `writer`
+  /// Fills `preamble`/`forest` and adds every v3 section to `writer`
   /// (referencing the two strings and the live index pools — all must
   /// outlive the final write).
-  void build_v2_sections(util::SectionedWriter& writer, std::string& preamble,
-                         std::string& forest) const;
+  void build_sections(util::SectionedWriter& writer, std::string& preamble,
+                      std::string& forest) const;
   Prediction prediction_from_proba(std::vector<double> proba) const;
 
   std::unique_ptr<TrainIndex> index_;

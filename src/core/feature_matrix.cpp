@@ -190,18 +190,10 @@ TrainIndex::TrainIndex(const std::vector<FeatureHashes>& train_hashes,
         rec.t1_len = static_cast<std::uint32_t>(digest.part1().text.size());
         text_store_.insert(text_store_.end(), digest.part1().text.begin(),
                            digest.part1().text.end());
-        rec.g1_off = gram_store_.size();
-        rec.g1_len = static_cast<std::uint32_t>(digest.part1().grams.size());
-        gram_store_.insert(gram_store_.end(), digest.part1().grams.begin(),
-                           digest.part1().grams.end());
         rec.t2_off = text_store_.size();
         rec.t2_len = static_cast<std::uint32_t>(digest.part2().text.size());
         text_store_.insert(text_store_.end(), digest.part2().text.begin(),
                            digest.part2().text.end());
-        rec.g2_off = gram_store_.size();
-        rec.g2_len = static_cast<std::uint32_t>(digest.part2().grams.size());
-        gram_store_.insert(gram_store_.end(), digest.part2().grams.begin(),
-                           digest.part2().grams.end());
         recs_store_.push_back(rec);
         bucket_ids_store_.push_back(bucket.ids[p]);
       }
@@ -279,7 +271,6 @@ TrainIndex::TrainIndex(const std::vector<FeatureHashes>& train_hashes,
   bucket_meta_ = bucket_meta_store_;
   recs_ = recs_store_;
   text_pool_ = text_store_;
-  gram_pool_ = gram_store_;
   bucket_ids_ = bucket_ids_store_;
   class_ids_ = class_ids_store_;
   entries_ = entries_store_;
@@ -325,16 +316,12 @@ void TrainIndex::wire() {
   cell_offsets_[cells] = buckets_.size();
   if (rec_at != recs_.size()) bad_index("rec pool size");
 
-  // Every record's text/gram slices must land inside the pools — after
-  // this loop view_of() is branch-free by construction.
+  // Every record's text slices must land inside the pool — after this
+  // loop view_of() is branch-free by construction.
   for (const PreparedRec& rec : recs_) {
     if (rec.t1_off > text_pool_.size() || rec.t1_len > text_pool_.size() - rec.t1_off ||
         rec.t2_off > text_pool_.size() || rec.t2_len > text_pool_.size() - rec.t2_off) {
       bad_index("record text slice out of range");
-    }
-    if (rec.g1_off > gram_pool_.size() || rec.g1_len > gram_pool_.size() - rec.g1_off ||
-        rec.g2_off > gram_pool_.size() || rec.g2_len > gram_pool_.size() - rec.g2_off) {
-      bad_index("record gram slice out of range");
     }
   }
   for (const std::int32_t id : bucket_ids_) {
@@ -493,7 +480,7 @@ PreparedQuery::PreparedQuery(const FeatureHashes& sample, const ChannelMask& mas
   for (std::size_t f = 0; f < channels.size(); ++f) {
     if (!mask.enabled(f)) continue;
     channels[f] = ssdeep::PreparedDigest(sample.channel(f));
-    channel_masks[f] = ssdeep::DigestMasks(channels[f].view());
+    channel_masks[f] = ssdeep::DigestMasks(channels[f].text_view());
   }
 }
 
@@ -606,7 +593,7 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
     }
     if (!channels.enabled(f)) continue;
     const ssdeep::PreparedDigest& own = query.channel(f);
-    const ssdeep::PreparedDigestView own_view = own.view();
+    const ssdeep::PreparedTextView own_text = own.text_view();
     const ssdeep::DigestMasks& own_masks = query.masks(f);
     const TrainIndex::ChannelGramIndex& grams = index.gram_index(f);
     const std::vector<QueryCandidates::Candidate>& hits = candidates.of(f);
@@ -637,7 +624,7 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
         if (exclude_id >= 0 && bucket.ids[pos] == exclude_id) continue;
         // The probe already decided every gate: score from its hit bits.
         const int score = ssdeep::compare_prepared_pregated(
-            own_view, own_masks, index.view_of(bucket, pos), hit.hit_bits, metric);
+            own_text, own_masks, index.view_of(bucket, pos), hit.hit_bits, metric);
         ++scored;
         if (score > best) best = score;
       }
@@ -653,54 +640,29 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
   }
 }
 
-void fill_feature_row_slice_all_pairs(const TrainIndex& index,
-                                      const PreparedQuery& query,
-                                      ssdeep::EditMetric metric, int exclude_id,
-                                      int class_begin, int class_end,
-                                      std::span<float> out_row,
-                                      const ChannelMask& channels) {
-  const int k = index.n_classes();
-  validate_slice(index, class_begin, class_end, out_row);
-  for (std::size_t f = 0; f < index.n_channels(); ++f) {
-    if (!channels.enabled(f)) {
-      for (int c = class_begin; c < class_end; ++c) {
-        out_row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)] = 0.0f;
-      }
-      continue;
-    }
-    const ssdeep::PreparedDigest& own = query.channel(f);
-    const ssdeep::PreparedDigestView own_view = own.view();
-    for (int c = class_begin; c < class_end; ++c) {
-      int best = 0;
-      for (const TrainIndex::PreparedBucket& bucket : index.prepared(f, c)) {
-        if (!ssdeep::blocksizes_can_pair(own.blocksize(), bucket.blocksize)) {
-          continue;  // nothing in this bucket can score > 0
-        }
-        for (std::size_t j = 0; j < bucket.recs.size(); ++j) {
-          if (exclude_id >= 0 && bucket.ids[j] == exclude_id) continue;
-          const int score =
-              ssdeep::compare_prepared(own_view, index.view_of(bucket, j), metric);
-          if (score > best) {
-            best = score;
-            if (best == 100) break;  // cannot improve
-          }
-        }
-        if (best == 100) break;
-      }
-      out_row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)] =
-          static_cast<float>(best);
-    }
-  }
-}
-
 void fill_feature_row_all_pairs(const TrainIndex& index,
                                 const FeatureHashes& sample,
                                 ssdeep::EditMetric metric, int exclude_id,
                                 std::span<float> out_row,
                                 const ChannelMask& channels) {
-  const PreparedQuery query(sample, channels);
-  fill_feature_row_slice_all_pairs(index, query, metric, exclude_id, 0,
-                                   index.n_classes(), out_row, channels);
+  const int k = index.n_classes();
+  validate_slice(index, 0, k, out_row);
+  for (std::size_t f = 0; f < index.n_channels(); ++f) {
+    const ssdeep::FuzzyDigest& own = sample.channel(f);
+    for (int c = 0; c < k; ++c) {
+      int best = 0;
+      if (channels.enabled(f)) {
+        const std::vector<ssdeep::FuzzyDigest>& digests = index.digests(f, c);
+        const std::span<const std::int32_t> ids = index.train_ids(c);
+        for (std::size_t j = 0; j < digests.size() && best < 100; ++j) {
+          if (exclude_id >= 0 && ids[j] == exclude_id) continue;
+          best = std::max(best, ssdeep::compare_digests(own, digests[j], metric));
+        }
+      }
+      out_row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)] =
+          static_cast<float>(best);
+    }
+  }
 }
 
 ml::Matrix build_feature_matrix(const TrainIndex& index,

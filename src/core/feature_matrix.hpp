@@ -26,19 +26,21 @@
 // parts shared a gram with it), PreparedQuery builds the query's
 // bit-parallel match masks once per channel, and the fill scores each
 // candidate with ssdeep::compare_prepared_pregated, which runs the edit
-// distance on the hit part pairs only. The all-pairs scan (whole-bucket
-// blocksize gate + per-digest compare_prepared with its merge-scan gate)
-// is kept as the reference oracle (fill_feature_row_slice_all_pairs); the
-// indexed fill is bit-identical to it, and the pregated compare equals
-// compare_prepared on every candidate pair (property tests in
-// tests/core/test_feature_matrix.cpp).
+// distance on the hit part pairs only. The all-pairs scan over the raw
+// training digests (ssdeep::compare_digests on every pair,
+// fill_feature_row_all_pairs) is kept as the reference oracle: it reads
+// none of the index's pools, and the indexed fill is bit-identical to it.
+// The pregated compare equals compare_prepared on every candidate pair
+// (property tests in tests/core/test_feature_matrix.cpp).
 //
 // Storage vs view: everything the row fill reads — normalized part text,
-// gram arrays, prepared-digest records, CSR posting lists, entry tables —
-// lives in flat pools, and the structures the fill walks (PreparedBucket,
-// ChannelGramIndex) are spans into them. The pools are either owned
+// prepared-digest records, CSR posting lists, entry tables — lives in
+// flat pools, and the structures the fill walks (PreparedBucket,
+// ChannelGramIndex) are spans into them. The training digests' own gram
+// arrays are not kept: the probe answers from the inverted index, and
+// pregated scoring reads only part text. The pools are either owned
 // vectors, laid out in canonical serialization order by the training
-// constructor, or sections of a memory-mapped v2 model container
+// constructor, or sections of a memory-mapped v3 model container
 // (TrainIndex::attach), in which case RELOAD does no digest
 // re-preparation and no gram-index rebuild: serialize() dumps the pools
 // verbatim and attach() wires spans back over them after structural
@@ -79,7 +81,7 @@ class SectionedWriter;
 
 namespace fhc::core {
 
-/// Section tags of the TrainIndex payload inside a v2 model container
+/// Section tags of the TrainIndex payload inside a v3 model container
 /// (core/classifier.cpp adds "preamble" and "forest" around them;
 /// tools/fhc_inspect.cpp pretty-prints the lot).
 namespace model_section {
@@ -89,7 +91,6 @@ inline constexpr std::string_view kCellBuckets = "cellbkts";  // u32 per (f, c)
 inline constexpr std::string_view kBuckets = "buckets";       // BucketMeta each
 inline constexpr std::string_view kRecords = "preprecs";      // PreparedRec each
 inline constexpr std::string_view kTextPool = "textpool";     // char pool
-inline constexpr std::string_view kGramPool = "grampool";     // u64 gram pool
 inline constexpr std::string_view kBucketIds = "bktids";      // i32 per digest
 inline constexpr std::string_view kClassIds = "clsids";       // i32 per sample
 inline constexpr std::string_view kEntries = "gentries";      // GramEntry each
@@ -108,21 +109,16 @@ ChannelSet channel_set_from_text(std::string_view text);
 /// digests to compare against.
 class TrainIndex {
  public:
-  /// One prepared training digest as offsets into the shared text/gram
-  /// pools: normalized part text and sorted packed 7-gram array for each
-  /// of the two parts. Fixed-layout POD — serialized verbatim as the
-  /// "preprecs" section.
+  /// One prepared training digest as offsets into the shared text pool:
+  /// the normalized text of each of the two parts. Fixed-layout POD —
+  /// serialized verbatim as the "preprecs" section.
   struct PreparedRec {
     std::uint64_t t1_off = 0;  // part1 text offset in the char pool
-    std::uint64_t g1_off = 0;  // part1 gram offset in the u64 pool
     std::uint64_t t2_off = 0;
-    std::uint64_t g2_off = 0;
     std::uint32_t t1_len = 0;
-    std::uint32_t g1_len = 0;
     std::uint32_t t2_len = 0;
-    std::uint32_t g2_len = 0;
   };
-  static_assert(sizeof(PreparedRec) == 48);
+  static_assert(sizeof(PreparedRec) == 24);
 
   /// Training digests of one (channel, class) cell that share a blocksize.
   /// `ids` holds the original train-sample id of each digest (for
@@ -233,7 +229,7 @@ class TrainIndex {
              const std::vector<int>& labels, std::vector<std::string> class_names,
              ChannelSet channels = ChannelSet::static_triple());
 
-  /// Wires a TrainIndex over the sections of a v2 model container without
+  /// Wires a TrainIndex over the sections of a v3 model container without
   /// preparing a single digest or building any index: the pools are used
   /// in place after structural validation (offsets in range, CSR shapes
   /// consistent, entries addressable). `channels` is the roster the model
@@ -287,16 +283,15 @@ class TrainIndex {
     return prepared(static_cast<std::size_t>(f), c);
   }
 
-  /// The prepared-digest view at (bucket, pos) — pure pointer arithmetic
-  /// into the pools, no allocation.
-  ssdeep::PreparedDigestView view_of(const PreparedBucket& bucket,
-                                     std::size_t pos) const noexcept {
+  /// The normalized part text at (bucket, pos) — pure pointer arithmetic
+  /// into the text pool, no allocation. What compare_prepared_pregated
+  /// reads of a candidate.
+  ssdeep::PreparedTextView view_of(const PreparedBucket& bucket,
+                                   std::size_t pos) const noexcept {
     const PreparedRec& rec = bucket.recs[pos];
     return {bucket.blocksize,
-            {std::string_view(text_pool_.data() + rec.t1_off, rec.t1_len),
-             gram_pool_.subspan(rec.g1_off, rec.g1_len)},
-            {std::string_view(text_pool_.data() + rec.t2_off, rec.t2_len),
-             gram_pool_.subspan(rec.g2_off, rec.g2_len)}};
+            std::string_view(text_pool_.data() + rec.t1_off, rec.t1_len),
+            std::string_view(text_pool_.data() + rec.t2_off, rec.t2_len)};
   }
 
   /// Original train-sample ids for class c (for exclude-self lookups).
@@ -334,7 +329,6 @@ class TrainIndex {
   std::vector<BucketMeta> bucket_meta_store_;
   std::vector<PreparedRec> recs_store_;
   std::vector<char> text_store_;
-  std::vector<std::uint64_t> gram_store_;
   std::vector<std::int32_t> bucket_ids_store_;
   std::vector<std::int32_t> class_ids_store_;
   std::vector<GramEntry> entries_store_;
@@ -348,7 +342,6 @@ class TrainIndex {
   std::span<const BucketMeta> bucket_meta_;
   std::span<const PreparedRec> recs_;
   std::span<const char> text_pool_;
-  std::span<const std::uint64_t> gram_pool_;
   std::span<const std::int32_t> bucket_ids_;
   std::span<const std::int32_t> class_ids_;
   std::span<const GramEntry> entries_;
@@ -478,7 +471,7 @@ class QueryCandidates {
 /// What the candidate index saved on one (or more, when accumulated) row
 /// fills: of the digests an all-pairs scan would have visited (those in
 /// blocksize-pairable buckets of enabled channels within the class
-/// range), how many were actually scored with compare_prepared versus
+/// range), how many were actually scored (compare_prepared_pregated) versus
 /// never touched — pruned by the GramIndex probe, skipped as the
 /// excluded self, or cut by a class's score-100 early exit.
 struct RowFillStats {
@@ -519,18 +512,11 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
                             const ChannelMask& channels = kAllChannels,
                             RowFillStats* stats = nullptr);
 
-/// The pre-GramIndex all-pairs scan: every prepared digest of every
-/// blocksize-pairable bucket in the slice is run through
-/// compare_prepared. Kept as the property-test oracle and bench baseline
-/// for the indexed fill, which must reproduce it bit for bit.
-void fill_feature_row_slice_all_pairs(const TrainIndex& index,
-                                      const PreparedQuery& query,
-                                      ssdeep::EditMetric metric, int exclude_id,
-                                      int class_begin, int class_end,
-                                      std::span<float> out_row,
-                                      const ChannelMask& channels = kAllChannels);
-
-/// Full-row convenience over fill_feature_row_slice_all_pairs.
+/// The all-pairs scan: the sample's raw digest of each enabled channel
+/// against every raw training digest (index.digests(f, c), exclude-self
+/// through train_ids(c)) with ssdeep::compare_digests. It reads none of
+/// the index's pools. Kept as the property-test oracle and bench
+/// baseline for the indexed fill, which must reproduce it bit for bit.
 void fill_feature_row_all_pairs(const TrainIndex& index,
                                 const FeatureHashes& sample,
                                 ssdeep::EditMetric metric, int exclude_id,

@@ -1,4 +1,4 @@
-// TrainIndex <-> sectioned-container I/O: the v2 model format's
+// TrainIndex <-> sectioned-container I/O: the v3 model format's
 // zero-copy half.
 //
 // serialize() dumps the canonical pools verbatim — the same spans the
@@ -70,7 +70,6 @@ void TrainIndex::serialize(util::SectionedWriter& writer) const {
   writer.add(model_section::kBuckets, bytes_of(bucket_meta_));
   writer.add(model_section::kRecords, bytes_of(recs_));
   writer.add(model_section::kTextPool, bytes_of(text_pool_));
-  writer.add(model_section::kGramPool, bytes_of(gram_pool_));
   writer.add(model_section::kBucketIds, bytes_of(bucket_ids_));
   writer.add(model_section::kClassIds, bytes_of(class_ids_));
   writer.add(model_section::kEntries, bytes_of(entries_));
@@ -127,8 +126,6 @@ std::unique_ptr<TrainIndex> TrainIndex::attach(
       util::section_as<BucketMeta>(container, model_section::kBuckets);
   index->recs_ = util::section_as<PreparedRec>(container, model_section::kRecords);
   index->text_pool_ = util::section_as<char>(container, model_section::kTextPool);
-  index->gram_pool_ =
-      util::section_as<std::uint64_t>(container, model_section::kGramPool);
   index->bucket_ids_ =
       util::section_as<std::int32_t>(container, model_section::kBucketIds);
   index->class_ids_ =

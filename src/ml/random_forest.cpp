@@ -49,7 +49,7 @@ FlatForest::Shape shape_from_header(const BinaryHeader& header) {
   if (std::memcmp(header.magic, "FHCFRST1", sizeof header.magic) == 0) {
     throw std::runtime_error(
         "RandomForest::load_binary: forest image FHCFRST1 (dense leaf pool) is "
-        "no longer supported; retrain with `fhc_train --binary`, or load the "
+        "no longer supported; retrain with `fhc_train`, or load the "
         "text model");
   }
   if (std::memcmp(header.magic, kBinaryMagic, sizeof kBinaryMagic) != 0) {

@@ -102,7 +102,7 @@ class RandomForest {
   /// verbatim, so save -> load_binary -> save round-trips byte-identically
   /// and a loaded image needs no float parsing. Throws std::runtime_error
   /// on malformed input, on the retired dense-leaf "FHCFRST1" image (with
-  /// the fix: retrain with fhc_train --binary, or load the text model) and
+  /// the fix: retrain with fhc_train, or load the text model) and
   /// on big-endian hosts, which the format does not support.
   void save_binary(std::ostream& out) const;
   void load_binary(std::istream& in);

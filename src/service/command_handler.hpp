@@ -92,7 +92,7 @@ class CommandHandler {
     std::string message;  // the model path on success, the error otherwise
   };
 
-  /// Loads `model_path` (text/v1/v2 sniffed) and swaps it in. Never
+  /// Loads `model_path` (text or binary, sniffed) and swaps it in. Never
   /// throws; requests already scoring finish on their snapshot either
   /// way. An unknown-threshold override set below is re-applied to the
   /// fresh model, so RELOAD cannot silently drop the deployment knob.

@@ -20,7 +20,7 @@ PreparedPart prepare_part(std::string_view raw) {
 // empty, gate), then the shared post-gate scoring. The overlong check only
 // fires for hand-built digests — parse_digest and fuzzy_hash never exceed
 // kSpamsumLength — but equivalence must hold for those too.
-int score_parts(const PreparedPartView& a, const PreparedPartView& b,
+int score_parts(const PreparedPart& a, const PreparedPart& b,
                 std::uint32_t blocksize, EditMetric metric) {
   if (a.text.size() > kSpamsumLength || b.text.size() > kSpamsumLength) return 0;
   if (a.text.empty() || b.text.empty()) return 0;
@@ -41,43 +41,43 @@ PreparedDigest::PreparedDigest(const FuzzyDigest& raw)
   g_prepared_count.fetch_add(1, std::memory_order_relaxed);
 }
 
-int compare_prepared(const PreparedDigestView& a, const PreparedDigestView& b,
+int compare_prepared(const PreparedDigest& a, const PreparedDigest& b,
                      EditMetric metric) {
-  const std::uint32_t bs1 = a.blocksize;
-  const std::uint32_t bs2 = b.blocksize;
+  const std::uint32_t bs1 = a.blocksize();
+  const std::uint32_t bs2 = b.blocksize();
   if (!blocksizes_can_pair(bs1, bs2)) return 0;
 
   if (bs1 == bs2) {
     // Mirrors compare_digests' fast path, including the overlong
     // exclusion that keeps "shares a 7-gram" necessary for score > 0.
-    if (a.part1.text == b.part1.text && a.part1.text.size() > kRollingWindow &&
-        a.part1.text.size() <= kSpamsumLength) {
+    if (a.part1().text == b.part1().text && a.part1().text.size() > kRollingWindow &&
+        a.part1().text.size() <= kSpamsumLength) {
       return 100;
     }
-    const int s1 = score_parts(a.part1, b.part1, bs1, metric);
-    const int s2 = score_parts(a.part2, b.part2, part2_blocksize(bs1), metric);
+    const int s1 = score_parts(a.part1(), b.part1(), bs1, metric);
+    const int s2 = score_parts(a.part2(), b.part2(), part2_blocksize(bs1), metric);
     return std::max(s1, s2);
   }
   if (bs1 == std::uint64_t{bs2} * 2) {
     // a's part1 lives at the same blocksize as b's part2.
-    return score_parts(a.part1, b.part2, bs1, metric);
+    return score_parts(a.part1(), b.part2(), bs1, metric);
   }
   // bs2 == bs1 * 2
-  return score_parts(a.part2, b.part1, bs2, metric);
+  return score_parts(a.part2(), b.part1(), bs2, metric);
 }
 
-DigestMasks::DigestMasks(const PreparedDigestView& digest) {
-  if (digest.part1.text.size() <= kBitParallelMaxPattern) {
-    build_match_masks(digest.part1.text, part1);
+DigestMasks::DigestMasks(const PreparedTextView& digest) {
+  if (digest.part1.size() <= kBitParallelMaxPattern) {
+    build_match_masks(digest.part1, part1);
   }
-  if (digest.part2.text.size() <= kBitParallelMaxPattern) {
-    build_match_masks(digest.part2.text, part2);
+  if (digest.part2.size() <= kBitParallelMaxPattern) {
+    build_match_masks(digest.part2, part2);
   }
 }
 
-int compare_prepared_pregated(const PreparedDigestView& own,
+int compare_prepared_pregated(const PreparedTextView& own,
                               const DigestMasks& own_masks,
-                              const PreparedDigestView& other,
+                              const PreparedTextView& other,
                               std::uint32_t hit_bits, EditMetric metric) {
   const std::uint32_t bs1 = own.blocksize;
   const std::uint32_t bs2 = other.blocksize;
@@ -88,28 +88,28 @@ int compare_prepared_pregated(const PreparedDigestView& own,
     // compare_prepared's fast path. Identical part1 texts of 8-64 chars
     // share every gram, so they always come with bit 0, and under bit 0
     // the part is at most kSpamsumLength long.
-    if (hit1 && own.part1.text == other.part1.text &&
-        own.part1.text.size() > kRollingWindow) {
+    if (hit1 && own.part1 == other.part1 &&
+        own.part1.size() > kRollingWindow) {
       return 100;
     }
-    const int s1 = hit1 ? score_strings_pregated(own_masks.part1, own.part1.text,
-                                                 other.part1.text, bs1, metric)
+    const int s1 = hit1 ? score_strings_pregated(own_masks.part1, own.part1,
+                                                 other.part1, bs1, metric)
                         : 0;
-    const int s2 = hit2 ? score_strings_pregated(own_masks.part2, own.part2.text,
-                                                 other.part2.text,
+    const int s2 = hit2 ? score_strings_pregated(own_masks.part2, own.part2,
+                                                 other.part2,
                                                  part2_blocksize(bs1), metric)
                         : 0;
     return std::max(s1, s2);
   }
   if (bs1 == std::uint64_t{bs2} * 2) {
     // own's part1 lives at the same blocksize as other's part2.
-    return hit1 ? score_strings_pregated(own_masks.part1, own.part1.text,
-                                         other.part2.text, bs1, metric)
+    return hit1 ? score_strings_pregated(own_masks.part1, own.part1,
+                                         other.part2, bs1, metric)
                 : 0;
   }
   if (bs2 == std::uint64_t{bs1} * 2) {
-    return hit2 ? score_strings_pregated(own_masks.part2, own.part2.text,
-                                         other.part1.text, bs2, metric)
+    return hit2 ? score_strings_pregated(own_masks.part2, own.part2,
+                                         other.part1, bs2, metric)
                 : 0;
   }
   return 0;

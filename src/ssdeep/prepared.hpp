@@ -17,15 +17,6 @@
 // (core::TrainIndex) keep their own raw view; serialization stays the
 // "bs:p1:p2" text format and loaders prepare from it.
 //
-// Storage vs view: comparison itself never needs ownership, only the
-// normalized text and gram array of each part. PreparedDigestView is that
-// non-owning shape — a string_view + gram span per part — and
-// compare_prepared is defined over views, so the identical code path runs
-// whether the bytes live in a PreparedDigest's own vectors (training,
-// text load) or in a memory-mapped model's prepared-digest pools
-// (core::TrainIndex::attach, the v2 binary format). PreparedDigest is the
-// owning storage; view() borrows it.
-//
 // compare_prepared is score-identical to compare_digests by construction:
 // both run the same gate ordering and share score_strings_pregated
 // (tests/ssdeep/test_prepared.cpp holds the property test). Its
@@ -38,11 +29,15 @@
 // per channel), and compare_prepared_pregated scores a candidate from
 // the probe's hit bits: only the part pairs whose bit is set, with no
 // gate and no mask build. It equals compare_prepared on every pair the
-// probe returns (tests/core/test_feature_matrix.cpp).
+// probe returns (tests/core/test_feature_matrix.cpp). Pregated scoring
+// reads no gram array, so it takes PreparedTextView, the normalized part
+// text alone — which is all a model image stores of a training digest
+// (core::TrainIndex::view_of). compare_prepared takes only a
+// PreparedDigest, so a training digest without grams can never reach
+// its gate.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,18 +55,14 @@ struct PreparedPart {
   std::vector<std::uint64_t> grams;
 };
 
-/// Non-owning view of a prepared part — what comparison actually reads.
-struct PreparedPartView {
-  std::string_view text;
-  std::span<const std::uint64_t> grams;
-};
-
-/// Non-owning view of a whole prepared digest. Valid as long as the
-/// backing storage (a PreparedDigest, or a mapped model's pools) lives.
-struct PreparedDigestView {
+/// Non-owning view of a prepared digest's normalized part text, without
+/// the gram arrays: what pregated scoring reads. Valid as long as the
+/// backing storage (a PreparedDigest, or a mapped model's text pool)
+/// lives.
+struct PreparedTextView {
   std::uint32_t blocksize = kMinBlocksize;
-  PreparedPartView part1;  // at blocksize
-  PreparedPartView part2;  // at 2 * blocksize
+  std::string_view part1;  // at blocksize
+  std::string_view part2;  // at 2 * blocksize
 };
 
 class PreparedDigest {
@@ -83,10 +74,8 @@ class PreparedDigest {
   const PreparedPart& part1() const noexcept { return part1_; }
   const PreparedPart& part2() const noexcept { return part2_; }
 
-  PreparedDigestView view() const noexcept {
-    return {blocksize_,
-            {part1_.text, part1_.grams},
-            {part2_.text, part2_.grams}};
+  PreparedTextView text_view() const noexcept {
+    return {blocksize_, part1_.text, part2_.text};
   }
 
  private:
@@ -98,13 +87,8 @@ class PreparedDigest {
 /// Similarity in [0, 100]; bit-identical to compare_digests on the two
 /// digests the operands were prepared from, but without re-normalizing
 /// either side.
-int compare_prepared(const PreparedDigestView& a, const PreparedDigestView& b,
+int compare_prepared(const PreparedDigest& a, const PreparedDigest& b,
                      EditMetric metric = EditMetric::kDamerauOsa);
-
-inline int compare_prepared(const PreparedDigest& a, const PreparedDigest& b,
-                            EditMetric metric = EditMetric::kDamerauOsa) {
-  return compare_prepared(a.view(), b.view(), metric);
-}
 
 /// Hit bits of one (query, candidate) pair, named by the query part whose
 /// grams the probe used: bit 0 when the query's part1 shares a 7-gram
@@ -123,7 +107,7 @@ struct DigestMasks {
   MatchMasks part2{};
 
   DigestMasks() = default;
-  explicit DigestMasks(const PreparedDigestView& digest);
+  explicit DigestMasks(const PreparedTextView& digest);
 };
 
 /// compare_prepared(own, other, metric) for a pair the GramIndex probe
@@ -132,9 +116,9 @@ struct DigestMasks {
 /// part pairs whose bit is set. The bits stand in for every gate
 /// score_parts would run: a set bit proves both parts hold 7-64 chars
 /// and share a 7-gram, a clear bit that the pair scores 0.
-int compare_prepared_pregated(const PreparedDigestView& own,
+int compare_prepared_pregated(const PreparedTextView& own,
                               const DigestMasks& own_masks,
-                              const PreparedDigestView& other,
+                              const PreparedTextView& other,
                               std::uint32_t hit_bits,
                               EditMetric metric = EditMetric::kDamerauOsa);
 

@@ -1,5 +1,5 @@
-// Sectioned model container: the generic binary envelope behind the v2
-// classifier model format.
+// Sectioned model container: the generic binary envelope behind the
+// binary classifier model format.
 //
 // A container is an 8-byte caller-chosen magic, a section table, and the
 // section payloads:

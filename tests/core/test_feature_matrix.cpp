@@ -330,40 +330,58 @@ struct PregatedCoverage {
   std::size_t scored_crosswise = 0;   // double/half blocksize
 };
 
-/// compare_prepared_pregated, fed each candidate's hit bits and the
-/// query's prebuilt masks, must equal compare_prepared on every
-/// (query, candidate) pair the probe returns, on every channel, for both
-/// metrics.
+/// The raw training digest a gram-index entry was prepared from:
+/// digests(f, c) is parallel to train_ids(c).
+const ssdeep::FuzzyDigest& raw_training_digest(const TrainIndex& index,
+                                               std::size_t f,
+                                               const TrainIndex::GramEntry& entry) {
+  const TrainIndex::PreparedBucket& bucket =
+      index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
+  const std::int32_t id = bucket.ids[static_cast<std::size_t>(entry.pos)];
+  const std::span<const std::int32_t> ids = index.train_ids(entry.cls);
+  const auto at = std::find(ids.begin(), ids.end(), id) - ids.begin();
+  return index.digests(f, entry.cls)[static_cast<std::size_t>(at)];
+}
+
+/// compare_prepared_pregated, fed each candidate's hit bits, the query's
+/// prebuilt masks and the index's stored part text, must equal
+/// compare_prepared on the candidate prepared afresh from its raw digest,
+/// on every (query, candidate) pair the probe returns, on every channel,
+/// for both metrics.
 void expect_pregated_matches_compare_prepared(const TrainIndex& index,
                                               const FeatureHashes& sample,
                                               PregatedCoverage& coverage) {
   const PreparedQuery query(sample);
   const QueryCandidates candidates(index, query);
   for (std::size_t f = 0; f < index.n_channels(); ++f) {
-    const ssdeep::PreparedDigestView own = query.channel(f).view();
+    const ssdeep::PreparedDigest& own = query.channel(f);
     const TrainIndex::ChannelGramIndex& grams = index.gram_index(f);
     for (const QueryCandidates::Candidate& hit : candidates.of(f)) {
       ASSERT_NE(hit.hit_bits, 0u);
       const TrainIndex::GramEntry& entry = grams.entries[hit.id];
       const TrainIndex::PreparedBucket& bucket =
           index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
-      const ssdeep::PreparedDigestView other =
+      const ssdeep::PreparedTextView stored =
           index.view_of(bucket, static_cast<std::size_t>(entry.pos));
+      const ssdeep::PreparedDigest other(raw_training_digest(index, f, entry));
+      ASSERT_EQ(stored.blocksize, other.blocksize());
+      ASSERT_EQ(stored.part1, other.part1().text);
+      ASSERT_EQ(stored.part2, other.part2().text);
       int best = 0;
       for (const auto metric : {ssdeep::EditMetric::kDamerauOsa,
                                 ssdeep::EditMetric::kWeightedLevenshtein}) {
         const int expected = ssdeep::compare_prepared(own, other, metric);
-        ASSERT_EQ(ssdeep::compare_prepared_pregated(own, query.masks(f), other,
-                                                    hit.hit_bits, metric),
+        ASSERT_EQ(ssdeep::compare_prepared_pregated(own.text_view(), query.masks(f),
+                                                    stored, hit.hit_bits, metric),
                   expected)
             << "channel " << f << ", entry " << hit.id << ", bits "
             << hit.hit_bits << ", metric " << static_cast<int>(metric)
-            << ", bs " << own.blocksize << " vs " << other.blocksize;
+            << ", bs " << own.blocksize() << " vs " << other.blocksize();
         best = std::max(best, expected);
       }
       ++coverage.pairs;
       if (best == 0) continue;
-      if (own.blocksize != other.blocksize) {
+      if (own.blocksize() != other.blocksize()) {
         ++coverage.scored_crosswise;
       } else if (hit.hit_bits == ssdeep::kHitPart1) {
         ++coverage.scored_part1_only;
@@ -435,15 +453,15 @@ TEST(GramIndexFill, PregatedFastPathAtTheWindowEdge) {
 
   const ssdeep::PreparedDigest seven(*ssdeep::parse_digest("3:ABCDEFG:xy"));
   const ssdeep::PreparedDigest eight(*ssdeep::parse_digest("3:ABCDEFGH:xy"));
-  const ssdeep::DigestMasks seven_masks(seven.view());
-  const ssdeep::DigestMasks eight_masks(eight.view());
+  const ssdeep::DigestMasks seven_masks(seven.text_view());
+  const ssdeep::DigestMasks eight_masks(eight.text_view());
   EXPECT_EQ(ssdeep::compare_prepared(seven, seven), 7);
-  EXPECT_EQ(ssdeep::compare_prepared_pregated(seven.view(), seven_masks, seven.view(),
-                                              ssdeep::kHitPart1),
+  EXPECT_EQ(ssdeep::compare_prepared_pregated(seven.text_view(), seven_masks,
+                                              seven.text_view(), ssdeep::kHitPart1),
             7);
   EXPECT_EQ(ssdeep::compare_prepared(eight, eight), 100);
-  EXPECT_EQ(ssdeep::compare_prepared_pregated(eight.view(), eight_masks, eight.view(),
-                                              ssdeep::kHitPart1),
+  EXPECT_EQ(ssdeep::compare_prepared_pregated(eight.text_view(), eight_masks,
+                                              eight.text_view(), ssdeep::kHitPart1),
             100);
 }
 

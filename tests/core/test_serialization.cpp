@@ -164,53 +164,56 @@ TEST(SerializationBinary, LoadFileSniffsAllThreeFormats) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto text_path =
       dir / ("fhc_model_text_" + std::to_string(::getpid()) + ".fhc");
-  const auto v1_path =
-      dir / ("fhc_model_v1_" + std::to_string(::getpid()) + ".fhcb");
-  const auto v2_path =
-      dir / ("fhc_model_v2_" + std::to_string(::getpid()) + ".fhcb");
+  const auto binary_path =
+      dir / ("fhc_model_bin_" + std::to_string(::getpid()) + ".fhcb");
   model().clf.save_file(text_path.string());
-  model().clf.save_binary_file(v2_path.string());  // v2 is the default
-  {
-    // The retired v1 blob: its magic is all load_file needs to see.
-    std::ofstream out(v1_path, std::ios::trunc | std::ios::binary);
-    out << kBinaryModelMagicV1 << std::string(56, '\0');
-  }
+  model().clf.save_binary_file(binary_path.string());
 
-  // The v2 file mmaps and attaches forest AND index zero-copy; the text
-  // file goes through the parser — both must agree exactly. A v1 file is
-  // recognized as binary and refused with the fix, not fed to the text
-  // parser.
+  // The binary file mmaps and attaches forest AND index zero-copy; the
+  // text file goes through the parser — both must agree exactly.
   const FuzzyHashClassifier from_text =
       FuzzyHashClassifier::load_file(text_path.string());
-  const FuzzyHashClassifier from_v2 =
-      FuzzyHashClassifier::load_file(v2_path.string());
+  const FuzzyHashClassifier from_binary =
+      FuzzyHashClassifier::load_file(binary_path.string());
   EXPECT_FALSE(from_text.index().attached());
-  EXPECT_TRUE(from_v2.index().attached());
-  EXPECT_EQ(from_text.class_names(), from_v2.class_names());
+  EXPECT_TRUE(from_binary.index().attached());
+  EXPECT_EQ(from_text.class_names(), from_binary.class_names());
   for (const FeatureHashes& probe : model().probes) {
     const Prediction a = from_text.predict(probe);
-    const Prediction b = from_v2.predict(probe);
+    const Prediction b = from_binary.predict(probe);
     EXPECT_EQ(a.label, b.label);
     ASSERT_EQ(a.proba.size(), b.proba.size());
     for (std::size_t k = 0; k < a.proba.size(); ++k) {
       EXPECT_EQ(a.proba[k], b.proba[k]);
     }
   }
-  try {
-    (void)FuzzyHashClassifier::load_file(v1_path.string());
-    ADD_FAILURE() << "a v1 model must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("fhc_train --binary"), std::string::npos)
-        << e.what();
+  // A retired binary version (the v1 blob, a v2 container) is recognized
+  // as binary and refused with the fix, not fed to the text parser; its
+  // magic is all load_file needs to see.
+  for (const std::string_view retired : {"FHCMDLB1", "FHCMDLB2"}) {
+    const auto retired_path = dir / ("fhc_model_retired_" +
+                                     std::to_string(::getpid()) + ".fhcb");
+    {
+      std::ofstream out(retired_path, std::ios::trunc | std::ios::binary);
+      out << retired << std::string(56, '\0');
+    }
+    try {
+      (void)FuzzyHashClassifier::load_file(retired_path.string());
+      ADD_FAILURE() << retired << " must not load";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(retired), std::string::npos) << what;
+      EXPECT_NE(what.find("retrain with `fhc_train`"), std::string::npos) << what;
+    }
+    std::filesystem::remove(retired_path);
   }
   std::filesystem::remove(text_path);
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
+  std::filesystem::remove(binary_path);
 }
 
 TEST(SerializationBinary, GramIndexLiveFromBothLoaders) {
   // Both load paths must come up with a working inverted 7-gram candidate
-  // index: the text parser rebuilds it from digest text, the v2 binary
+  // index: the text parser rebuilds it from digest text, the binary
   // path attaches the serialized CSR pools zero-copy. Either way the
   // indexed fill must still agree with the all-pairs oracle bit for bit.
   const auto dir = std::filesystem::temp_directory_path();
@@ -253,7 +256,7 @@ std::vector<std::byte> aligned_image(const std::string& image) {
   return bytes;
 }
 
-std::string binary_image_v2(const FuzzyHashClassifier& clf) {
+std::string binary_image(const FuzzyHashClassifier& clf) {
   std::ostringstream stream(std::ios::binary);
   clf.save_binary(stream);
   return stream.str();
@@ -270,18 +273,18 @@ FuzzyHashClassifier rebuilt_from_text(const FuzzyHashClassifier& clf) {
 }
 
 TEST(SerializationBinary, V2AttachPreparesNoDigestAndBuildsNoIndex) {
-  // The acceptance property of the v2 format: loading must not touch the
+  // The acceptance property of the binary format: loading must not touch the
   // digest-preparation or gram-index construction paths at all — the
   // pools attach in place. A text load, by contrast, rebuilds everything.
-  const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
+  const std::vector<std::byte> image = aligned_image(binary_image(model().clf));
 
-  FuzzyHashClassifier from_v2;
+  FuzzyHashClassifier from_binary;
   const std::uint64_t prepared_before = ssdeep::prepared_digest_count();
   const std::uint64_t built_before = ssdeep::gram_index_build_count();
-  from_v2.load_binary({v2.data(), v2.size()}, nullptr);
+  from_binary.load_binary({image.data(), image.size()}, nullptr);
   EXPECT_EQ(ssdeep::prepared_digest_count(), prepared_before);
   EXPECT_EQ(ssdeep::gram_index_build_count(), built_before);
-  EXPECT_TRUE(from_v2.index().attached());
+  EXPECT_TRUE(from_binary.index().attached());
 
   const FuzzyHashClassifier rebuilt = rebuilt_from_text(model().clf);
   EXPECT_GT(ssdeep::prepared_digest_count(), prepared_before);
@@ -291,12 +294,12 @@ TEST(SerializationBinary, V2AttachPreparesNoDigestAndBuildsNoIndex) {
 
 TEST(SerializationBinary, ClassifyPathBuildsNoTreeView) {
   // The forest's per-tree view serves only text save, tree() and the
-  // nested oracle: a v2 load plus every classify-path call must leave it
+  // nested oracle: a binary load plus every classify-path call must leave it
   // unbuilt, and a text save builds it exactly once.
-  const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
+  const std::vector<std::byte> image = aligned_image(binary_image(model().clf));
   const std::uint64_t before = ml::tree_view_materializations();
   FuzzyHashClassifier restored;
-  restored.load_binary({v2.data(), v2.size()}, nullptr);
+  restored.load_binary({image.data(), image.size()}, nullptr);
   ml::Matrix rows(model().probes.size(), restored.row_width());
   for (std::size_t i = 0; i < model().probes.size(); ++i) {
     (void)restored.predict(model().probes[i]);
@@ -322,12 +325,12 @@ TEST(SerializationBinary, ClassifyPathBuildsNoTreeView) {
 }
 
 TEST(SerializationBinary, AttachEqualsRebuildRowsAndGateStats) {
-  // Attach (v2) and rebuild (text load) must be indistinguishable to the
+  // Attach (binary) and rebuild (text load) must be indistinguishable to the
   // row fill: identical similarity rows AND identical gate counters — the
   // attached CSR index prunes exactly what the rebuilt one prunes.
-  const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
-  FuzzyHashClassifier from_v2;
-  from_v2.load_binary({v2.data(), v2.size()}, nullptr);
+  const std::vector<std::byte> image = aligned_image(binary_image(model().clf));
+  FuzzyHashClassifier from_binary;
+  from_binary.load_binary({image.data(), image.size()}, nullptr);
   const FuzzyHashClassifier rebuilt = rebuilt_from_text(model().clf);
   ASSERT_FALSE(rebuilt.index().attached());
 
@@ -338,7 +341,7 @@ TEST(SerializationBinary, AttachEqualsRebuildRowsAndGateStats) {
     std::vector<float> rebuilt_row(width);
     RowFillStats attached_stats;
     RowFillStats rebuilt_stats;
-    fill_feature_row(from_v2.index(), probe, metric, -1, attached_row,
+    fill_feature_row(from_binary.index(), probe, metric, -1, attached_row,
                      kAllChannels, &attached_stats);
     fill_feature_row(rebuilt.index(), probe, metric, -1, rebuilt_row,
                      kAllChannels, &rebuilt_stats);
@@ -357,7 +360,7 @@ void expect_refused_with_the_fix(const std::vector<std::byte>& image,
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(retired_magic), std::string::npos) << what;
-    EXPECT_NE(what.find("fhc_train --binary"), std::string::npos) << what;
+    EXPECT_NE(what.find("retrain with `fhc_train`"), std::string::npos) << what;
     EXPECT_NE(what.find("text model"), std::string::npos) << what;
   }
   EXPECT_FALSE(restored.fitted());
@@ -366,7 +369,7 @@ void expect_refused_with_the_fix(const std::vector<std::byte>& image,
 TEST(SerializationBinary, RejectsRetiredV1ModelWithTheFix) {
   // The v1 blob was magic, u64 preamble length, preamble, forest image;
   // only the magic matters now.
-  std::string v1(kBinaryModelMagicV1);
+  std::string v1("FHCMDLB1");
   v1 += std::string(8, '\0');
   std::ostringstream preamble;
   model().clf.save(preamble);
@@ -374,14 +377,29 @@ TEST(SerializationBinary, RejectsRetiredV1ModelWithTheFix) {
   expect_refused_with_the_fix(aligned_image(v1), "FHCMDLB1");
 }
 
+TEST(SerializationBinary, RejectsRetiredV2ModelWithTheFix) {
+  // A v2 container stored the training digests' gram arrays, which no
+  // loader reads any more. Here: a current image re-sealed under the v2
+  // magic, so its checksums pass and only the magic can refuse it.
+  const std::vector<std::byte> current = aligned_image(binary_image(model().clf));
+  const auto view = util::SectionedView::attach(current, kBinaryModelMagic);
+  util::SectionedWriter writer("FHCMDLB2");
+  for (const util::SectionEntry& entry : view.entries()) {
+    writer.add(entry.tag_view(), view.section(entry.tag_view()));
+  }
+  std::ostringstream out(std::ios::binary);
+  writer.write_to(out);
+  expect_refused_with_the_fix(aligned_image(out.str()), "FHCMDLB2");
+}
+
 TEST(SerializationBinary, RejectsV2ContainerWithRetiredForestImage) {
-  // A v2 container whose forest section carries the retired dense-leaf
+  // A container whose forest section carries the retired dense-leaf
   // image magic. The container is rebuilt (fresh checksums), so the
   // forest loader — not the checksum pass — must be what refuses it.
-  const std::vector<std::byte> good = aligned_image(binary_image_v2(model().clf));
-  const auto view = util::SectionedView::attach(good, kBinaryModelMagicV2);
+  const std::vector<std::byte> good = aligned_image(binary_image(model().clf));
+  const auto view = util::SectionedView::attach(good, kBinaryModelMagic);
   std::vector<std::byte> forest;
-  util::SectionedWriter writer(kBinaryModelMagicV2);
+  util::SectionedWriter writer(kBinaryModelMagic);
   for (const util::SectionEntry& entry : view.entries()) {
     const auto bytes = view.section(entry.tag_view());
     if (entry.tag_view() == "forest") {
@@ -402,9 +420,9 @@ TEST(SerializationBinary, AttachedModelSavesIdenticalText) {
   // Text save from an attached model forces the lazy raw-digest loader
   // (the pools carry no digest text in parseable form); the output must
   // still be byte-identical to the fitted model's save.
-  const std::vector<std::byte> v2 = aligned_image(binary_image_v2(model().clf));
+  const std::vector<std::byte> image = aligned_image(binary_image(model().clf));
   FuzzyHashClassifier restored;
-  restored.load_binary({v2.data(), v2.size()}, nullptr);
+  restored.load_binary({image.data(), image.size()}, nullptr);
   ASSERT_TRUE(restored.index().attached());
   std::stringstream original_text;
   std::stringstream restored_text;
@@ -493,9 +511,9 @@ TEST(SerializationBinary, TrainIndexAttachRoundTripsAdversarialDigests) {
 TEST(SerializationBinary, V2RejectsFlippedSectionBytes) {
   // A flipped byte inside any section payload must fail the load's
   // checksum pass — the daemon never serves from a silently corrupt map.
-  const std::string image = binary_image_v2(model().clf);
+  const std::string image = binary_image(model().clf);
   const auto good = aligned_image(image);
-  const auto view = util::SectionedView::attach(good, kBinaryModelMagicV2);
+  const auto view = util::SectionedView::attach(good, kBinaryModelMagic);
   for (const util::SectionEntry& entry : view.entries()) {
     if (entry.size == 0) continue;
     std::string corrupt = image;

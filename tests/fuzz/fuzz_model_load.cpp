@@ -1,8 +1,8 @@
 // Fuzz target: model loading on arbitrary bytes — the formats a daemon
-// will mmap or stream from disk (text, binary v2 "FHCMDLB2" with its
+// will mmap or stream from disk (text, binary v3 "FHCMDLB3" with its
 // sparse "FHCFRST2" forest image) plus the raw SectionedView container
-// walk underneath v2, and the retired v1 blob / "FHCFRST1" forest, which
-// must be refused cleanly.
+// walk underneath v3, and the retired binary versions (v1, v2) and
+// "FHCFRST1" forest, which must be refused cleanly.
 //
 // Contract under test: every loader either succeeds or throws a
 // std::exception subclass — no crashes, no OOM from attacker-chosen
@@ -28,7 +28,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Raw container walk (what fhc_inspect does before any model logic).
   try {
     const fhc::util::SectionedView view =
-        fhc::util::SectionedView::attach(bytes, fhc::core::kBinaryModelMagicV2);
+        fhc::util::SectionedView::attach(bytes, fhc::core::kBinaryModelMagic);
     view.verify_checksums();
     for (const auto& entry : view.entries()) {
       (void)view.section(entry.tag_view());
@@ -36,7 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const std::exception&) {
   }
 
-  // Binary loader (v2; a v1 magic is refused). keepalive nullptr is fine:
+  // Binary loader (v3; older versions are refused). keepalive nullptr is fine:
   // `bytes` outlives the model inside this call.
   if (fhc::core::FuzzyHashClassifier::is_binary_model(bytes)) {
     try {

@@ -16,10 +16,11 @@
 // the curated set misses.
 //
 // Each candidate the probe returns is also scored both ways: the
-// pregated compare from its hit bits and the query's prebuilt masks must
-// equal compare_prepared, for both metrics. A hit bit on the wrong part,
-// a missing one, or a stale one from an earlier probe fails here on the
-// pair itself, before a row max could hide it.
+// pregated compare from its hit bits, the query's prebuilt masks and the
+// index's stored part text must equal compare_prepared on the candidate
+// prepared afresh from its raw digest, for both metrics. A hit bit on
+// the wrong part, a missing one, or a stale one from an earlier probe
+// fails here on the pair itself, before a row max could hide it.
 //
 // The same digests also check the scoring kernels: for every checked
 // sample and every sample it is paired with, each pair of normalized
@@ -74,23 +75,26 @@ void check_kernels(std::string_view a, std::string_view b) {
 }
 
 void check_pregated(const fhc::core::TrainIndex& index,
+                    const std::vector<fhc::core::FeatureHashes>& samples,
                     const fhc::core::FeatureHashes& sample) {
   const fhc::core::PreparedQuery query(sample);
   const fhc::core::QueryCandidates candidates(index, query);
   for (std::size_t f = 0; f < index.n_channels(); ++f) {
-    const fhc::ssdeep::PreparedDigestView own = query.channel(f).view();
+    const fhc::ssdeep::PreparedDigest& own = query.channel(f);
     const auto& grams = index.gram_index(f);
     for (const fhc::core::QueryCandidates::Candidate& hit : candidates.of(f)) {
       const auto& entry = grams.entries[hit.id];
       const auto& bucket =
           index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
-      const fhc::ssdeep::PreparedDigestView other =
-          index.view_of(bucket, static_cast<std::size_t>(entry.pos));
+      const auto pos = static_cast<std::size_t>(entry.pos);
+      const fhc::ssdeep::PreparedDigest other(
+          samples[static_cast<std::size_t>(bucket.ids[pos])].channel(f));
       for (const fhc::ssdeep::EditMetric metric :
            {fhc::ssdeep::EditMetric::kDamerauOsa,
             fhc::ssdeep::EditMetric::kWeightedLevenshtein}) {
-        if (fhc::ssdeep::compare_prepared_pregated(own, query.masks(f), other,
-                                                   hit.hit_bits, metric) !=
+        if (fhc::ssdeep::compare_prepared_pregated(
+                own.text_view(), query.masks(f), index.view_of(bucket, pos),
+                hit.hit_bits, metric) !=
             fhc::ssdeep::compare_prepared(own, other, metric)) {
           std::abort();
         }
@@ -149,7 +153,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (const std::string& other : parts) check_kernels(parts[i], other);
   }
   for (std::size_t i = 0; i < checked; ++i) {
-    check_pregated(index, samples[i]);
+    check_pregated(index, samples, samples[i]);
     for (const fhc::ssdeep::EditMetric metric : metrics) {
       for (const int exclude : {-1, static_cast<int>(i)}) {
         std::fill(indexed.begin(), indexed.end(), -1.0f);

@@ -103,18 +103,20 @@ core::FuzzyHashClassifier make_model(bool calibrated) {
   return model;
 }
 
-/// The v2 container `image` re-sealed with its forest image's magic set
-/// to the retired dense-leaf "FHCFRST1": the loader must refuse it by
-/// magic, after the checksums pass.
-std::string with_retired_forest_magic(const std::string& image) {
+/// The container `image` re-sealed under `magic` (fresh checksums), with
+/// its forest image's magic set to the retired dense-leaf "FHCFRST1"
+/// when `retire_forest`: the loader must refuse either by magic, after
+/// the checksums pass.
+std::string resealed(const std::string& image, std::string_view magic,
+                     bool retire_forest) {
   std::vector<std::byte> bytes(image.size());
   std::memcpy(bytes.data(), image.data(), image.size());
-  const auto view = util::SectionedView::attach(bytes, core::kBinaryModelMagicV2);
+  const auto view = util::SectionedView::attach(bytes, core::kBinaryModelMagic);
   std::vector<std::byte> forest;
-  util::SectionedWriter writer(core::kBinaryModelMagicV2);
+  util::SectionedWriter writer(magic);
   for (const util::SectionEntry& entry : view.entries()) {
     const auto section = view.section(entry.tag_view());
-    if (entry.tag_view() == "forest") {
+    if (retire_forest && entry.tag_view() == "forest") {
       forest.assign(section.begin(), section.end());
       forest[7] = std::byte{'1'};  // "FHCFRST2" -> "FHCFRST1"
       writer.add(entry.tag_view(), forest);
@@ -175,14 +177,17 @@ void seed_model_load() {
   std::ostringstream text_cal;
   calibrated.save(text_cal);
   write_seed(target, "text_model_calibrated", text_cal.str());
-  std::ostringstream v2;
-  plain.save_binary(v2);
-  write_seed(target, "binary_v2", v2.str());
-  write_seed(target, "binary_v2_forest_v1", with_retired_forest_magic(v2.str()));
-  std::ostringstream v2_cal;
-  calibrated.save_binary(v2_cal);
-  write_seed(target, "binary_v2_calibrated", v2_cal.str());
-  write_seed(target, "magic_only_v2", core::kBinaryModelMagicV2);
+  std::ostringstream binary;
+  plain.save_binary(binary);
+  write_seed(target, "binary_v3", binary.str());
+  write_seed(target, "binary_v3_forest_v1",
+             resealed(binary.str(), core::kBinaryModelMagic, true));
+  // A retired container version, refused by its magic alone.
+  write_seed(target, "binary_v2_retired", resealed(binary.str(), "FHCMDLB2", false));
+  std::ostringstream binary_cal;
+  calibrated.save_binary(binary_cal);
+  write_seed(target, "binary_v3_calibrated", binary_cal.str());
+  write_seed(target, "magic_only_v3", core::kBinaryModelMagic);
   // Hand-rolled preamble with a calibration line and huge declared
   // counts: the ancestor of the kMaxModelClasses / kMaxModelTrainRows
   // findings. Mutations of the count fields probe the caps directly.

@@ -213,7 +213,7 @@ TEST(RuntimeChannel, V2ContainerCarriesTheChannelRoster) {
   std::memcpy(aligned.data(), bytes.data(), bytes.size());
 
   const auto view = util::SectionedView::attach(
-      std::span<const std::byte>(aligned), core::kBinaryModelMagicV2);
+      std::span<const std::byte>(aligned), core::kBinaryModelMagic);
   const auto roster = view.section(core::model_section::kChannels);
   const ChannelSet parsed = core::channel_set_from_text(std::string_view(
       reinterpret_cast<const char*>(roster.data()), roster.size()));
@@ -318,7 +318,7 @@ TEST(LegacyModels, StaticTripleTextHasNoChannelsetBlockAndReloads) {
   // Static triple serializes the legacy version-1 counts header and no
   // roster section at all.
   const auto view = util::SectionedView::attach(
-      std::span<const std::byte>(aligned), core::kBinaryModelMagicV2);
+      std::span<const std::byte>(aligned), core::kBinaryModelMagic);
   std::span<const std::byte> roster;
   EXPECT_FALSE(view.find(core::model_section::kChannels, roster));
   const auto meta = TrainIndex::parse_meta(view.section(core::model_section::kMeta));

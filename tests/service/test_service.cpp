@@ -261,7 +261,7 @@ TEST(ClassificationService, ReloadSwapsWithoutDroppingInFlight) {
 }
 
 TEST(ClassificationService, ReloadV2AttachedModelSurvivesFileReplacement) {
-  // The daemon's RELOAD path with the v2 container: both generations are
+  // The daemon's RELOAD path with the binary container: both generations are
   // mmap'd + attached zero-copy, and the model file is atomically
   // REPLACED on disk between them. In-flight requests submitted against
   // the old generation must still resolve after the swap — the keepalive

@@ -20,19 +20,24 @@ cleanup() {
 }
 trap cleanup EXIT
 
-for tool in fhc_train fhc_serve fhc_loadgen fhc_hash fhc_chaos; do
+for tool in fhc_train fhc_serve fhc_loadgen fhc_chaos; do
   if [ ! -x "$TOOLS/$tool" ]; then
     echo "error: $TOOLS/$tool not built" >&2
     exit 2
   fi
 done
 
-mkdir -p "$WORK/corpus/ToolHash/1.0" "$WORK/corpus/ToolTrain/1.0"
-cp "$TOOLS/fhc_hash"  "$WORK/corpus/ToolHash/1.0/a"
-cp "$TOOLS/fhc_hash"  "$WORK/corpus/ToolHash/1.0/b"
-cp "$TOOLS/fhc_train" "$WORK/corpus/ToolTrain/1.0/a"
-cp "$TOOLS/fhc_train" "$WORK/corpus/ToolTrain/1.0/b"
-"$TOOLS/fhc_train" --binary "$WORK/corpus" "$WORK/chaos.fhcb"
+# Small system executables, not the tools: sanitized builds hash at
+# ~1 MB/s, and their own binaries are tens of MB.
+SED="$(command -v sed)"
+GREP="$(command -v grep)"
+
+mkdir -p "$WORK/corpus/ToolSed/1.0" "$WORK/corpus/ToolGrep/1.0"
+cp "$SED"  "$WORK/corpus/ToolSed/1.0/a"
+cp "$SED"  "$WORK/corpus/ToolSed/1.0/b"
+cp "$GREP" "$WORK/corpus/ToolGrep/1.0/a"
+cp "$GREP" "$WORK/corpus/ToolGrep/1.0/b"
+"$TOOLS/fhc_train" "$WORK/corpus" "$WORK/chaos.fhcb"
 
 # Hard ceiling on the whole smoke: a hung daemon or client must fail the
 # job inside CI's patience, not eat the runner. SIGKILL the process
@@ -45,6 +50,7 @@ cp "$TOOLS/fhc_train" "$WORK/corpus/ToolTrain/1.0/b"
   trap 'kill "$SLEEP_PID" 2>/dev/null; exit 0' TERM
   wait "$SLEEP_PID"
   echo "error: chaos smoke watchdog fired" >&2
+  rm -rf "$WORK"  # SIGKILL below skips the EXIT trap
   kill -9 0
 ) &
 WATCHDOG_PID=$!
@@ -66,7 +72,7 @@ run_cell() {
       --connections 4 --pipeline 4 --requests 24 \
       --retries 50 --backoff-ms 2 --recv-timeout-ms 3000 \
       --expect-all --quit \
-      "$TOOLS/fhc_hash" "$TOOLS/fhc_train"; then
+      "$SED" "$GREP"; then
     echo "error: loadgen failed under FHC_FAULT=$SPEC" >&2
     kill -9 "$SERVE_PID" 2>/dev/null || true
     exit 1
@@ -97,7 +103,7 @@ SERVE_PID=$!
 "$TOOLS/fhc_loadgen" --unix "$SOCK" \
   --connections 2 --pipeline 4 --requests 16 \
   --retries 100 --recv-timeout-ms 3000 --deadline-ms 0 --quit \
-  "$TOOLS/fhc_hash" > "$WORK/deadline.out"
+  "$SED" > "$WORK/deadline.out"
 cat "$WORK/deadline.out"
 wait "$SERVE_PID"
 if grep -q "deadline_exceeded=0 " "$WORK/deadline.out"; then
@@ -107,7 +113,7 @@ fi
 
 # The sweep harness itself: in-process oracle + serving daemon, Nth-call
 # sweep with bit-identity verification after every cell.
-"$TOOLS/fhc_chaos" "$WORK/chaos.fhcb" "$TOOLS/fhc_hash" "$TOOLS/fhc_train" \
+"$TOOLS/fhc_chaos" "$WORK/chaos.fhcb" "$SED" "$GREP" \
   --nth-max 2 --requests 16 --connections 2 --retries 20 \
   --reload "$WORK/chaos.fhcb"
 

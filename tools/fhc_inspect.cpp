@@ -2,7 +2,7 @@
 //
 //   fhc_inspect MODEL
 //
-// For a v2 sectioned container ("FHCMDLB2") this prints the section
+// For a v3 sectioned container ("FHCMDLB3") this prints the section
 // table — tag, offset, size, checksum, verification status — plus the
 // TrainIndex counts header with a per-channel breakdown labelled by
 // channel *name* (from the "channels" roster section; a version-1 counts
@@ -11,8 +11,8 @@
 // leaves, stored leaf entries, section bytes). Text models get a shorter
 // summary. Exit status is non-zero when the file is damaged (bad table,
 // checksum mismatch), internally inconsistent (counts header vs channel
-// roster vs gram-index section sizes), or in a retired format (a v1 blob
-// "FHCMDLB1", or a v2 container whose forest is the dense "FHCFRST1"
+// roster vs gram-index section sizes), or in a retired format (any other
+// "FHCMDLB*" binary model version, or a forest in the dense "FHCFRST1"
 // image), which makes the tool usable as a model fsck in deploy scripts.
 #include <cinttypes>
 #include <cstdio>
@@ -122,15 +122,15 @@ int print_forest_shape(const util::SectionedView& view) {
   return 0;
 }
 
-int inspect_v2(const util::ModelMap& map) {
+int inspect_binary(const util::ModelMap& map) {
   util::SectionedView view;
   try {
-    view = util::SectionedView::attach(map.bytes(), core::kBinaryModelMagicV2);
+    view = util::SectionedView::attach(map.bytes(), core::kBinaryModelMagic);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fhc_inspect: damaged container: %s\n", e.what());
     return 1;
   }
-  std::printf("format: v2 sectioned container (%.*s), %zu bytes, %zu sections\n",
+  std::printf("format: v3 sectioned container (%.*s), %zu bytes, %zu sections\n",
               8, reinterpret_cast<const char*>(map.bytes().data()),
               map.bytes().size(), view.entries().size());
   std::printf("%-10s %12s %12s  %-16s\n", "tag", "offset", "size", "checksum");
@@ -249,14 +249,12 @@ int main(int argc, char** argv) {
   }
   try {
     const util::ModelMap map{std::string(argv[1])};
-    if (starts_with(map.bytes(), core::kBinaryModelMagicV2)) {
-      return inspect_v2(map);
+    if (starts_with(map.bytes(), core::kBinaryModelMagic)) {
+      return inspect_binary(map);
     }
-    if (starts_with(map.bytes(), core::kBinaryModelMagicV1)) {
-      std::fprintf(stderr,
-                   "fhc_inspect: binary model v1 (FHCMDLB1) is no longer "
-                   "supported; retrain with `fhc_train --binary`, or load the "
-                   "text model\n");
+    if (core::FuzzyHashClassifier::is_binary_model(map.bytes())) {
+      std::fprintf(stderr, "fhc_inspect: %s\n",
+                   core::retired_binary_model_message(map.bytes()).c_str());
       return 1;
     }
     std::printf("format: text model, %zu bytes\n", map.bytes().size());

@@ -13,10 +13,13 @@
 // least one of --unix and --tcp is required; a Slurm prolog asks the
 // node's daemon with `fhc_classify SOCKET FILE`.
 //
-// MODEL may be the text format or the binary format (`fhc_train
-// --binary`); the loader sniffs the magic. Binary models are mmap'd and
-// the forest is attached zero-copy, so a RELOAD skips the text re-parse
-// entirely — the recommended format for production daemons.
+// MODEL may be the binary format (`fhc_train`'s default) or the text
+// export (`fhc_train --text`); the loader sniffs the magic. Binary models
+// are mmap'd and attached zero-copy, so a RELOAD skips the text re-parse
+// entirely — the recommended format for production daemons. Install a
+// new model by rename (write a sibling file, then `mv` it over MODEL),
+// never by `cp` or `truncate` onto the served file: the daemon keeps
+// reading the mapped file after its load-time checksum pass.
 //
 // Exit codes: 0 clean shutdown, 1 model load / bind error, 2 usage error.
 #include <csignal>

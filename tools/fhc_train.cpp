@@ -1,7 +1,7 @@
 // fhc-train: train a Fuzzy Hash Classifier from a labelled directory tree
 // and write the model file.
 //
-//   fhc_train [--binary] [--runtime] [--calibrate[=FPR]] ROOT MODEL
+//   fhc_train [--text] [--runtime] [--calibrate[=FPR]] ROOT MODEL
 //             [threshold] [n_trees]
 //
 // ROOT follows the sciCORE layout the paper scrapes:
@@ -23,13 +23,15 @@
 // fhc_classify / fhc_serve then flag never-seen applications instead of
 // force-labeling them (paper Table 3's unknown pool).
 //
-// --binary writes the v2 sectioned container ("FHCMDLB2"): prepared
-// digests, per-channel gram indexes, and the forest plan laid out for
-// zero-copy mmap attach, making `fhc_serve` RELOAD O(mmap) at any corpus
-// size. Text models stay readable; every consumer (`fhc_classify`,
-// `fhc_serve`, `fhc_inspect`) sniffs the format automatically. Binary
-// models written before the sparse forest image (v1 blobs, or v2 with an
-// FHCFRST1 forest) are refused; re-run this tool with --binary.
+// MODEL is written as the binary v3 sectioned container ("FHCMDLB3"):
+// normalized digest text, per-channel gram indexes, and the forest plan
+// laid out for zero-copy mmap attach, making `fhc_serve` RELOAD O(mmap)
+// at any corpus size. --text writes the text export instead, which every
+// loader still reads (and rebuilds the index from). Every consumer
+// (`fhc_classify`, `fhc_serve`, `fhc_inspect`) sniffs the format. Binary
+// models of an older version (v1, v2) or with a dense FHCFRST1 forest
+// are refused; re-run this tool. A binary MODEL is replaced by rename,
+// so a daemon serving the old file keeps a consistent view of it.
 //
 // Demo without real data: materialize the synthetic corpus first —
 //   FHC_SCALE=0.05 ./build/bench/table3_unknown_classes   (or use the
@@ -63,13 +65,13 @@ bool is_trace_file(const std::filesystem::path& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool binary = false;
+  bool text = false;
   bool runtime = false;
   bool calibrate = false;
   double target_fpr = 0.05;
   while (argc > 1) {
-    if (std::strcmp(argv[1], "--binary") == 0) {
-      binary = true;
+    if (std::strcmp(argv[1], "--text") == 0) {
+      text = true;
     } else if (std::strcmp(argv[1], "--runtime") == 0) {
       runtime = true;
     } else if (std::strcmp(argv[1], "--calibrate") == 0) {
@@ -81,6 +83,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "fhc_train: --calibrate FPR must be in [0,1]\n");
         return 2;
       }
+    } else if (std::strncmp(argv[1], "--", 2) == 0) {
+      // Includes the retired --binary: binary is the default now.
+      std::fprintf(stderr, "fhc_train: unknown option %s\n", argv[1]);
+      return 2;
     } else {
       break;
     }
@@ -89,7 +95,7 @@ int main(int argc, char** argv) {
   }
   if (argc < 3 || argc > 5) {
     std::fprintf(stderr,
-                 "usage: fhc_train [--binary] [--runtime] [--calibrate[=FPR]] "
+                 "usage: fhc_train [--text] [--runtime] [--calibrate[=FPR]] "
                  "ROOT MODEL [threshold=0.3] [n_trees=200]\n");
     return 2;
   }
@@ -156,10 +162,10 @@ int main(int argc, char** argv) {
   core::FuzzyHashClassifier classifier;
   try {
     classifier.fit(hashes, labels, class_names, config);
-    if (binary) {
-      classifier.save_binary_file(model_path);
-    } else {
+    if (text) {
       classifier.save_file(model_path);
+    } else {
+      classifier.save_binary_file(model_path);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fhc_train: %s\n", e.what());
@@ -168,7 +174,7 @@ int main(int argc, char** argv) {
   const auto importance = classifier.channel_importance();
   const core::ChannelSet& channels = classifier.index().channels();
   std::printf("%s model written to %s (threshold %.2f, %d trees)\n",
-              binary ? "binary" : "text", model_path.c_str(), threshold, n_trees);
+              text ? "text" : "binary", model_path.c_str(), threshold, n_trees);
   if (calibrate) {
     const core::RejectionCalibration& cal = classifier.calibration();
     std::printf("calibrated unknown threshold %.4f (target FPR %.3f, %u held out)\n",

@@ -30,8 +30,8 @@ done
 # The perf trajectory tracks the prepared-digest path from PR 2 on: fail
 # loudly if the prepared-vs-raw compare pair or the feature-matrix bench
 # ever drop out of the ssdeep baseline. PR 5 on: the GramIndex
-# candidate-driven fill must keep its pair against the prepared all-pairs
-# baseline (BM_FeatureRowIndexed vs BM_FeatureRowPrepared). PR 7 on: the
+# candidate-driven fill must keep its pair against the all-pairs oracle
+# over raw digests (BM_FeatureRowIndexed vs BM_FeatureRowAllPairs). The
 # runtime channel — trace fingerprint+hash cost, and the three-vs-four
 # channel row-fill pair (BM_FeatureRowIndexed vs
 # BM_FeatureRowIndexedFourChannel). The edit-distance pairs: each DP
@@ -48,8 +48,8 @@ for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
     BM_ComparePregatedRelatedDigests \
-    BM_PrepareDigest BM_FeatureRowPrepared BM_FeatureRowIndexed \
-    BM_FeatureRowRawLoop BM_RuntimeTraceHash \
+    BM_PrepareDigest BM_FeatureRowAllPairs BM_FeatureRowIndexed \
+    BM_RuntimeTraceHash \
     BM_FeatureRowIndexedFourChannel \
     BM_DamerauOsa64 BM_DamerauOsa64BitParallel \
     BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel \
