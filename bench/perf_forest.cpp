@@ -199,7 +199,7 @@ std::vector<std::byte> model_image(int per_class) {
   return bytes;
 }
 
-void BM_ModelAttachV2(benchmark::State& state) {
+void BM_ModelAttach(benchmark::State& state) {
   const std::vector<std::byte> image =
       model_image(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -210,7 +210,7 @@ void BM_ModelAttachV2(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(image.size()));
 }
-BENCHMARK(BM_ModelAttachV2)->Arg(12)->Arg(48)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModelAttach)->Arg(12)->Arg(48)->Unit(benchmark::kMillisecond);
 
 void BM_KnnPredict(benchmark::State& state) {
   const Synthetic data = make_data(2688, 73, 219);

@@ -11,7 +11,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/feature_matrix.hpp"
@@ -19,6 +21,7 @@
 #include "corpus/app_spec.hpp"
 #include "corpus/corpus.hpp"
 #include "elf/strings_extract.hpp"
+#include "elf/symbols_extract.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/synthetic.hpp"
 #include "ssdeep/compare.hpp"
@@ -64,6 +67,64 @@ void BM_FuzzyHashReference(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FuzzyHashReference)->Range(1 << 10, 1 << 22);
+
+/// The three inputs a CLASSIFY_PATH request hashes: a corpus ELF image
+/// of perfbench's query corpus (scaled_app_classes(0.75)), its strings
+/// text and its symbols text.
+struct RequestInputs {
+  std::vector<std::uint8_t> image;
+  std::string strings;
+  std::string symbols;
+};
+
+const std::vector<RequestInputs>& request_bench_inputs() {
+  static const std::vector<RequestInputs> inputs = [] {
+    corpus::Corpus corpus(corpus::scaled_app_classes(0.75), 42);
+    std::vector<RequestInputs> out;
+    const auto& samples = corpus.samples();
+    const std::size_t stride = std::max<std::size_t>(1, samples.size() / 32);
+    for (std::size_t s = 0; s < samples.size(); s += stride) {
+      RequestInputs request{corpus.sample_bytes(samples[s], s % 2 == 1), {}, {}};
+      request.strings = elf::strings_text(request.image);
+      request.symbols = elf::global_text_symbols_text(request.image);
+      out.push_back(std::move(request));
+    }
+    return out;
+  }();
+  return inputs;
+}
+
+template <typename Hash>
+void run_request_bench(benchmark::State& state, Hash hash) {
+  const auto& inputs = request_bench_inputs();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    for (const RequestInputs& request : inputs) {
+      benchmark::DoNotOptimize(hash(std::span<const std::uint8_t>(request.image)));
+      benchmark::DoNotOptimize(hash(std::string_view(request.strings)));
+      benchmark::DoNotOptimize(hash(std::string_view(request.symbols)));
+      bytes += static_cast<std::int64_t>(request.image.size() + request.strings.size() +
+                                         request.symbols.size());
+    }
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(inputs.size()));
+}
+
+void BM_FuzzyHashRequest(benchmark::State& state) {
+  // A prolog request's hashing: file, strings and symbols digests of each
+  // image (items_per_second is requests per second).
+  run_request_bench(state, [](auto input) { return ssdeep::fuzzy_hash(input); });
+}
+BENCHMARK(BM_FuzzyHashRequest);
+
+void BM_FuzzyHashRequestReference(benchmark::State& state) {
+  // The same three hashes through the per-level reference engine.
+  run_request_bench(state,
+                    [](auto input) { return testsupport::reference_fuzzy_hash(input); });
+}
+BENCHMARK(BM_FuzzyHashRequestReference);
 
 void BM_RollingHash(benchmark::State& state) {
   // The context trigger alone over 1 MiB: every byte must pass through it,

@@ -1,68 +1,72 @@
 #include "ssdeep/fuzzy_hash.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+
 #include "util/base64.hpp"
 
 namespace fhc::ssdeep {
 
 namespace {
 
-constexpr std::uint8_t kLaneInit = static_cast<std::uint8_t>(kHashInit);
+constexpr std::uint64_t kInv3 = 0xAAAAAAAAAAAAAAABull;  // 3 * kInv3 == 1 (mod 2^64)
+static_assert(3 * kInv3 == 1);
+
+/// ~0 / blocksize: the largest `rotr(x * kInv3, level)` of a multiple x.
+constexpr auto kFireLimit = [] {
+  std::array<std::uint64_t, kNumBlockhashes> limits{};
+  for (std::size_t level = 0; level < kNumBlockhashes; ++level) {
+    limits[level] = ~std::uint64_t{0} / (std::uint64_t{kMinBlocksize} << level);
+  }
+  return limits;
+}();
+
+/// Whether the rolling hash h triggers at `level`: 3 * 2^level divides
+/// h + 1.
+inline bool fires(std::uint32_t h, std::size_t level) noexcept {
+  return std::rotr((std::uint64_t{h} + 1) * kInv3, static_cast<int>(level)) <=
+         kFireLimit[level];
+}
 
 }  // namespace
-
-FuzzyHasher::FuzzyHasher() { reset(); }
-
-void FuzzyHasher::reset() {
-  lanes_.fill(kLaneInit);
-  for (auto& level : levels_) {
-    level.digest.clear();
-    level.halfdigest.clear();
-  }
-  levels_[0].digest.reserve(kSpamsumLength);
-  bh_start_ = 0;
-  bh_end_ = 1;
-  total_size_ = 0;
-  roll_.reset();
-}
 
 void FuzzyHasher::update(std::span<const std::uint8_t> data) {
   total_size_ += data.size();
   const std::uint8_t* p = data.data();
   const std::uint8_t* const end = p + data.size();
   while (p != end) {
-    std::uint32_t h = 0;
-    // Until bh_end_ passes kLowLevels, levels kLowLevels and up are dead.
-    const bool fired = bh_end_ <= kLowLevels ? absorb<kLowLevels>(p, end, h)
-                                             : absorb<kHalfLane>(p, end, h);
-    if (fired) on_trigger(h);
+    const std::size_t absorbing = std::min(bh_end_, level_cap_) - bh_start_;
+    p = absorbing <= 8    ? absorb<8>(p, end)
+        : absorbing <= 16 ? absorb<16>(p, end)
+                          : absorb<32>(p, end);
+    // absorb() stopped at a trigger or at the end; the last byte's hash
+    // tells which.
+    const std::uint32_t h = roll_.sum();
+    if (fires(h, bh_start_)) on_trigger(h);
   }
 }
 
-template <std::size_t kLevels>
-bool FuzzyHasher::absorb(const std::uint8_t*& p, const std::uint8_t* end,
-                         std::uint32_t& h) {
-  // Every live level's blocksize is a multiple of bh_start_'s, so no
-  // level triggers unless this one does.
+template <std::size_t kWidth>
+const std::uint8_t* FuzzyHasher::absorb(const std::uint8_t* p, const std::uint8_t* end) {
+  constexpr std::size_t kWindow = 2 * kWidth;
+  static_assert(kWindow <= kLanes);
   RollingHash roll = roll_;
-  Lanes lanes = lanes_;
-  const std::uint64_t bs = blocksize_of(bh_start_);
-  bool fired = false;
+  std::array<std::uint8_t, kWindow> lanes{};
+  std::memcpy(lanes.data(), lanes_.data(), kWindow);
+  const std::size_t k = bh_start_;
   while (p != end) {
     const std::uint8_t c = *p++;
-    h = roll.update(c);
-    for (std::size_t part = 0; part < kLanes; part += kHalfLane) {
-      for (std::size_t i = part; i < part + kLevels; ++i) {
-        lanes[i] = static_cast<std::uint8_t>((lanes[i] * unsigned{kLanePrime}) ^ c);
-      }
+    const std::uint32_t h = roll.update(c);
+    for (auto& lane : lanes) {
+      lane = static_cast<std::uint8_t>((lane * unsigned{kLanePrime}) ^ c);
     }
-    if (h % bs == bs - 1) {
-      fired = true;
-      break;
-    }
+    if (fires(h, k)) break;
   }
-  lanes_ = lanes;
+  std::memcpy(lanes_.data(), lanes.data(), kWindow);
   roll_ = roll;
-  return fired;
+  return p;
 }
 
 void FuzzyHasher::update(std::string_view text) {
@@ -75,10 +79,10 @@ void FuzzyHasher::try_fork_blockhash() {
   // The new level inherits the in-progress chunk hashes of the previous
   // highest level: both have absorbed exactly the same bytes since that
   // level's last emission.
-  lanes_[bh_end_] = lanes_[bh_end_ - 1];
-  lanes_[kHalfLane + bh_end_] = lanes_[kHalfLane + bh_end_ - 1];
-  levels_[bh_end_].digest.clear();
-  levels_[bh_end_].halfdigest.clear();
+  const std::size_t prev = lane_of(bh_end_ - 1);
+  lanes_[prev + 2] = lanes_[prev];
+  lanes_[prev + 3] = lanes_[prev + 1];
+  levels_[bh_end_] = BlockDigests{};
   ++bh_end_;
 }
 
@@ -89,32 +93,32 @@ void FuzzyHasher::try_reduce_blockhash() {
   // already points past it, and the next level has enough characters that
   // the estimate will not be walked back down to this one.
   if (blocksize_of(bh_start_) * kSpamsumLength >= total_size_) return;
-  if (levels_[bh_start_ + 1].digest.size() < kSpamsumLength / 2) return;
+  if (levels_[bh_start_ + 1].digest.size < kSpamsumLength / 2) return;
   ++bh_start_;
+  std::copy(lanes_.begin() + 2, lanes_.end(), lanes_.begin());
 }
 
 void FuzzyHasher::on_trigger(std::uint32_t h) {
-  for (std::size_t i = bh_start_; i < bh_end_; ++i) {
-    const std::uint64_t bs = blocksize_of(i);
-    // Blocksizes are nested powers of two times kMinBlocksize, so once the
-    // trigger fails at one level it fails at every higher level.
-    if (h % bs != bs - 1) break;
-
-    if (levels_[i].digest.empty()) {
+  // Level bh_start_ fired, so 3 divides h + 1 and level i fires exactly
+  // when 2^i does too (blocksizes are nested powers of two times 3).
+  const auto last_firing = static_cast<std::size_t>(std::countr_zero(std::uint64_t{h} + 1));
+  for (std::size_t i = bh_start_; i <= last_firing && i < std::min(bh_end_, level_cap_); ++i) {
+    if (levels_[i].digest.size == 0) {
       // First emission at the currently-highest level: bring the next
       // level to life so it can observe the rest of the stream.
       if (i == bh_end_ - 1) try_fork_blockhash();
     }
     BlockDigests& level = levels_[i];
-    if (level.digest.size() < kSpamsumLength - 1) {
+    if (level.digest.size < kSpamsumLength - 1) {
       // Emit one character and start a fresh chunk. If the digest is full
       // we intentionally do NOT reset, folding the rest of the input into
       // the final character (spamsum's tail-overflow rule).
-      level.digest.push_back(fhc::util::base64_char(lanes_[i]));
-      lanes_[i] = kLaneInit;
-      if (level.halfdigest.size() < kSpamsumLength / 2 - 1) {
-        level.halfdigest.push_back(fhc::util::base64_char(lanes_[kHalfLane + i]));
-        lanes_[kHalfLane + i] = kLaneInit;
+      const std::size_t lane = lane_of(i);
+      level.digest.push_back(fhc::util::base64_char(lanes_[lane]));
+      lanes_[lane] = kLaneInit;
+      if (level.halfdigest.size < kSpamsumLength / 2 - 1) {
+        level.halfdigest.push_back(fhc::util::base64_char(lanes_[lane + 1]));
+        lanes_[lane + 1] = kLaneInit;
       }
     } else {
       try_reduce_blockhash();
@@ -123,45 +127,43 @@ void FuzzyHasher::on_trigger(std::uint32_t h) {
 }
 
 FuzzyDigest FuzzyHasher::digest() const {
-  // Initial blocksize guess from total size: smallest bs with
-  // bs * kSpamsumLength >= total_size.
-  std::size_t bi = bh_start_;
-  while (blocksize_of(bi) * kSpamsumLength < total_size_ && bi + 1 < kNumBlockhashes) {
-    ++bi;
-  }
+  std::size_t bi = first_guess(bh_start_, total_size_);
   // Clamp to live levels, then walk down while the digest at the guess is
   // too short to be discriminative.
   if (bi >= bh_end_) bi = bh_end_ - 1;
-  while (bi > bh_start_ && levels_[bi].digest.size() < kSpamsumLength / 2) --bi;
+  while (bi > bh_start_ && levels_[bi].digest.size < kSpamsumLength / 2) --bi;
 
   const bool has_tail = roll_.sum() != 0;  // an unfinished chunk is pending
+  const std::size_t lane = lane_of(bi);
 
   FuzzyDigest out;
   out.blocksize = static_cast<std::uint32_t>(blocksize_of(bi));
-  out.part1 = levels_[bi].digest;
-  if (has_tail) out.part1.push_back(fhc::util::base64_char(lanes_[bi]));
+  out.part1.reserve(kSpamsumLength);
+  out.part1 = levels_[bi].digest.view();
+  if (has_tail) out.part1.push_back(fhc::util::base64_char(lanes_[lane]));
 
   if (bi + 1 < bh_end_) {
-    out.part2 = levels_[bi + 1].halfdigest;
-    if (has_tail) out.part2.push_back(fhc::util::base64_char(lanes_[kHalfLane + bi + 1]));
-  } else if (has_tail && levels_[bi].digest.empty()) {
+    out.part2 = levels_[bi + 1].halfdigest.view();
+    if (has_tail) out.part2.push_back(fhc::util::base64_char(lanes_[lane + 3]));
+  } else if (has_tail && levels_[bi].digest.size == 0) {
     // Input too small for even one trigger at this level: mirror part1's
     // single tail character so the digest stays comparable.
-    out.part2.push_back(fhc::util::base64_char(lanes_[bi]));
+    out.part2.push_back(fhc::util::base64_char(lanes_[lane]));
   }
   return out;
 }
 
 FuzzyDigest fuzzy_hash(std::span<const std::uint8_t> data) {
   FuzzyHasher hasher;
+  // bi0 + 2, bi0 being digest()'s first guess for this size.
+  hasher.level_cap_ = std::min(FuzzyHasher::first_guess(0, data.size()) + 2, kNumBlockhashes);
   hasher.update(data);
   return hasher.digest();
 }
 
 FuzzyDigest fuzzy_hash(std::string_view text) {
-  FuzzyHasher hasher;
-  hasher.update(text);
-  return hasher.digest();
+  return fuzzy_hash(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
 }
 
 }  // namespace fhc::ssdeep

@@ -272,7 +272,7 @@ FuzzyHashClassifier rebuilt_from_text(const FuzzyHashClassifier& clf) {
   return rebuilt;
 }
 
-TEST(SerializationBinary, V2AttachPreparesNoDigestAndBuildsNoIndex) {
+TEST(SerializationBinary, AttachPreparesNoDigestAndBuildsNoIndex) {
   // The acceptance property of the binary format: loading must not touch the
   // digest-preparation or gram-index construction paths at all — the
   // pools attach in place. A text load, by contrast, rebuilds everything.
@@ -508,7 +508,7 @@ TEST(SerializationBinary, TrainIndexAttachRoundTripsAdversarialDigests) {
   }
 }
 
-TEST(SerializationBinary, V2RejectsFlippedSectionBytes) {
+TEST(SerializationBinary, RejectsFlippedSectionBytes) {
   // A flipped byte inside any section payload must fail the load's
   // checksum pass — the daemon never serves from a silently corrupt map.
   const std::string image = binary_image(model().clf);

@@ -14,8 +14,10 @@
 // Both engines absorb the payload in the same pieces; after every piece
 // their digests and sizes must be identical (a mid-stream digest() each
 // time), and so must the one-shot digests of the whole payload. The
-// engine keeps its lanes and rolling hash in locals inside update(), so
-// piece boundaries are where a lost or stale spill would show.
+// engine keeps its lanes and rolling hash in locals inside absorb(), so
+// piece boundaries are where a lost or stale spill would show; the
+// one-shot digest skips the levels above its size's cap, which the
+// streamed pieces cannot.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>

@@ -10,6 +10,7 @@
 // boundaries instead of bouncing off the magic check. Deterministic:
 // re-running regenerates byte-identical corpora (the corpora are
 // checked in; this tool exists to regenerate them when formats evolve).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "corpus/app_spec.hpp"
+#include "corpus/corpus.hpp"
 #include "elf/elf_writer.hpp"
 #include "net/protocol.hpp"
 #include "runtime/fingerprint.hpp"
@@ -342,6 +345,14 @@ void seed_fuzzy_hash() {
   std::string binary(4000, 'a');
   for (char& c : binary) c = rng.next_below(2) == 0 ? 'a' : 'b';
   seed("two_symbols_copy", 8, {2000}, binary);
+  // The head of a corpus ELF image, the file channel's real input: large
+  // enough that streaming keeps more than eight levels absorbing and the
+  // one-shot digest is capped at a prolog-sized level.
+  const corpus::Corpus corpus(corpus::scaled_app_classes(0.02), 42);
+  std::vector<std::uint8_t> image = corpus.sample_bytes(corpus.samples().front());
+  image.resize(std::min<std::size_t>(image.size(), 32 << 10));
+  seed("corpus_image_copy", 8, {5000, 17000, 29000},
+       std::string_view(reinterpret_cast<const char*>(image.data()), image.size()));
 }
 
 void seed_strings() {

@@ -260,7 +260,7 @@ TEST(ClassificationService, ReloadSwapsWithoutDroppingInFlight) {
   }
 }
 
-TEST(ClassificationService, ReloadV2AttachedModelSurvivesFileReplacement) {
+TEST(ClassificationService, ReloadAttachedModelSurvivesFileReplacement) {
   // The daemon's RELOAD path with the binary container: both generations are
   // mmap'd + attached zero-copy, and the model file is atomically
   // REPLACED on disk between them. In-flight requests submitted against

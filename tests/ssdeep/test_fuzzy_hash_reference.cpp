@@ -102,6 +102,26 @@ TEST(FuzzyHashReference, StreamedDigestsMatchAtEveryLevelBoundary) {
   }
 }
 
+TEST(FuzzyHashReference, OneShotEqualsStreamAcrossTheLevelCap) {
+  // The one-shot fuzzy_hash() knows its input size and stops absorbing two
+  // levels above digest()'s blocksize guess; a streaming FuzzyHasher cannot
+  // and hashes every level. Sizes either side of each guess boundary put
+  // the cap one level higher or lower on the same bytes.
+  for (const std::size_t alphabet : kAlphabets) {
+    const Bytes data = alphabet_bytes(800 + alphabet, (std::size_t{3} << 20) + 1, alphabet);
+    for (const std::size_t size : boundary_sizes(data.size())) {
+      const auto input = slice(data, 0, size);
+      FuzzyHasher stream;
+      stream.update(slice(data, 0, size / 3));
+      stream.update(slice(data, size / 3, size));
+      const FuzzyDigest capped = fuzzy_hash(input);
+      ASSERT_EQ(capped, stream.digest()) << "alphabet " << alphabet << ", size " << size;
+      ASSERT_EQ(capped, reference_fuzzy_hash(input))
+          << "alphabet " << alphabet << ", size " << size;
+    }
+  }
+}
+
 TEST(FuzzyHashReference, CorpusImagesMatchOnAllChannels) {
   corpus::Corpus corpus(corpus::scaled_app_classes(0.02), 42);
   const auto& samples = corpus.samples();

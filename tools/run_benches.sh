@@ -38,7 +38,9 @@ done
 # oracle (BM_{DamerauOsa,WeightedLevenshtein}64) against its BitParallel
 # twin, the kernel the scoring path runs. The hasher pair: the byte-lane
 # engine (BM_FuzzyHash) against the per-level reference engine it
-# replaced, at two sizes, plus the rolling hash alone (its ceiling).
+# replaced, at two sizes, plus the rolling hash alone (its ceiling), and
+# the same pair on a prolog request's three hashes of corpus images
+# (BM_FuzzyHashRequest vs BM_FuzzyHashRequestReference).
 # The strings-scan pair: the 64-byte bitmask scan (BM_StringsText)
 # against the byte-at-a-time reference loop it replaced, on corpus images.
 # The pregated pair: a probe candidate scored from its hit bits with
@@ -55,6 +57,7 @@ for required in \
     BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel \
     BM_FuzzyHash/262144 BM_FuzzyHashReference/262144 \
     BM_FuzzyHash/2097152 BM_FuzzyHashReference/2097152 BM_RollingHash \
+    BM_FuzzyHashRequest BM_FuzzyHashRequestReference \
     BM_StringsText BM_StringsTextReference; do
   if ! grep -q "\"$required\"" BENCH_perf_ssdeep.json; then
     echo "error: BENCH_perf_ssdeep.json is missing $required" >&2
@@ -94,7 +97,7 @@ for required in \
     BM_ForestFit/1024 BM_ForestFitSerial/1024 \
     BM_ForestPredictProba BM_ForestPredictBlock/1 BM_ForestPredictBlock/8 \
     BM_ForestPredictBlock/64 BM_ModelLoadText BM_ModelLoadBinary \
-    BM_ModelAttachV2/12 BM_ModelAttachV2/48; do
+    BM_ModelAttach/12 BM_ModelAttach/48; do
   if ! grep -q "\"$required\"" BENCH_perf_forest.json; then
     echo "error: BENCH_perf_forest.json is missing $required" >&2
     exit 1
