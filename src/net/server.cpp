@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/features.hpp"
-#include "net/timer_wheel.hpp"
 #include "ssdeep/digest.hpp"
 #include "util/fault_inject.hpp"
 
@@ -103,7 +102,7 @@ struct SocketServer::Impl {
     };
     std::optional<Reload> deferred_reload;  // held until earlier slots resolve
 
-    // Timeout bookkeeping (authoritative; the timer wheel entry is lazy).
+    // Timeout bookkeeping, read by the sweep (see conn_deadline).
     Clock::time_point last_activity{};  // last byte received
     Clock::time_point frame_start{};    // first byte of the pending partial frame
     bool mid_frame = false;             // reader holds an incomplete frame
@@ -117,9 +116,9 @@ struct SocketServer::Impl {
   bool draining = false;
   Clock::time_point drain_deadline{};
 
-  // Per-connection timeout machinery (idle / read-progress eviction).
-  TimerWheel wheel;
-  std::vector<std::uint64_t> expired_scratch;
+  // Per-connection timeouts: once per tick the loop sweeps `conns`.
+  std::chrono::milliseconds sweep_tick{0};
+  Clock::time_point next_sweep{};
   int epoll_failures = 0;  // consecutive non-EINTR epoll_wait failures
 
   // ---- completions: finished replies posted from any thread -------------
@@ -171,17 +170,16 @@ struct SocketServer::Impl {
     if (config.max_inflight == 0) config.max_inflight = 1;
 
     if (timeouts_enabled()) {
-      // Wheel tick = a quarter of the tightest timeout, so eviction lag
-      // (one tick of rounding + one tick of drain) stays well inside
-      // the 2x-timeout bound even for aggressive test settings.
+      // Sweep tick = a quarter of the tightest timeout: eviction lags a
+      // deadline by at most one tick, well inside the 2x-timeout bound
+      // even for aggressive test settings.
       int tightest = config.idle_timeout_ms > 0 ? config.idle_timeout_ms : 0;
       if (config.read_progress_timeout_ms > 0) {
         tightest = tightest > 0
                        ? std::min(tightest, config.read_progress_timeout_ms)
                        : config.read_progress_timeout_ms;
       }
-      const int tick = std::clamp(tightest / 4, 1, 100);
-      wheel = TimerWheel(std::chrono::milliseconds(tick), 512);
+      sweep_tick = std::chrono::milliseconds(std::clamp(tightest / 4, 1, 100));
     }
 
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -324,29 +322,24 @@ struct SocketServer::Impl {
     close_conn(conn.id);
   }
 
-  void expire_timers() {
+  /// Once per tick: evicts every evictable connection whose deadline has
+  /// passed. Each check reads the connection's true deadline, so a
+  /// read-progress deadline is seen even when an idle one is later.
+  void sweep_timeouts() {
     if (!timeouts_enabled()) return;
     const Clock::time_point now = Clock::now();
-    expired_scratch.clear();
-    wheel.expire(now, expired_scratch);
-    for (const std::uint64_t id : expired_scratch) {
-      const auto it = conns.find(id);
-      if (it == conns.end()) continue;  // closed; its entry just lapses
-      Conn& conn = *it->second;
-      const std::optional<Clock::time_point> deadline = conn_deadline(conn);
-      if (deadline && *deadline <= now && evictable(conn)) {
-        evict_conn(conn, conn.mid_frame ? "read timeout: incomplete frame"
-                                        : "idle timeout");
-        continue;
-      }
-      // Lazy revalidation: activity moved the deadline (or the conn has
-      // work in flight) — re-file at the true expiry, or at a polling
-      // interval when no bound applies right now (a later partial frame
-      // must still be caught).
-      const Clock::time_point recheck = deadline
-          ? std::max(*deadline, now)
-          : now + std::chrono::milliseconds(config.read_progress_timeout_ms);
-      wheel.schedule(id, recheck);
+    if (now < next_sweep) return;
+    next_sweep = now + sweep_tick;
+    // Ids first: close_conn erases from the map.
+    std::vector<std::uint64_t> expired;
+    for (const auto& [id, conn] : conns) {
+      const std::optional<Clock::time_point> deadline = conn_deadline(*conn);
+      if (deadline && *deadline <= now && evictable(*conn)) expired.push_back(id);
+    }
+    for (const std::uint64_t id : expired) {
+      Conn& conn = *conns.at(id);
+      evict_conn(conn, conn.mid_frame ? "read timeout: incomplete frame"
+                                      : "idle timeout");
     }
   }
 
@@ -369,10 +362,11 @@ struct SocketServer::Impl {
         timeout = static_cast<int>(left.count());
       }
       if (timeouts_enabled() && !conns.empty()) {
-        const int wheel_ms = wheel.next_timeout_ms(Clock::now());
-        if (wheel_ms >= 0 && (timeout < 0 || wheel_ms < timeout)) {
-          timeout = wheel_ms;
-        }
+        // Rounded up, so a sub-millisecond wait does not spin.
+        const auto left =
+            std::chrono::ceil<std::chrono::milliseconds>(next_sweep - Clock::now());
+        const int sweep_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+        if (timeout < 0 || sweep_ms < timeout) timeout = sweep_ms;
       }
       {
         // Lost-wake guard: an injected eventfd_write failure must not
@@ -417,7 +411,7 @@ struct SocketServer::Impl {
         pending_completions = !completions.empty();
       }
       if (pending_completions) drain_wake();
-      expire_timers();
+      sweep_timeouts();
     }
     // Pool tasks still running may yet submit, and submitted requests
     // still owe their callbacks (even after force_close_all: their
@@ -526,14 +520,6 @@ struct SocketServer::Impl {
       conn->last_activity = Clock::now();
       watch(fd, conn->id, EPOLLIN);
       handler.service().record_connection_opened();
-      if (timeouts_enabled()) {
-        const std::optional<Clock::time_point> deadline = conn_deadline(*conn);
-        wheel.schedule(conn->id,
-                       deadline ? *deadline
-                                : conn->last_activity +
-                                      std::chrono::milliseconds(
-                                          config.read_progress_timeout_ms));
-      }
       conns.emplace(conn->id, std::move(conn));
     }
   }

@@ -82,15 +82,17 @@ struct ServerConfig {
   // Graceful-shutdown drain bound.
   int drain_timeout_ms = 5000;
 
-  // Per-connection timeouts (0 = off), enforced by a timing wheel folded
-  // into the epoll loop. A connection with nothing owed to it (no reply
-  // slots, empty write buffer) that produced no bytes for
-  // idle_timeout_ms is evicted; a connection sitting on a *partial*
-  // frame whose first byte arrived read_progress_timeout_ms ago is
-  // evicted even if it trickles (slow-loris: progress is measured per
-  // frame, not per byte). Eviction counts
-  // ServiceStats::connections_timed_out, sends a best-effort ERROR
-  // frame, and hard-closes.
+  // Per-connection timeouts (0 = off), enforced by one sweep of the
+  // connections per tick of the epoll loop (a quarter of the tightest
+  // timeout, 1..100 ms), so eviction lags a deadline by at most a tick.
+  // A connection with nothing owed to it (no reply slots, empty write
+  // buffer) that produced no bytes for idle_timeout_ms is evicted; a
+  // connection sitting on a *partial* frame whose first byte arrived
+  // read_progress_timeout_ms ago is evicted even if it trickles
+  // (slow-loris: progress is measured per frame, not per byte). While a
+  // frame is partial the read clock applies, even when an idle timeout
+  // is also set. Eviction counts ServiceStats::connections_timed_out,
+  // sends a best-effort ERROR frame, and hard-closes.
   int idle_timeout_ms = 0;
   int read_progress_timeout_ms = 0;
 };

@@ -6,7 +6,9 @@
 // daemon, never reorders replies, and every completed prediction stays
 // bit-identical to serial predict; after disarming, the daemon serves a
 // clean client perfectly. Idle and slow-loris connections are evicted
-// within 2x the configured timeout (counted in connections_timed_out),
+// within 2x the configured timeout plus 100 ms (counted in
+// connections_timed_out) — a partial frame on the read clock even when
+// a later idle deadline is also set — traffic postpones idle eviction,
 // a connection owed replies is never evicted, and a RELOAD whose mmap
 // is failed keeps the old snapshot serving with `reloads` unchanged.
 #include <gtest/gtest.h>
@@ -242,6 +244,30 @@ TEST(ChaosServer, ProbabilisticReadWriteStorm) {
   verify_serial_identity(daemon);
 }
 
+/// Blocks until the server hangs up on `client`, then checks it did so
+/// within `bound_ms` of `start` and counted the eviction. Eviction sends
+/// a best-effort ERROR then closes; depending on timing the client sees
+/// the frame or just the close — never a prediction.
+void expect_evicted_within(BlockingClient& client, const TestDaemon& daemon,
+                           Clock::time_point start, int bound_ms) {
+  Response response;
+  const BlockingClient::ReadStatus status = client.read_response_status(response);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - start);
+  if (status == BlockingClient::ReadStatus::kOk) {
+    EXPECT_EQ(response.op, Opcode::kError);
+  } else {
+    EXPECT_EQ(status, BlockingClient::ReadStatus::kTransport);
+  }
+  EXPECT_LE(elapsed.count(), bound_ms)
+      << "eviction took " << elapsed.count() << "ms";
+  // The eviction is visible in the daemon's own accounting.
+  for (int i = 0; i < 100 && daemon.svc.stats().connections_timed_out == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(daemon.svc.stats().connections_timed_out, 1u);
+}
+
 TEST(ChaosServer, IdleConnectionEvictedWithinTwiceTimeout) {
   ServerConfig server_config;
   server_config.idle_timeout_ms = 150;
@@ -250,27 +276,10 @@ TEST(ChaosServer, IdleConnectionEvictedWithinTwiceTimeout) {
   BlockingClient client;
   client.set_recv_timeout(3000);
   ASSERT_EQ(client.connect(daemon.endpoint(), /*retries=*/100), "");
-  const Clock::time_point start = Clock::now();
 
   // Say nothing. The server must hang up on its own.
-  Response response;
-  const BlockingClient::ReadStatus status = client.read_response_status(response);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      Clock::now() - start);
-  // Eviction sends a best-effort ERROR then closes; depending on timing
-  // the client sees the frame or just the close — never a prediction.
-  if (status == BlockingClient::ReadStatus::kOk) {
-    EXPECT_EQ(response.op, Opcode::kError);
-  } else {
-    EXPECT_EQ(status, BlockingClient::ReadStatus::kTransport);
-  }
-  EXPECT_LE(elapsed.count(), 2 * server_config.idle_timeout_ms + 100)
-      << "idle eviction took " << elapsed.count() << "ms";
-  // The eviction is visible in the daemon's own accounting.
-  for (int i = 0; i < 100 && daemon.svc.stats().connections_timed_out == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(daemon.svc.stats().connections_timed_out, 1u);
+  expect_evicted_within(client, daemon, Clock::now(),
+                        2 * server_config.idle_timeout_ms + 100);
 }
 
 TEST(ChaosServer, SlowLorisPartialFrameEvictedWithinTwiceTimeout) {
@@ -286,24 +295,57 @@ TEST(ChaosServer, SlowLorisPartialFrameEvictedWithinTwiceTimeout) {
   // slow-loris. The read-progress clock starts at the first byte.
   const std::string frame = classify_frame(fixture().queries[0]);
   ASSERT_TRUE(client.send_bytes(frame.substr(0, 3)));
-  const Clock::time_point start = Clock::now();
+  expect_evicted_within(client, daemon, Clock::now(),
+                        2 * server_config.read_progress_timeout_ms + 100);
+}
 
-  Response response;
-  const BlockingClient::ReadStatus status =
-      client.read_response_status(response);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      Clock::now() - start);
-  if (status == BlockingClient::ReadStatus::kOk) {
-    EXPECT_EQ(response.op, Opcode::kError);
-  } else {
-    EXPECT_EQ(status, BlockingClient::ReadStatus::kTransport);
+TEST(ChaosServer, SlowLorisAfterIdleGapIsEvictedOnTheReadClock) {
+  // Both clocks set, the read clock the tighter: once a frame is partial
+  // its deadline governs, even though the idle deadline lies later.
+  ServerConfig server_config;
+  server_config.idle_timeout_ms = 1000;
+  server_config.read_progress_timeout_ms = 150;
+  TestDaemon daemon({}, server_config);
+
+  BlockingClient client;
+  client.set_recv_timeout(3000);
+  ASSERT_EQ(client.connect(daemon.endpoint(), /*retries=*/100), "");
+
+  // Quiet for a while (inside the idle bound), then the slow-loris drip.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::string frame = classify_frame(fixture().queries[0]);
+  ASSERT_TRUE(client.send_bytes(frame.substr(0, 3)));
+  expect_evicted_within(client, daemon, Clock::now(),
+                        2 * server_config.read_progress_timeout_ms + 100);
+}
+
+TEST(ChaosServer, TrafficPostponesIdleEviction) {
+  ServerConfig server_config;
+  server_config.idle_timeout_ms = 150;
+  TestDaemon daemon({}, server_config);
+
+  BlockingClient client;
+  client.set_recv_timeout(3000);
+  ASSERT_EQ(client.connect(daemon.endpoint(), /*retries=*/100), "");
+
+  // A PING every 50 ms for 600 ms: four idle timeouts pass, yet every
+  // frame resets the idle clock, so every PONG arrives.
+  std::string ping;
+  encode_ping(ping);
+  for (int i = 0; i < 12; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(client.send_bytes(ping));
+    Response response;
+    std::string error;
+    ASSERT_TRUE(client.read_response(response, &error)) << "ping " << i << ": " << error;
+    ASSERT_EQ(response.op, Opcode::kOk);
+    EXPECT_EQ(response.text, "pong");
   }
-  EXPECT_LE(elapsed.count(), 2 * server_config.read_progress_timeout_ms + 100)
-      << "slow-loris eviction took " << elapsed.count() << "ms";
-  for (int i = 0; i < 100 && daemon.svc.stats().connections_timed_out == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(daemon.svc.stats().connections_timed_out, 1u);
+  EXPECT_EQ(daemon.svc.stats().connections_timed_out, 0u);
+
+  // Then silence: the idle clock runs out.
+  expect_evicted_within(client, daemon, Clock::now(),
+                        2 * server_config.idle_timeout_ms + 100);
 }
 
 TEST(ChaosServer, ConnectionOwedRepliesIsNeverEvicted) {

@@ -1,5 +1,5 @@
 // The runtime channel through the whole stack: a four-channel model must
-// round-trip text -> v2 binary -> zero-copy attach with bit-identical
+// round-trip text -> v3 binary -> zero-copy attach with bit-identical
 // rows and predictions, legacy three-channel models must keep loading
 // into the synthesized static triple, and the batch service path must
 // match serial predict bit for bit.
@@ -176,7 +176,7 @@ TEST(RuntimeChannel, TextRoundTripIsExactAndRestable) {
   EXPECT_EQ(again.str(), first);
 }
 
-TEST(RuntimeChannel, BinaryV2AttachIsBitIdentical) {
+TEST(RuntimeChannel, BinaryV3AttachIsBitIdentical) {
   std::ostringstream stream(std::ios::binary);
   model().clf.save_binary(stream);
   const std::string bytes = stream.str();
@@ -205,7 +205,7 @@ TEST(RuntimeChannel, BinaryV2AttachIsBitIdentical) {
   }
 }
 
-TEST(RuntimeChannel, V2ContainerCarriesTheChannelRoster) {
+TEST(RuntimeChannel, V3ContainerCarriesTheChannelRoster) {
   std::ostringstream stream(std::ios::binary);
   model().clf.save_binary(stream);
   const std::string bytes = stream.str();

@@ -123,11 +123,16 @@ wait "$DEAD_PID" 2> /dev/null || true
 expect_exit 2 "$TOOLS/fhc_classify" "$DEAD" "$SED"
 
 # Usage errors: a daemon needs a listener; the open-set threshold must
-# be a number in [0,1] in both tools; fhc_train knows no --binary.
+# be a number in [0,1] in both tools; a timeout above INT_MAX ms is
+# refused rather than wrapped; fhc_train knows no --binary.
 expect_exit 2 "$TOOLS/fhc_train" --binary "$WORK/corpus" "$WORK/retired.fhcb"
 expect_exit 2 "$TOOLS/fhc_serve" "$WORK/smoke.fhcb"
 expect_exit 2 "$TOOLS/fhc_serve" "$WORK/smoke.fhcb" --unix "$WORK/nan.sock" \
   --unknown-threshold nan
+expect_exit 2 "$TOOLS/fhc_serve" "$WORK/smoke.fhcb" --unix "$WORK/big.sock" \
+  --idle-timeout-ms 4294967396
+expect_exit 2 "$TOOLS/fhc_serve" "$WORK/smoke.fhcb" --unix "$WORK/big.sock" \
+  --read-timeout-ms 2147483648
 expect_exit 2 "$TOOLS/fhc_classify" --unknown-threshold nan "$WORK/smoke.fhcb" \
   "$SED"
 expect_exit 2 "$TOOLS/fhc_classify" --unknown-threshold abc "$WORK/smoke.fhcb" \

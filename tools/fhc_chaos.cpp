@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
   net::ServerConfig server_config;
   server_config.unix_path =
       "/tmp/fhc_chaos_" + std::to_string(::getpid()) + ".sock";
-  // Modest timeouts so the timer wheel runs during the sweep too.
+  // Modest timeouts so the timeout check runs during the fault sweep too.
   server_config.idle_timeout_ms = 2000;
   server_config.read_progress_timeout_ms = 2000;
   net::SocketServer server(handler, server_config);

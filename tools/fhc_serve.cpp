@@ -22,6 +22,7 @@
 // reading the mapped file after its load-time checksum pass.
 //
 // Exit codes: 0 clean shutdown, 1 model load / bind error, 2 usage error.
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,15 @@ bool parse_size(const char* text, std::size_t& out) {
   const long long value = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || value < 0) return false;
   out = static_cast<std::size_t>(value);
+  return true;
+}
+
+/// A millisecond timeout for an int config field; false on junk,
+/// negatives, or values above INT_MAX (a cast would wrap them).
+bool parse_timeout_ms(const char* text, int& out) {
+  std::size_t value = 0;
+  if (text == nullptr || !parse_size(text, value) || value > INT_MAX) return false;
+  out = static_cast<int>(value);
   return true;
 }
 
@@ -169,15 +179,11 @@ int main(int argc, char** argv) {
       if (text == nullptr || !parse_size(text, delay)) return usage();
       service_config.max_queue_delay = std::chrono::milliseconds(delay);
     } else if (arg == "--idle-timeout-ms") {
-      const char* text = value();
-      std::size_t timeout = 0;
-      if (text == nullptr || !parse_size(text, timeout)) return usage();
-      server_config.idle_timeout_ms = static_cast<int>(timeout);
+      if (!parse_timeout_ms(value(), server_config.idle_timeout_ms)) return usage();
     } else if (arg == "--read-timeout-ms") {
-      const char* text = value();
-      std::size_t timeout = 0;
-      if (text == nullptr || !parse_size(text, timeout)) return usage();
-      server_config.read_progress_timeout_ms = static_cast<int>(timeout);
+      if (!parse_timeout_ms(value(), server_config.read_progress_timeout_ms)) {
+        return usage();
+      }
     } else {
       std::fprintf(stderr, "fhc_serve: unknown option '%s'\n", arg.c_str());
       return usage();
