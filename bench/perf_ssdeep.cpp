@@ -32,6 +32,7 @@
 #include "support/reference_fuzzy_hash.hpp"
 #include "support/reference_strings.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -309,13 +310,14 @@ void BM_WeightedLevenshtein64(benchmark::State& state) {
 BENCHMARK(BM_WeightedLevenshtein64);
 
 // The bit-parallel twins of the two DP benches above, on the same inputs:
-// the kernels score_strings_pregated runs.
+// the kernels score_strings_pregated runs. One item is one scored pair.
 void BM_DamerauOsa64BitParallel(benchmark::State& state) {
   const std::string a = random_digest_chars(5, 64);
   const std::string b = random_digest_chars(6, 64);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ssdeep::damerau_levenshtein_osa_bitparallel(a, b));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DamerauOsa64BitParallel);
 
@@ -325,8 +327,41 @@ void BM_WeightedLevenshtein64BitParallel(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ssdeep::weighted_levenshtein_bitparallel(a, b));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WeightedLevenshtein64BitParallel);
+
+// The four-lane cores on the same pairs, four copies per call: the
+// row fill's shape, where four independent chains overlap their
+// latency. Compare items_per_second with the one-lane benches above.
+template <typename Kernel>
+void run_four_lanes(benchmark::State& state, std::uint64_t seed_a, std::uint64_t seed_b,
+                    Kernel kernel) {
+  const std::string a = random_digest_chars(seed_a, 64);
+  const std::string b = random_digest_chars(seed_b, 64);
+  ssdeep::MatchMasks masks{};
+  ssdeep::build_match_masks(a, masks);
+  const ssdeep::BitParallelLane lane{&masks, a.size(), b};
+  const ssdeep::FourLanes lanes{lane, lane, lane, lane};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(lanes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
+}
+
+void BM_DamerauOsa64BitParallelFourLanes(benchmark::State& state) {
+  run_four_lanes(state, 5, 6, [](const ssdeep::FourLanes& lanes) {
+    return ssdeep::damerau_levenshtein_osa_bitparallel(lanes);
+  });
+}
+BENCHMARK(BM_DamerauOsa64BitParallelFourLanes);
+
+void BM_WeightedLevenshtein64BitParallelFourLanes(benchmark::State& state) {
+  run_four_lanes(state, 7, 8, [](const ssdeep::FourLanes& lanes) {
+    return ssdeep::weighted_levenshtein_bitparallel(lanes);
+  });
+}
+BENCHMARK(BM_WeightedLevenshtein64BitParallelFourLanes);
 
 void BM_HasCommonSubstring(benchmark::State& state) {
   const std::string a = random_digest_chars(9, 64);
@@ -440,6 +475,85 @@ void BM_FeatureRowIndexed(benchmark::State& state) {
       visited > 0.0 ? static_cast<double>(stats.index_skipped) / visited : 0.0;
 }
 BENCHMARK(BM_FeatureRowIndexed);
+
+/// A row fill at prolog shape: perfbench's fixture corpus
+/// (scaled_app_classes(0.75), seed 42), indexed the way its model is
+/// trained — the known classes, each class's newest version held out
+/// when it has more than one — and one query per known class, the
+/// newest version in an executable slot the corpus never enumerates.
+/// A row there meets hundreds of candidates, nearly all on the strings
+/// channel, where BM_FeatureRowIndexed meets about 19.
+struct ManyCandidateData {
+  std::unique_ptr<core::TrainIndex> index;  // TrainIndex is immovable
+  std::vector<core::PreparedQuery> queries;
+  std::vector<core::QueryCandidates> candidates;  // parallel to queries
+};
+
+const ManyCandidateData& many_candidate_data() {
+  static const ManyCandidateData data = [] {
+    const corpus::Corpus corpus(corpus::scaled_app_classes(0.75), 42);
+    std::vector<int> label_of_class(static_cast<std::size_t>(corpus.class_count()), -1);
+    std::vector<std::string> names;
+    for (int c = 0; c < corpus.class_count(); ++c) {
+      if (corpus.specs()[static_cast<std::size_t>(c)].paper_unknown) continue;
+      label_of_class[static_cast<std::size_t>(c)] = static_cast<int>(names.size());
+      names.push_back(corpus.specs()[static_cast<std::size_t>(c)].name);
+    }
+    const auto newest = [&](int c) {
+      return static_cast<int>(corpus.synthesizer(c).versions().size()) - 1;
+    };
+    std::vector<const corpus::SampleRef*> refs;
+    for (const corpus::SampleRef& ref : corpus.samples()) {
+      if (label_of_class[static_cast<std::size_t>(ref.class_idx)] < 0) continue;
+      if (newest(ref.class_idx) > 0 && ref.version_idx == newest(ref.class_idx)) continue;
+      refs.push_back(&ref);
+    }
+    std::vector<core::FeatureHashes> train(refs.size());
+    std::vector<int> labels(refs.size());
+    fhc::util::parallel_for(refs.size(), [&](std::size_t i) {
+      train[i] = core::extract_feature_hashes(corpus.sample_bytes(*refs[i]));
+      labels[i] = label_of_class[static_cast<std::size_t>(refs[i]->class_idx)];
+    });
+    ManyCandidateData out;
+    out.index = std::make_unique<core::TrainIndex>(train, labels, std::move(names));
+    for (int c = 0; c < corpus.class_count(); ++c) {
+      if (label_of_class[static_cast<std::size_t>(c)] < 0) continue;
+      const corpus::SampleSynthesizer& synth = corpus.synthesizer(c);
+      const core::FeatureHashes hashes = core::extract_feature_hashes(
+          synth.build(newest(c), synth.samples_per_version().back() + 1));
+      out.queries.emplace_back(hashes);
+      out.candidates.emplace_back(*out.index, out.queries.back());
+    }
+    return out;
+  }();
+  return data;
+}
+
+void BM_FeatureRowManyCandidates(benchmark::State& state) {
+  // The fill alone (perfbench's core.fill span): each query's probe is
+  // done once outside the loop, so a row's time is its candidates' part
+  // pairs through the kernel. One item is one row; scored_per_row is
+  // the candidates a row scores.
+  const ManyCandidateData& data = many_candidate_data();
+  const core::TrainIndex& index = *data.index;
+  std::vector<float> row(index.n_channels() * static_cast<std::size_t>(index.n_classes()));
+  core::RowFillStats stats;
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < data.queries.size(); ++q) {
+      core::fill_feature_row_slice(index, data.queries[q], data.candidates[q],
+                                   ssdeep::EditMetric::kDamerauOsa, -1, 0,
+                                   index.n_classes(), row, core::kAllChannels, &stats);
+      benchmark::DoNotOptimize(row.data());
+    }
+  }
+  const auto rows = static_cast<std::int64_t>(state.iterations()) *
+                    static_cast<std::int64_t>(data.queries.size());
+  state.SetItemsProcessed(rows);
+  state.counters["scored_per_row"] =
+      static_cast<double>(stats.candidates_scored) /
+      static_cast<double>(std::max<std::int64_t>(rows, 1));
+}
+BENCHMARK(BM_FeatureRowManyCandidates);
 
 void BM_RuntimeTraceHash(benchmark::State& state) {
   // The runtime channel's per-sample cost: normalize a counter trace

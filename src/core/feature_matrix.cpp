@@ -1,6 +1,7 @@
 #include "core/feature_matrix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <stdexcept>
@@ -514,6 +515,92 @@ std::uint64_t pairable_digests(const TrainIndex& index, std::size_t f,
   return total;
 }
 
+/// The fill's scoring queue: part pairs wait in four stack slots, a full
+/// ring runs the four-lane kernel, and the scores are applied in
+/// candidate order as running maxima into their row columns. The ring
+/// crosses class boundaries, since each slot names its own column.
+///
+/// A candidate counts as scored exactly when its column was below 100
+/// at its turn in candidate order (the drain rule of a per-candidate
+/// loop). A pair queued behind a pending 100 is computed anyway, but
+/// applying it cannot raise the max and, being applied after the 100,
+/// does not count. A candidate whose score needs no kernel (the
+/// identical-part1 fast path, or no pair at all) first drains the ring,
+/// so it too is applied in order, and the counters do not depend on
+/// where the ring happens to flush.
+class ScoringRing {
+ public:
+  explicit ScoringRing(ssdeep::EditMetric metric) noexcept : metric_(metric) {}
+
+  /// Scores one candidate into `column`, which holds its class's running
+  /// max.
+  void add(const ssdeep::PregatedPairs& pairs, float* column) {
+    if (pairs.identical || pairs.count == 0) {
+      drain();
+      apply(column, true, pairs.identical ? 100 : 0);
+      return;
+    }
+    for (std::uint32_t p = 0; p < pairs.count; ++p) {
+      const ssdeep::PartPair& pair = pairs.pairs[p];
+      lanes_[size_] = {pair.own_masks, pair.own.size(), pair.other};
+      slots_[size_] = {column, pair.blocksize, p == 0};
+      if (++size_ == lanes_.size()) flush_four();
+    }
+  }
+
+  /// Scores what is left with the one-lane kernel.
+  void drain() {
+    for (std::size_t i = 0; i < size_; ++i) {
+      const ssdeep::BitParallelLane& lane = lanes_[i];
+      const std::size_t dist =
+          metric_ == ssdeep::EditMetric::kDamerauOsa
+              ? ssdeep::damerau_levenshtein_osa_bitparallel(*lane.masks,
+                                                            lane.pattern_len, lane.text)
+              : ssdeep::weighted_levenshtein_bitparallel(*lane.masks,
+                                                         lane.pattern_len, lane.text);
+      apply_lane(i, dist);
+    }
+    size_ = 0;
+  }
+
+  std::uint64_t scored() const noexcept { return scored_; }
+
+ private:
+  struct Slot {
+    float* column = nullptr;
+    std::uint32_t blocksize = 0;
+    bool first_pair = false;  // the candidate's first pair carries its count
+  };
+
+  void flush_four() {
+    const std::array<std::size_t, 4> dist =
+        metric_ == ssdeep::EditMetric::kDamerauOsa
+            ? ssdeep::damerau_levenshtein_osa_bitparallel(lanes_)
+            : ssdeep::weighted_levenshtein_bitparallel(lanes_);
+    for (std::size_t i = 0; i < dist.size(); ++i) apply_lane(i, dist[i]);
+    size_ = 0;
+  }
+
+  void apply_lane(std::size_t i, std::size_t dist) {
+    const ssdeep::BitParallelLane& lane = lanes_[i];
+    const Slot& slot = slots_[i];
+    apply(slot.column, slot.first_pair,
+          ssdeep::score_distance(dist, lane.pattern_len, lane.text.size(),
+                                 slot.blocksize, metric_));
+  }
+
+  void apply(float* column, bool first_pair, int score) {
+    if (first_pair && *column < 100.0f) ++scored_;
+    *column = std::max(*column, static_cast<float>(score));
+  }
+
+  ssdeep::EditMetric metric_;
+  ssdeep::FourLanes lanes_{};
+  std::array<Slot, 4> slots_{};
+  std::size_t size_ = 0;
+  std::uint64_t scored_ = 0;
+};
+
 }  // namespace
 
 void fill_feature_row(const TrainIndex& index, const FeatureHashes& sample,
@@ -601,36 +688,30 @@ void fill_feature_row_slice(const TrainIndex& index, const PreparedQuery& query,
     // The list is class-grouped, so the slice's share is one contiguous
     // run — binary-search its start instead of stepping over every
     // candidate of the classes before class_begin.
-    std::uint64_t scored = 0;
-    std::size_t i = static_cast<std::size_t>(
-        std::partition_point(hits.begin(), hits.end(),
-                             [&](const QueryCandidates::Candidate& hit) {
-                               return grams.entries[hit.id].cls < class_begin;
-                             }) -
-        hits.begin());
-    while (i < hits.size()) {
-      const int c = grams.entries[hits[i].id].cls;
+    auto it = std::partition_point(hits.begin(), hits.end(),
+                                   [&](const QueryCandidates::Candidate& hit) {
+                                     return grams.entries[hit.id].cls < class_begin;
+                                   });
+    ScoringRing ring(metric);
+    for (; it != hits.end(); ++it) {
+      const TrainIndex::GramEntry& entry = grams.entries[it->id];
+      const int c = entry.cls;
       if (c >= class_end) break;
-      int best = 0;
-      while (i < hits.size()) {
-        const QueryCandidates::Candidate& hit = hits[i];
-        const TrainIndex::GramEntry& entry = grams.entries[hit.id];
-        if (entry.cls != c) break;
-        ++i;
-        if (best == 100) continue;  // cannot improve; drain the class group
-        const TrainIndex::PreparedBucket& bucket =
-            index.prepared(f, c)[static_cast<std::size_t>(entry.bucket)];
-        const auto pos = static_cast<std::size_t>(entry.pos);
-        if (exclude_id >= 0 && bucket.ids[pos] == exclude_id) continue;
-        // The probe already decided every gate: score from its hit bits.
-        const int score = ssdeep::compare_prepared_pregated(
-            own_text, own_masks, index.view_of(bucket, pos), hit.hit_bits, metric);
-        ++scored;
-        if (score > best) best = score;
-      }
-      out_row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)] =
-          static_cast<float>(best);
+      float& column = out_row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)];
+      // The column holds the scores applied so far, a prefix of the
+      // candidates: at 100 the class cannot improve, so drain it.
+      if (column == 100.0f) continue;
+      const TrainIndex::PreparedBucket& bucket =
+          index.prepared(f, c)[static_cast<std::size_t>(entry.bucket)];
+      const auto pos = static_cast<std::size_t>(entry.pos);
+      if (exclude_id >= 0 && bucket.ids[pos] == exclude_id) continue;
+      // The probe already decided every gate: score from its hit bits.
+      ring.add(ssdeep::pregated_pairs(own_text, own_masks, index.view_of(bucket, pos),
+                                      it->hit_bits),
+               &column);
     }
+    ring.drain();
+    const std::uint64_t scored = ring.scored();
     if (stats != nullptr) {
       stats->candidates_scored += scored;
       stats->index_skipped +=

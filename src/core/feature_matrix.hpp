@@ -24,9 +24,12 @@
 // touched. The probe also decides the gates of the candidates it
 // returns: QueryCandidates keeps each candidate's hit bits (which query
 // parts shared a gram with it), PreparedQuery builds the query's
-// bit-parallel match masks once per channel, and the fill scores each
-// candidate with ssdeep::compare_prepared_pregated, which runs the edit
-// distance on the hit part pairs only. The all-pairs scan over the raw
+// bit-parallel match masks once per channel, and the fill runs the edit
+// distance on the hit part pairs only (ssdeep::pregated_pairs). It
+// queues those pairs in a four-slot ring, scores each full ring with
+// the four-lane kernel and applies the scores in candidate order, so
+// rows and RowFillStats equal a per-candidate loop over
+// ssdeep::compare_prepared_pregated. The all-pairs scan over the raw
 // training digests (ssdeep::compare_digests on every pair,
 // fill_feature_row_all_pairs) is kept as the reference oracle: it reads
 // none of the index's pools, and the indexed fill is bit-identical to it.
@@ -471,9 +474,11 @@ class QueryCandidates {
 /// What the candidate index saved on one (or more, when accumulated) row
 /// fills: of the digests an all-pairs scan would have visited (those in
 /// blocksize-pairable buckets of enabled channels within the class
-/// range), how many were actually scored (compare_prepared_pregated) versus
-/// never touched — pruned by the GramIndex probe, skipped as the
-/// excluded self, or cut by a class's score-100 early exit.
+/// range), how many were actually scored versus never touched — pruned
+/// by the GramIndex probe, skipped as the excluded self, or cut by a
+/// class's score-100 early exit. A candidate counts as scored when its
+/// class's running max was below 100 at its turn in candidate order,
+/// however the fill batches the kernel calls.
 struct RowFillStats {
   std::uint64_t candidates_scored = 0;
   std::uint64_t index_skipped = 0;

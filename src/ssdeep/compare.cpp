@@ -111,20 +111,16 @@ int score_strings(std::string_view a, std::string_view b, std::uint32_t blocksiz
   return score_strings_pregated(a, b, blocksize, metric);
 }
 
-namespace {
-
-/// The post-kernel half of scoring: an edit distance between parts of
-/// these lengths, produced at `blocksize`, as a similarity in [0, 100].
-int scale_distance(std::size_t dist, std::string_view a, std::string_view b,
-                   std::uint32_t blocksize, EditMetric metric) {
+int score_distance(std::size_t dist, std::size_t a_len, std::size_t b_len,
+                   std::uint32_t blocksize, EditMetric metric) noexcept {
   // Scale the distance by its worst case, then onto [0, 100]. The worst
   // case depends on the metric: the weighted Levenshtein (substitution
   // cost 2) can reach len(a)+len(b) — spamsum's original denominator —
   // while the unit-cost Damerau-OSA maxes at max(len(a), len(b)); using
   // the combined length there would floor every gated score near 50.
   const std::size_t worst = metric == EditMetric::kDamerauOsa
-                                ? std::max(a.size(), b.size())
-                                : a.size() + b.size();
+                                ? std::max(a_len, b_len)
+                                : a_len + b_len;
   std::size_t score = dist * kSpamsumLength / worst;
   score = 100 * score / kSpamsumLength;
   if (score >= 100) return 0;
@@ -136,20 +132,18 @@ int scale_distance(std::size_t dist, std::string_view a, std::string_view b,
       static_cast<std::uint32_t>((99 + kRollingWindow) / kRollingWindow) * kMinBlocksize;
   if (blocksize < threshold) {
     const std::size_t cap =
-        static_cast<std::size_t>(blocksize) / kMinBlocksize * std::min(a.size(), b.size());
+        static_cast<std::size_t>(blocksize) / kMinBlocksize * std::min(a_len, b_len);
     score = std::min(score, cap);
   }
   return static_cast<int>(score);
 }
-
-}  // namespace
 
 int score_strings_pregated(std::string_view a, std::string_view b,
                            std::uint32_t blocksize, EditMetric metric) {
   const std::size_t dist = metric == EditMetric::kDamerauOsa
                                ? damerau_levenshtein_osa_bitparallel(a, b)
                                : weighted_levenshtein_bitparallel(a, b);
-  return scale_distance(dist, a, b, blocksize, metric);
+  return score_distance(dist, a.size(), b.size(), blocksize, metric);
 }
 
 int score_strings_pregated(const MatchMasks& a_masks, std::string_view a,
@@ -159,7 +153,7 @@ int score_strings_pregated(const MatchMasks& a_masks, std::string_view a,
       metric == EditMetric::kDamerauOsa
           ? damerau_levenshtein_osa_bitparallel(a_masks, a.size(), b)
           : weighted_levenshtein_bitparallel(a_masks, a.size(), b);
-  return scale_distance(dist, a, b, blocksize, metric);
+  return score_distance(dist, a.size(), b.size(), blocksize, metric);
 }
 
 int compare_digests(const FuzzyDigest& a, const FuzzyDigest& b, EditMetric metric) {

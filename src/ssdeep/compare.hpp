@@ -101,4 +101,11 @@ int score_strings_pregated(const MatchMasks& a_masks, std::string_view a,
                            std::string_view b, std::uint32_t blocksize,
                            EditMetric metric);
 
+/// The post-kernel half of score_strings_pregated: the edit distance
+/// `dist` between parts of `a_len` and `b_len` chars, produced at
+/// `blocksize`, as a similarity in [0, 100]. For callers that run the
+/// kernels themselves (the row fill's four-lane scoring).
+int score_distance(std::size_t dist, std::size_t a_len, std::size_t b_len,
+                   std::uint32_t blocksize, EditMetric metric) noexcept;
+
 }  // namespace fhc::ssdeep

@@ -107,55 +107,134 @@ void build_match_masks(std::string_view pattern, MatchMasks& masks) noexcept {
   }
 }
 
-std::size_t damerau_levenshtein_osa_bitparallel(const MatchMasks& pattern_masks,
-                                                std::size_t pattern_len,
-                                                std::string_view b) noexcept {
-  if (pattern_len == 0) return b.size();
+namespace {
 
+/// The bits of a pattern of `pattern_len` chars (0-64) in one word.
+std::uint64_t pattern_bits(std::size_t pattern_len) noexcept {
+  return pattern_len < 64 ? (std::uint64_t{1} << pattern_len) - 1 : ~std::uint64_t{0};
+}
+
+/// N independent Hyyrö OSA chains, one per lane, stored lane-major per
+/// field so that stepping all N lanes is the same word op on N adjacent
+/// words, which the compiler can pack into vector registers at the
+/// baseline ISA. step(l, pm) advances lane l's DP column by one text
+/// character from that character's match mask; finish() reads lane l's
+/// distance off its final column.
+template <std::size_t N>
+struct OsaChains {
   // Vertical deltas of the current DP column (VP: +1, VN: -1); D0 marks
   // the cells whose diagonal delta is 0. Bits above the pattern carry
-  // garbage, but carries and shifts only move upward, so the tracked
-  // last row (bit m-1) never sees it.
-  const std::uint64_t last = std::uint64_t{1} << (pattern_len - 1);
-  std::uint64_t vp = ~std::uint64_t{0};
-  std::uint64_t vn = 0;
-  std::uint64_t d0 = 0;
-  std::uint64_t pm_prev = 0;
-  std::size_t dist = pattern_len;
-  for (const char c : b) {
-    const std::uint64_t pm_c = pattern_masks[static_cast<unsigned char>(c)];
+  // garbage, but carries and shifts only move upward, so the pattern's
+  // own bits never see it.
+  std::array<std::uint64_t, N> vp;
+  std::array<std::uint64_t, N> vn{};
+  std::array<std::uint64_t, N> d0{};
+  std::array<std::uint64_t, N> pm_prev{};
+
+  OsaChains() noexcept { vp.fill(~std::uint64_t{0}); }
+
+  void step(std::size_t l, std::uint64_t pm_c) noexcept {
     // Transposition: bit i is set when pattern[i-1..i] is the last two
     // text characters swapped and the previous column's row i-1 was not
     // already a zero-delta diagonal (the swap would gain nothing there).
-    const std::uint64_t tr = ((~d0 & pm_c) << 1) & pm_prev;
-    d0 = (((pm_c & vp) + vp) ^ vp) | pm_c | vn | tr;
-    std::uint64_t hp = vn | ~(d0 | vp);
-    std::uint64_t hn = d0 & vp;
-    if (hp & last) ++dist;
-    if (hn & last) --dist;
-    hp = (hp << 1) | 1;
-    hn <<= 1;
-    vp = hn | ~(d0 | hp);
-    vn = hp & d0;
-    pm_prev = pm_c;
+    const std::uint64_t tr = ((~d0[l] & pm_c) << 1) & pm_prev[l];
+    d0[l] = (((pm_c & vp[l]) + vp[l]) ^ vp[l]) | pm_c | vn[l] | tr;
+    const std::uint64_t hp = ((vn[l] | ~(d0[l] | vp[l])) << 1) | 1;
+    const std::uint64_t hn = (d0[l] & vp[l]) << 1;
+    vp[l] = hn | ~(d0[l] | hp);
+    vn[l] = hp & d0[l];
+    pm_prev[l] = pm_c;
+  }
+
+  /// D[m][n] = D[0][n] + the column's vertical deltas = n + |VP| - |VN|
+  /// over the pattern's bits.
+  std::size_t finish(std::size_t l, std::size_t pattern_len,
+                     std::size_t text_len) const noexcept {
+    const std::uint64_t m = pattern_bits(pattern_len);
+    return text_len + static_cast<std::size_t>(std::popcount(vp[l] & m)) -
+           static_cast<std::size_t>(std::popcount(vn[l] & m));
+  }
+};
+
+/// N independent bit-parallel LCS chains (Allison–Dix / Hyyrö), laid
+/// out like OsaChains: the zero bits of a lane's `s` within its pattern
+/// count the LCS so far.
+template <std::size_t N>
+struct LcsChains {
+  std::array<std::uint64_t, N> s;
+
+  LcsChains() noexcept { s.fill(~std::uint64_t{0}); }
+
+  void step(std::size_t l, std::uint64_t pm_c) noexcept {
+    const std::uint64_t u = s[l] & pm_c;
+    s[l] = (s[l] + u) | (s[l] - u);
+  }
+
+  /// |a| + |b| - 2 * LCS(a, b).
+  std::size_t finish(std::size_t l, std::size_t pattern_len,
+                     std::size_t text_len) const noexcept {
+    const auto lcs =
+        static_cast<std::size_t>(std::popcount(~s[l] & pattern_bits(pattern_len)));
+    return pattern_len + text_len - 2 * lcs;
+  }
+};
+
+std::uint64_t mask_of(const MatchMasks& masks, char c) noexcept {
+  return masks[static_cast<unsigned char>(c)];
+}
+
+template <template <std::size_t> class Chains>
+std::size_t run_one(const MatchMasks& pattern_masks, std::size_t pattern_len,
+                    std::string_view b) noexcept {
+  Chains<1> chain;
+  for (const char c : b) chain.step(0, mask_of(pattern_masks, c));
+  return chain.finish(0, pattern_len, b.size());
+}
+
+/// Four independent chains in one loop: the lanes step in lockstep up to
+/// the shortest text, so their dependent chains overlap, then each lane
+/// runs its own tail alone.
+template <template <std::size_t> class Chains>
+std::array<std::size_t, 4> run_four(const FourLanes& lanes) noexcept {
+  std::size_t common = lanes[0].text.size();
+  for (const BitParallelLane& lane : lanes) common = std::min(common, lane.text.size());
+  Chains<4> chains;
+  for (std::size_t j = 0; j < common; ++j) {
+    std::array<std::uint64_t, 4> pm;
+    for (std::size_t l = 0; l < 4; ++l) pm[l] = mask_of(*lanes[l].masks, lanes[l].text[j]);
+    for (std::size_t l = 0; l < 4; ++l) chains.step(l, pm[l]);
+  }
+  std::array<std::size_t, 4> dist{};
+  for (std::size_t l = 0; l < 4; ++l) {
+    const BitParallelLane& lane = lanes[l];
+    for (const char c : lane.text.substr(common)) chains.step(l, mask_of(*lane.masks, c));
+    dist[l] = chains.finish(l, lane.pattern_len, lane.text.size());
   }
   return dist;
+}
+
+}  // namespace
+
+std::size_t damerau_levenshtein_osa_bitparallel(const MatchMasks& pattern_masks,
+                                                std::size_t pattern_len,
+                                                std::string_view b) noexcept {
+  return run_one<OsaChains>(pattern_masks, pattern_len, b);
 }
 
 std::size_t weighted_levenshtein_bitparallel(const MatchMasks& pattern_masks,
                                              std::size_t pattern_len,
                                              std::string_view b) noexcept {
-  if (pattern_len == 0) return b.size();
+  return run_one<LcsChains>(pattern_masks, pattern_len, b);
+}
 
-  // Zero bits of s within the pattern count the LCS so far.
-  std::uint64_t s = ~std::uint64_t{0};
-  for (const char c : b) {
-    const std::uint64_t u = s & pattern_masks[static_cast<unsigned char>(c)];
-    s = (s + u) | (s - u);
-  }
-  // The left shift drops the bits above the pattern (1 <= |a| <= 64).
-  const auto lcs = static_cast<std::size_t>(std::popcount(~s << (64 - pattern_len)));
-  return pattern_len + b.size() - 2 * lcs;
+std::array<std::size_t, 4> damerau_levenshtein_osa_bitparallel(
+    const FourLanes& lanes) noexcept {
+  return run_four<OsaChains>(lanes);
+}
+
+std::array<std::size_t, 4> weighted_levenshtein_bitparallel(
+    const FourLanes& lanes) noexcept {
+  return run_four<LcsChains>(lanes);
 }
 
 namespace {

@@ -21,11 +21,29 @@
 // any length, and as the test oracles the kernels are checked against
 // (tests/ssdeep/test_edit_distance.cpp, fuzz_row_differential).
 //
-// Each kernel has two entry points. The core takes the pattern's match
+// Each kernel has three entry points. The core takes the pattern's match
 // masks prebuilt (MatchMasks), so a caller scoring one pattern against
 // many texts builds them once (ssdeep::DigestMasks, held per query by
 // core::PreparedQuery). The string_view form is a thin wrapper that
-// fills a per-thread table from the pattern and calls the core.
+// fills a per-thread table from the pattern and calls the core. The
+// four-lane core scores four independent (masks, pattern, text) lanes
+// in one loop: one lane's recurrence is a chain of about nine dependent
+// word ops per text character, so a single chain is bound by its
+// latency, and four chains in lockstep overlap it. The lanes' state is
+// kept lane-major per field, so each op of the step is one op on four
+// adjacent words, which the compiler packs into vector registers at the
+// baseline ISA (no intrinsics, no -march). The lanes step together up
+// to the shortest text, then each finishes its own tail. The row fill
+// (core::fill_feature_row_slice) scores its candidates four at a time
+// through it; the one-lane core takes the leftovers.
+//
+// Both metrics read the distance off the final DP column rather than
+// tracking the last row per character. For OSA the column's vertical
+// deltas sum to D[m][n] - D[0][n], so D[m][n] = n + popcount(VP & M) -
+// popcount(VN & M), where M covers the pattern's m bits; for the LCS the
+// zero bits of the state within M count the common subsequence. The
+// one-lane and four-lane cores share one step and one finish per metric,
+// so each recurrence is written once.
 #pragma once
 
 #include <array>
@@ -94,5 +112,23 @@ std::size_t damerau_levenshtein_osa_bitparallel(const MatchMasks& pattern_masks,
 std::size_t weighted_levenshtein_bitparallel(const MatchMasks& pattern_masks,
                                              std::size_t pattern_len,
                                              std::string_view b) noexcept;
+
+/// One lane of a four-lane kernel call: a pattern's prebuilt masks, its
+/// length (at most kBitParallelMaxPattern) and the text it is scored
+/// against. `masks` must point at build_match_masks of the pattern.
+struct BitParallelLane {
+  const MatchMasks* masks = nullptr;
+  std::size_t pattern_len = 0;
+  std::string_view text;
+};
+using FourLanes = std::array<BitParallelLane, 4>;
+
+/// The four-lane cores: entry i equals the one-lane core on lanes[i].
+/// The lanes are independent; any of them may share masks or text, and
+/// texts may differ in length and run past 64 chars.
+std::array<std::size_t, 4> damerau_levenshtein_osa_bitparallel(
+    const FourLanes& lanes) noexcept;
+std::array<std::size_t, 4> weighted_levenshtein_bitparallel(
+    const FourLanes& lanes) noexcept;
 
 }  // namespace fhc::ssdeep

@@ -22,9 +22,9 @@
 // and CandidateSet records per id which probes hit it (hit bits). A set
 // bit is exactly sorted_grams_intersect on that part pair: both gram
 // arrays are non-empty (so both parts hold 7-64 chars) and share a
-// gram. A clear bit means the pair scores 0. So the row fill scores a
-// candidate with compare_prepared_pregated, which runs the edit distance
-// on the hit part pairs only and repeats none of those gates.
+// gram. A clear bit means the pair scores 0. So the row fill runs the
+// edit distance on the hit part pairs only (pregated_pairs in
+// prepared.hpp) and repeats none of those gates.
 //
 // The index is append-then-seal: add() every digest's presorted gram
 // array (PreparedDigest already stores them), then finalize() to build

@@ -75,44 +75,52 @@ DigestMasks::DigestMasks(const PreparedTextView& digest) {
   }
 }
 
-int compare_prepared_pregated(const PreparedTextView& own,
-                              const DigestMasks& own_masks,
-                              const PreparedTextView& other,
-                              std::uint32_t hit_bits, EditMetric metric) {
+PregatedPairs pregated_pairs(const PreparedTextView& own,
+                             const DigestMasks& own_masks,
+                             const PreparedTextView& other,
+                             std::uint32_t hit_bits) noexcept {
   const std::uint32_t bs1 = own.blocksize;
   const std::uint32_t bs2 = other.blocksize;
   const bool hit1 = (hit_bits & kHitPart1) != 0;
   const bool hit2 = (hit_bits & kHitPart2) != 0;
+  PregatedPairs out;
+  const auto add = [&out](const MatchMasks& masks, std::string_view a,
+                          std::string_view b, std::uint32_t blocksize) {
+    out.pairs[out.count++] = {&masks, a, b, blocksize};
+  };
 
   if (bs1 == bs2) {
     // compare_prepared's fast path. Identical part1 texts of 8-64 chars
     // share every gram, so they always come with bit 0, and under bit 0
     // the part is at most kSpamsumLength long.
-    if (hit1 && own.part1 == other.part1 &&
-        own.part1.size() > kRollingWindow) {
-      return 100;
+    if (hit1 && own.part1 == other.part1 && own.part1.size() > kRollingWindow) {
+      out.identical = true;
+      return out;
     }
-    const int s1 = hit1 ? score_strings_pregated(own_masks.part1, own.part1,
-                                                 other.part1, bs1, metric)
-                        : 0;
-    const int s2 = hit2 ? score_strings_pregated(own_masks.part2, own.part2,
-                                                 other.part2,
-                                                 part2_blocksize(bs1), metric)
-                        : 0;
-    return std::max(s1, s2);
-  }
-  if (bs1 == std::uint64_t{bs2} * 2) {
+    if (hit1) add(own_masks.part1, own.part1, other.part1, bs1);
+    if (hit2) add(own_masks.part2, own.part2, other.part2, part2_blocksize(bs1));
+  } else if (bs1 == std::uint64_t{bs2} * 2) {
     // own's part1 lives at the same blocksize as other's part2.
-    return hit1 ? score_strings_pregated(own_masks.part1, own.part1,
-                                         other.part2, bs1, metric)
-                : 0;
+    if (hit1) add(own_masks.part1, own.part1, other.part2, bs1);
+  } else if (bs2 == std::uint64_t{bs1} * 2) {
+    if (hit2) add(own_masks.part2, own.part2, other.part1, bs2);
   }
-  if (bs2 == std::uint64_t{bs1} * 2) {
-    return hit2 ? score_strings_pregated(own_masks.part2, own.part2,
-                                         other.part1, bs2, metric)
-                : 0;
+  return out;
+}
+
+int compare_prepared_pregated(const PreparedTextView& own,
+                              const DigestMasks& own_masks,
+                              const PreparedTextView& other,
+                              std::uint32_t hit_bits, EditMetric metric) {
+  const PregatedPairs p = pregated_pairs(own, own_masks, other, hit_bits);
+  if (p.identical) return 100;
+  int best = 0;
+  for (std::uint32_t i = 0; i < p.count; ++i) {
+    const PartPair& pair = p.pairs[i];
+    best = std::max(best, score_strings_pregated(*pair.own_masks, pair.own,
+                                                 pair.other, pair.blocksize, metric));
   }
-  return 0;
+  return best;
 }
 
 }  // namespace fhc::ssdeep

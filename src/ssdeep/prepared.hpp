@@ -35,8 +35,16 @@
 // (core::TrainIndex::view_of). compare_prepared takes only a
 // PreparedDigest, so a training digest without grams can never reach
 // its gate.
+//
+// compare_prepared_pregated is the per-pair form. The row fill does not
+// call it: it asks pregated_pairs, the one home of the part-pairing
+// rules, for each candidate's part pairs, queues them in a four-slot
+// ring and scores a full ring with the four-lane kernel
+// (edit_distance.hpp), applying the scores in candidate order. The
+// per-pair form stays as the fill's oracle in the tests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -110,12 +118,44 @@ struct DigestMasks {
   explicit DigestMasks(const PreparedTextView& digest);
 };
 
+/// One part pair a pregated candidate is scored on: the query part
+/// `own` (with its prebuilt masks) against the candidate part `other`,
+/// both produced at `blocksize`.
+struct PartPair {
+  const MatchMasks* own_masks = nullptr;
+  std::string_view own;
+  std::string_view other;
+  std::uint32_t blocksize = 0;
+};
+
+/// What scoring one pregated (query, candidate) pair takes. Either the
+/// identical-part1 fast path decides it (score 100, no kernel), or its
+/// score is the max over `pairs[0, count)`, 0 when there are none.
+struct PregatedPairs {
+  bool identical = false;
+  std::uint32_t count = 0;
+  std::array<PartPair, 2> pairs{};
+};
+
+/// The part-pairing rules of pregated scoring, in one place: which query
+/// part meets which candidate part at equal, double and half blocksize,
+/// keeping only the pairs whose hit bit is set, plus the identical-part1
+/// fast path at equal blocksizes. compare_prepared_pregated scores the
+/// pairs one at a time; the row fill (core::fill_feature_row_slice)
+/// queues them for the four-lane kernel.
+PregatedPairs pregated_pairs(const PreparedTextView& own,
+                             const DigestMasks& own_masks,
+                             const PreparedTextView& other,
+                             std::uint32_t hit_bits) noexcept;
+
 /// compare_prepared(own, other, metric) for a pair the GramIndex probe
 /// returned with `hit_bits`, where `own_masks` was built from `own`.
 /// Keeps the identical-part1 == 100 fast path, then scores only the
-/// part pairs whose bit is set. The bits stand in for every gate
-/// score_parts would run: a set bit proves both parts hold 7-64 chars
-/// and share a 7-gram, a clear bit that the pair scores 0.
+/// part pairs whose bit is set (pregated_pairs). The bits stand in for
+/// every gate score_parts would run: a set bit proves both parts hold
+/// 7-64 chars and share a 7-gram, a clear bit that the pair scores 0.
+/// The per-pair form: the row fill scores the same pairs four at a time,
+/// and the tests hold it to this function as the oracle.
 int compare_prepared_pregated(const PreparedTextView& own,
                               const DigestMasks& own_masks,
                               const PreparedTextView& other,

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/corpus.hpp"
 #include "ssdeep/digest.hpp"
 #include "ssdeep/prepared.hpp"
 #include "support/corpus_digests.hpp"
+#include "util/rng.hpp"
 
 namespace fhc::core {
 namespace {
@@ -530,6 +532,211 @@ TEST(GramIndexFill, GateStatsPartitionAcrossSlices) {
     }
   }
   EXPECT_EQ(full.candidates_scored + full.index_skipped, pairable);
+}
+
+// --- four-lane fill vs per-candidate scoring -----------------------------
+
+/// The fill as a per-candidate loop over compare_prepared_pregated: each
+/// class's candidates in order, skipped once the class's running max is
+/// 100 or when the candidate is the excluded self, every other candidate
+/// scored and counted. The four-lane fill must reproduce its row and
+/// both counters.
+struct PerCandidateFill {
+  std::vector<float> row;
+  RowFillStats stats;
+};
+
+PerCandidateFill per_candidate_fill(const TrainIndex& index, const FeatureHashes& sample,
+                                    ssdeep::EditMetric metric, int exclude_id) {
+  const int k = index.n_classes();
+  PerCandidateFill out;
+  out.row.assign(index.n_channels() * static_cast<std::size_t>(k), 0.0f);
+  const PreparedQuery query(sample);
+  const QueryCandidates candidates(index, query);
+  for (std::size_t f = 0; f < index.n_channels(); ++f) {
+    const ssdeep::PreparedDigest& own = query.channel(f);
+    const TrainIndex::ChannelGramIndex& grams = index.gram_index(f);
+    std::vector<int> best(static_cast<std::size_t>(k), 0);
+    std::uint64_t scored = 0;
+    for (const QueryCandidates::Candidate& hit : candidates.of(f)) {
+      const TrainIndex::GramEntry& entry = grams.entries[hit.id];
+      int& class_best = best[static_cast<std::size_t>(entry.cls)];
+      if (class_best == 100) continue;
+      const TrainIndex::PreparedBucket& bucket =
+          index.prepared(f, entry.cls)[static_cast<std::size_t>(entry.bucket)];
+      const auto pos = static_cast<std::size_t>(entry.pos);
+      if (exclude_id >= 0 && bucket.ids[pos] == exclude_id) continue;
+      class_best = std::max(class_best, ssdeep::compare_prepared_pregated(
+                                            own.text_view(), query.masks(f),
+                                            index.view_of(bucket, pos), hit.hit_bits,
+                                            metric));
+      ++scored;
+    }
+    std::uint64_t pairable = 0;
+    for (int c = 0; c < k; ++c) {
+      out.row[f * static_cast<std::size_t>(k) + static_cast<std::size_t>(c)] =
+          static_cast<float>(best[static_cast<std::size_t>(c)]);
+      for (const TrainIndex::PreparedBucket& bucket : index.prepared(f, c)) {
+        if (ssdeep::blocksizes_can_pair(own.blocksize(), bucket.blocksize)) {
+          pairable += bucket.size();
+        }
+      }
+    }
+    out.stats.candidates_scored += scored;
+    out.stats.index_skipped += pairable - scored;
+  }
+  return out;
+}
+
+/// Digest text over the base64 alphabet with no two neighbours equal, so
+/// run normalization leaves it alone.
+std::string random_part(util::Rng& rng, std::size_t len) {
+  static constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::string out;
+  while (out.size() < len) {
+    const char c = kAlphabet[rng.next_below(64)];
+    if (out.empty() || out.back() != c) out.push_back(c);
+  }
+  return out;
+}
+
+/// `part` after `edits` random substitutions, adjacent swaps, deletions
+/// and insertions: related text that keeps a shared 7-gram for the few
+/// edits used here.
+std::string mutate_part(util::Rng& rng, std::string part, std::size_t edits) {
+  for (; edits > 0; --edits) {
+    const std::size_t i = rng.next_below(part.size() - 1);
+    const char c = random_part(rng, 1)[0];
+    switch (rng.next_below(4)) {
+      case 0: part[i] = c; break;
+      case 1: std::swap(part[i], part[i + 1]); break;
+      case 2: part.erase(i, 1); break;
+      default: part.insert(i, 1, c); break;
+    }
+  }
+  return part;
+}
+
+TEST(GramIndexFill, FourLaneFillMatchesPerCandidateScoring) {
+  // Nine classes whose groups hold 1-9 candidates of one query, each
+  // scored on one or two part pairs, so the four-slot ring flushes
+  // inside groups, across group boundaries and between the two pairs of
+  // one candidate. Among them: candidates whose part2 equals the
+  // query's while part1 differs (a 100 from the kernel, on the second
+  // pair, that must drain the rest of its class), a pair of 7-char
+  // identical part1s (no fast path), crosswise pairs at double and half
+  // blocksize, and, with every training digest as a query, the
+  // identical-part1 fast path and exclude-self hits.
+  util::Rng rng(29);
+  const std::string q1 = random_part(rng, 28);
+  const std::string q2 = random_part(rng, 24);
+  const FeatureHashes query_a = uniform_hashes("48:" + q1 + ":" + q2);
+  const std::size_t group_sizes[] = {3, 1, 9, 2, 7, 4, 5, 8, 6};
+  std::vector<FeatureHashes> train;
+  std::vector<int> labels;
+  std::vector<std::string> names;
+  std::size_t kernel_hundreds = 0;
+  for (int c = 0; c < 9; ++c) {
+    names.push_back("class" + std::to_string(c));
+    const std::size_t n = group_sizes[c];
+    for (std::size_t j = 0; j < n; ++j) {
+      std::string digest;
+      const bool part2_twin = (c == 2 && j == 3) || (c == 5 && j == 0) ||
+                              (c == 7 && j == 7) || (c == 4 && j == 6);
+      if (part2_twin) {
+        digest = "48:" + mutate_part(rng, q1, 4) + ":" + q2;
+        ++kernel_hundreds;
+      } else if (c == 6 && j < 2) {
+        digest = "48:ABCDEFG:" + mutate_part(rng, q2, 2);
+      } else {
+        switch ((static_cast<std::size_t>(c) + j) % 4) {
+          case 0:
+            digest = "48:" + mutate_part(rng, q1, 1 + j % 3) + ":" +
+                     mutate_part(rng, q2, 2);
+            break;
+          case 1:
+            digest = "48:" + random_part(rng, 28) + ":" + mutate_part(rng, q2, j % 3);
+            break;
+          case 2:
+            digest = "24:" + random_part(rng, 35) + ":" + mutate_part(rng, q1, 2);
+            break;
+          default:
+            digest = "96:" + mutate_part(rng, q2, 2) + ":" + random_part(rng, 20);
+            break;
+        }
+      }
+      train.push_back(uniform_hashes(digest));
+      labels.push_back(c);
+    }
+  }
+  const TrainIndex index(train, labels, names);
+  const int k = index.n_classes();
+  const auto width = static_cast<std::size_t>(kFeatureTypeCount * k);
+
+  // Every candidate of query A is related: all 45 are probe hits. Every
+  // 100 among them comes from the kernel, not the fast path, and the
+  // part2 twins are the ones that score it on their second pair.
+  {
+    const PreparedQuery query(query_a);
+    const QueryCandidates candidates(index, query);
+    ASSERT_EQ(candidates.of(0).size(), train.size());
+    std::size_t hundreds = 0;
+    for (const QueryCandidates::Candidate& hit : candidates.of(0)) {
+      const TrainIndex::GramEntry& entry = index.gram_index(0).entries[hit.id];
+      const TrainIndex::PreparedBucket& bucket =
+          index.prepared(0, entry.cls)[static_cast<std::size_t>(entry.bucket)];
+      const ssdeep::PreparedTextView other =
+          index.view_of(bucket, static_cast<std::size_t>(entry.pos));
+      const ssdeep::PregatedPairs pairs = ssdeep::pregated_pairs(
+          query.channel(0).text_view(), query.masks(0), other, hit.hit_bits);
+      if (ssdeep::compare_prepared_pregated(query.channel(0).text_view(), query.masks(0),
+                                            other, hit.hit_bits) == 100) {
+        EXPECT_FALSE(pairs.identical);
+        if (pairs.count == 2) ++hundreds;
+      }
+    }
+    EXPECT_EQ(hundreds, kernel_hundreds);
+  }
+
+  std::vector<std::pair<FeatureHashes, int>> queries = {{query_a, -1}, {query_a, 4}};
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    queries.emplace_back(train[i], -1);
+    queries.emplace_back(train[i], static_cast<int>(i));
+  }
+  for (const auto metric : {ssdeep::EditMetric::kDamerauOsa,
+                            ssdeep::EditMetric::kWeightedLevenshtein}) {
+    for (const auto& [sample, exclude_id] : queries) {
+      const PerCandidateFill reference = per_candidate_fill(index, sample, metric,
+                                                            exclude_id);
+      std::vector<float> row(width);
+      RowFillStats stats;
+      fill_feature_row(index, sample, metric, exclude_id, row, kAllChannels, &stats);
+      ASSERT_EQ(row, reference.row) << "full row, exclude " << exclude_id;
+      ASSERT_EQ(stats.candidates_scored, reference.stats.candidates_scored);
+      ASSERT_EQ(stats.index_skipped, reference.stats.index_skipped);
+
+      // Every partition of the class range into contiguous slices: bit b
+      // of `cuts` starts a new slice at class b + 1.
+      const PreparedQuery query(sample);
+      const QueryCandidates candidates(index, query);
+      for (unsigned cuts = 0; cuts < (1u << (k - 1)); ++cuts) {
+        std::vector<float> sliced(width, -1.0f);
+        RowFillStats sum;
+        int begin = 0;
+        for (int end = 1; end <= k; ++end) {
+          if (end < k && (cuts & (1u << (end - 1))) == 0) continue;
+          fill_feature_row_slice(index, query, candidates, metric, exclude_id, begin,
+                                 end, sliced, kAllChannels, &sum);
+          begin = end;
+        }
+        ASSERT_EQ(sliced, reference.row) << "cuts " << cuts;
+        ASSERT_EQ(sum.candidates_scored, reference.stats.candidates_scored)
+            << "cuts " << cuts;
+        ASSERT_EQ(sum.index_skipped, reference.stats.index_skipped) << "cuts " << cuts;
+      }
+    }
+  }
 }
 
 TEST(FeatureMatrix, SliceRejectsBadRanges) {

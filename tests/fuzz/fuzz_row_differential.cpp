@@ -26,8 +26,12 @@
 // sample and every sample it is paired with, each pair of normalized
 // parts of <= 64 chars must give the bit-parallel distance equal to the
 // DP oracle's, for both metrics. A row fill only reaches the kernels
-// behind the 7-gram gate; this reaches them on every pair.
+// behind the 7-gram gate; this reaches them on every pair. The same
+// pairs then go four at a time, in order, through the four-lane cores
+// (the row fill's kernel), which must return the same distances lane
+// by lane, whatever the mix of pattern and text lengths in one call.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -59,18 +63,47 @@ void check_rows_equal(std::span<const float> indexed,
   }
 }
 
-void check_kernels(std::string_view a, std::string_view b) {
+/// One part pair whose kernels agreed with the DP: `masks` indexes the
+/// prebuilt masks of `a`.
+struct KernelPair {
+  std::size_t masks = 0;
+  std::string_view a;
+  std::string_view b;
+  std::size_t osa = 0;
+  std::size_t weighted = 0;
+};
+
+void check_kernels(std::size_t masks, std::string_view a, std::string_view b,
+                   std::vector<KernelPair>& checked) {
   if (a.size() > fhc::ssdeep::kBitParallelMaxPattern ||
       b.size() > fhc::ssdeep::kBitParallelMaxPattern) {
     return;
   }
-  if (fhc::ssdeep::damerau_levenshtein_osa_bitparallel(a, b) !=
-      fhc::ssdeep::damerau_levenshtein_osa(a, b)) {
-    std::abort();
-  }
-  if (fhc::ssdeep::weighted_levenshtein_bitparallel(a, b) !=
-      fhc::ssdeep::weighted_levenshtein(a, b)) {
-    std::abort();
+  const std::size_t osa = fhc::ssdeep::damerau_levenshtein_osa_bitparallel(a, b);
+  const std::size_t weighted = fhc::ssdeep::weighted_levenshtein_bitparallel(a, b);
+  if (osa != fhc::ssdeep::damerau_levenshtein_osa(a, b)) std::abort();
+  if (weighted != fhc::ssdeep::weighted_levenshtein(a, b)) std::abort();
+  checked.push_back({masks, a, b, osa, weighted});
+}
+
+/// The checked pairs four at a time through the four-lane cores; a
+/// short last group repeats its first pair in the empty lanes.
+void check_four_lanes(const std::vector<fhc::ssdeep::MatchMasks>& masks,
+                      const std::vector<KernelPair>& pairs) {
+  for (std::size_t first = 0; first < pairs.size(); first += 4) {
+    std::array<const KernelPair*, 4> group{};
+    fhc::ssdeep::FourLanes lanes;
+    for (std::size_t l = 0; l < 4; ++l) {
+      group[l] = &pairs[first + l < pairs.size() ? first + l : first];
+      lanes[l] = {&masks[group[l]->masks], group[l]->a.size(), group[l]->b};
+    }
+    const std::array<std::size_t, 4> osa =
+        fhc::ssdeep::damerau_levenshtein_osa_bitparallel(lanes);
+    const std::array<std::size_t, 4> weighted =
+        fhc::ssdeep::weighted_levenshtein_bitparallel(lanes);
+    for (std::size_t l = 0; l < 4; ++l) {
+      if (osa[l] != group[l]->osa || weighted[l] != group[l]->weighted) std::abort();
+    }
   }
 }
 
@@ -149,9 +182,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     parts.push_back(fhc::ssdeep::eliminate_long_runs(sample.file.part1));
     parts.push_back(fhc::ssdeep::eliminate_long_runs(sample.file.part2));
   }
+  std::vector<fhc::ssdeep::MatchMasks> masks(2 * checked);
+  std::vector<KernelPair> kernel_pairs;
   for (std::size_t i = 0; i < 2 * checked; ++i) {
-    for (const std::string& other : parts) check_kernels(parts[i], other);
+    if (parts[i].size() <= fhc::ssdeep::kBitParallelMaxPattern) {
+      fhc::ssdeep::build_match_masks(parts[i], masks[i]);
+    }
+    for (const std::string& other : parts) check_kernels(i, parts[i], other, kernel_pairs);
   }
+  check_four_lanes(masks, kernel_pairs);
   for (std::size_t i = 0; i < checked; ++i) {
     check_pregated(index, samples, samples[i]);
     for (const fhc::ssdeep::EditMetric metric : metrics) {

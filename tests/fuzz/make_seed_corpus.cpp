@@ -310,6 +310,18 @@ void seed_row_differential() {
     crosswise += ssdeep::fuzzy_hash(grown.substr(0, length)).to_string() + "\n";
   }
   write_seed(target, "crosswise_blocksizes", crosswise);
+  // Many candidates per class: 36 variants of one text, so with the
+  // target's round-robin labels each of the 4 classes holds 9 related
+  // digests and one class's candidates span several flushes of the row
+  // fill's four-slot scoring ring.
+  std::string many;
+  const std::string shared = synth_text(53, 8192);
+  for (std::size_t i = 0; i < 36; ++i) {
+    std::string text = shared;
+    text.insert(i * 211 % text.size(), "variant" + std::to_string(i));
+    many += ssdeep::fuzzy_hash(text).to_string() + "\n";
+  }
+  write_seed(target, "many_candidates", many);
 }
 
 void seed_fuzzy_hash() {

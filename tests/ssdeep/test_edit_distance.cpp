@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -324,6 +325,69 @@ TEST(BitParallelKernels, PrebuiltMasksMatchStringKernelAndDp) {
       }
     }
   }
+}
+
+TEST(BitParallelKernels, FourLanesMatchOneLaneAndDp) {
+  // Lane 0 walks every (pattern length, text length) pair from 0 to 64;
+  // lanes 1-3 hold their own patterns and text lengths that move
+  // against lane 0's, so the shortest text, and with it the split
+  // between the lockstep loop and the per-lane tails, falls at every
+  // offset and on every lane. The last round's texts run past 64 chars.
+  fhc::util::Rng rng(45);
+  struct Lane {
+    std::string pattern;
+    std::string text;
+    MatchMasks masks{};
+  };
+  const auto check = [](std::array<Lane, 4>& lanes) -> ::testing::AssertionResult {
+    FourLanes four;
+    for (std::size_t l = 0; l < 4; ++l) {
+      lanes[l].masks = {};
+      build_match_masks(lanes[l].pattern, lanes[l].masks);
+      four[l] = {&lanes[l].masks, lanes[l].pattern.size(), lanes[l].text};
+    }
+    const std::array<std::size_t, 4> osa = damerau_levenshtein_osa_bitparallel(four);
+    const std::array<std::size_t, 4> weighted = weighted_levenshtein_bitparallel(four);
+    for (std::size_t l = 0; l < 4; ++l) {
+      const Lane& lane = lanes[l];
+      const std::size_t m = lane.pattern.size();
+      const std::size_t osa_one = damerau_levenshtein_osa_bitparallel(lane.masks, m, lane.text);
+      const std::size_t weighted_one =
+          weighted_levenshtein_bitparallel(lane.masks, m, lane.text);
+      const std::size_t osa_dp = damerau_levenshtein_osa(lane.pattern, lane.text);
+      const std::size_t weighted_dp = weighted_levenshtein(lane.pattern, lane.text);
+      if (osa[l] != osa_one || osa[l] != osa_dp || weighted[l] != weighted_one ||
+          weighted[l] != weighted_dp) {
+        return ::testing::AssertionFailure()
+               << "lane " << l << ": " << m << " x " << lane.text.size() << ": osa "
+               << osa[l] << " (one lane " << osa_one << ", dp " << osa_dp
+               << "), weighted " << weighted[l] << " (one lane " << weighted_one
+               << ", dp " << weighted_dp << ")";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  std::array<Lane, 4> lanes;
+  for (std::size_t la = 0; la <= 64; ++la) {
+    for (std::size_t lb = 0; lb <= 64; ++lb) {
+      const std::size_t alphabet = std::size_t{1} << (1 + (la + lb) % 6);
+      lanes[0].pattern = random_over(rng, la, alphabet);
+      lanes[0].text = random_over(rng, lb, alphabet);
+      for (std::size_t l = 1; l < 4; ++l) {
+        lanes[l].pattern = random_over(rng, (la * 7 + l * 13) % 65, alphabet);
+        lanes[l].text = random_over(rng, (lb + l * 17) % 65, alphabet);
+      }
+      ASSERT_TRUE(check(lanes)) << "lane 0 " << la << " x " << lb;
+    }
+  }
+
+  // Texts past the word: the lockstep and the tails both run past 64.
+  for (std::size_t l = 0; l < 4; ++l) {
+    lanes[l].pattern = random_over(rng, 64 - 9 * l, 4);
+    lanes[l].text = random_over(rng, 70 + 31 * l, 4);
+  }
+  EXPECT_TRUE(check(lanes));
 }
 
 TEST(BitParallelKernels, BackToBackCallsDoNotLeakMasks) {

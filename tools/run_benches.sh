@@ -46,6 +46,12 @@ done
 # The pregated pair: a probe candidate scored from its hit bits with
 # prebuilt masks (BM_ComparePregatedRelatedDigests) against the gated
 # compare_prepared on the same pair.
+# The four-lane pairs: each four-lane core
+# (BM_{DamerauOsa,WeightedLevenshtein}64BitParallelFourLanes) against its
+# one-lane BitParallel bench on the same pair, compared per item (one
+# item is one scored pair). BM_FeatureRowManyCandidates is a fill at
+# prolog shape (hundreds of candidates per row on perfbench's corpus),
+# where the four-lane fill shows; compare it against its parent commit.
 for required in \
     BM_CompareUnrelatedDigests BM_ComparePreparedUnrelatedDigests \
     BM_CompareRelatedDigests BM_ComparePreparedRelatedDigests \
@@ -55,6 +61,8 @@ for required in \
     BM_FeatureRowIndexedFourChannel \
     BM_DamerauOsa64 BM_DamerauOsa64BitParallel \
     BM_WeightedLevenshtein64 BM_WeightedLevenshtein64BitParallel \
+    BM_DamerauOsa64BitParallelFourLanes BM_WeightedLevenshtein64BitParallelFourLanes \
+    BM_FeatureRowManyCandidates \
     BM_FuzzyHash/262144 BM_FuzzyHashReference/262144 \
     BM_FuzzyHash/2097152 BM_FuzzyHashReference/2097152 BM_RollingHash \
     BM_FuzzyHashRequest BM_FuzzyHashRequestReference \
